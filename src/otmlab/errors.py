@@ -11,7 +11,7 @@ class RepresentationOverflow(OtmLabError):
 
 
 class MalformedCertificate(OtmLabError):
-    """Replaying a loop certificate contradicts the certified behaviour."""
+    """The period a loop certificate covers contradicts the certified behaviour."""
 
 
 class SourceSpan:

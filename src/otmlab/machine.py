@@ -12,6 +12,13 @@ the executor detects certified loop shapes and jumps:
     virgin tape ahead; swept cells stabilize to the translated window
     pattern, heads go to the window supremum.
 
+A loop candidate is checked against the run already recorded since the last
+limit: a limit configuration is the inferior limit of the run before it, so
+the recorded period holds everything its certificate needs, and the executor
+never re-executes a candidate.  resolve_limit, which is given a certificate
+without the run behind it, replays the period from the certificate's base and
+stays an independent check of the same shapes.
+
 The same two shapes are detected between limit configurations (with ordinal
 strides), which yields jumps to w*2, w^2, w^3, ... Budgets bound both the
 successor steps and the number of limit jumps; anything uncertified is
@@ -22,6 +29,7 @@ a proof of divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MalformedCertificate
@@ -169,6 +177,49 @@ def _replay_period(
     return trace
 
 
+class _RecordedPeriod:
+    """The fields of a _PeriodTrace, read off the configurations base, ...,
+    end that the run already passed through, in place of a replay (which stays
+    the reference for them).  Each is computed on first use, so a candidate
+    rejected by an early check never pays for the later ones."""
+
+    def __init__(self, program: Program, configs: Sequence[Configuration]):
+        self._program = program
+        self._configs = configs
+        self.end: Configuration = configs[-1]
+
+    @cached_property
+    def states(self) -> List[int]:
+        return [c.state for c in self._configs[:-1]]
+
+    @cached_property
+    def visited(self) -> List[List[Ordinal]]:
+        steps = self._configs[:-1]
+        return [[c.heads[i] for c in steps] for i in range(self._program.n_tapes)]
+
+    @cached_property
+    def snapshots(self) -> List[Tuple[Tape, ...]]:
+        return [c.tapes for c in self._configs]
+
+    @cached_property
+    def cell_min(self) -> List[Dict[Ordinal, int]]:
+        # what a step writes comes from its transition: the configuration
+        # after it may already carry the miracle hook's replacement tape
+        program = self._program
+        cell_min: List[Dict[Ordinal, int]] = [{} for _ in range(program.n_tapes)]
+        for c in self._configs[:-1]:
+            reads = tuple(t.read(h) for t, h in zip(c.tapes, c.heads))
+            tr = program.transitions[(c.state, reads)]
+            for i, (h, before, written) in enumerate(zip(c.heads, reads, tr.writes)):
+                low = min(before, written)
+                if low < cell_min[i].get(h, 1):
+                    cell_min[i][h] = low
+        return cell_min
+
+
+_AnyTrace = Union[_PeriodTrace, _RecordedPeriod]
+
+
 def _min_ordinal(values: Sequence[Ordinal]) -> Ordinal:
     low = values[0]
     for v in values[1:]:
@@ -183,23 +234,19 @@ class _TailEffect:
 
     fill_lo: Optional[Ordinal] = None
     fill_hi: Optional[Ordinal] = None
-    min_bit: Optional[int] = None  # None with fill region set = mixed (unrepresentable)
-    mixed: bool = False
+    min_bit: Optional[int] = None
 
 
 def _resolve_exact(
     program: Program,
     cert: ExactLoopCertificate,
-    trace: _PeriodTrace,
+    trace: _AnyTrace,
 ) -> Tuple[Configuration, List[_TailEffect]]:
     end = trace.end
     if end.key() != cert.base.key():
         raise MalformedCertificate("configuration does not recur at the period")
     state = min(trace.states)
-    heads = tuple(
-        _min_ordinal([s[i] for s in _snapshot_heads(cert.base, trace)])
-        for i in range(program.n_tapes)
-    )
+    heads = tuple(_min_ordinal(trace.visited[i]) for i in range(program.n_tapes))
     tapes = []
     for i in range(program.n_tapes):
         acc = trace.snapshots[0][i]
@@ -211,19 +258,10 @@ def _resolve_exact(
     return limit, [_TailEffect() for _ in range(program.n_tapes)]
 
 
-def _snapshot_heads(base: Configuration, trace: _PeriodTrace):
-    # head positions at each time of the period (the visited positions)
-    n = len(base.heads)
-    out = []
-    for k in range(len(trace.states)):
-        out.append(tuple(trace.visited[i][k] for i in range(n)))
-    return out
-
-
 def _resolve_sweep(
     program: Program,
     cert: SweepLoopCertificate,
-    trace: _PeriodTrace,
+    trace: _AnyTrace,
 ) -> Tuple[Configuration, List[_TailEffect]]:
     base, end = cert.base, trace.end
     if len(cert.strides) != program.n_tapes:
@@ -235,10 +273,9 @@ def _resolve_sweep(
         raise MalformedCertificate("sweep period changes the state")
     if all(d.is_zero for d in cert.strides):
         raise MalformedCertificate("sweep must move at least one head")
-    state = min(trace.states)
-    heads: List[Ordinal] = []
-    tapes: List[Tape] = []
-    tails: List[_TailEffect] = []
+    # every check runs before any part of the limit is built, so a rejected
+    # candidate costs no tape intersections or cell minima
+    sweeps: List[Optional[Tuple[Ordinal, int, int]]] = []
     for i in range(program.n_tapes):
         d = cert.strides[i]
         h0 = base.heads[i]
@@ -247,13 +284,7 @@ def _resolve_sweep(
         if d.is_zero:
             if end.tapes[i] != base.tapes[i]:
                 raise MalformedCertificate(f"stationary tape {i} changed content")
-            positions = trace.visited[i]
-            heads.append(_min_ordinal(positions))
-            acc = trace.snapshots[0][i]
-            for snap in trace.snapshots[1:]:
-                acc = acc.intersect(snap[i])
-            tapes.append(acc)
-            tails.append(_TailEffect())
+            sweeps.append(None)
             continue
         h1 = end.heads[i]
         lam = add(h0, mul(d, OMEGA))
@@ -273,6 +304,21 @@ def _resolve_sweep(
                 f"tape {i} sweep pattern is not constant; the limit tape "
                 "would need infinitely many intervals"
             )
+        sweeps.append((lam, virgin, fill))
+    state = min(trace.states)
+    heads: List[Ordinal] = []
+    tapes: List[Tape] = []
+    tails: List[_TailEffect] = []
+    for i, sweep in enumerate(sweeps):
+        if sweep is None:
+            heads.append(_min_ordinal(trace.visited[i]))
+            acc = trace.snapshots[0][i]
+            for snap in trace.snapshots[1:]:
+                acc = acc.intersect(snap[i])
+            tapes.append(acc)
+            tails.append(_TailEffect())
+            continue
+        lam, virgin, fill = sweep
         # minimum a swept cell ever holds: virgin value, every written value,
         # and the stabilized fill
         min_bit = min(virgin, fill)
@@ -282,10 +328,8 @@ def _resolve_sweep(
                     min_bit = 0
                     break
         heads.append(lam)
-        tapes.append(base.tapes[i].fill(h0, lam, fill))
-        tails.append(
-            _TailEffect(fill_lo=h1, fill_hi=lam, min_bit=min_bit, mixed=False)
-        )
+        tapes.append(base.tapes[i].fill(base.heads[i], lam, fill))
+        tails.append(_TailEffect(fill_lo=end.heads[i], fill_hi=lam, min_bit=min_bit))
     time = add(base.time, OMEGA)
     limit = Configuration(state, tuple(heads), tuple(tapes), time)
     return limit, tails
@@ -384,9 +428,6 @@ class _SegmentStats:
     def fold_tail(self, tails: List[_TailEffect]):
         for i, tail in enumerate(tails):
             if tail.fill_lo is None:
-                continue
-            if tail.mixed:
-                self.acc_ok[i] = False
                 continue
             if tail.min_bit == 0:
                 self.acc[i] = self.acc[i].fill(tail.fill_lo, tail.fill_hi, 0)
@@ -530,7 +571,11 @@ class _Runner:
             return None
         return ExactLoopCertificate(base=history[i], period=len(history) - 1 - i)
 
-    def _detect_sweep(self, history) -> Optional[SweepLoopCertificate]:
+    def _detect_sweep(
+        self, history
+    ) -> Optional[Tuple[SweepLoopCertificate, Configuration, List[_TailEffect]]]:
+        """The first period whose recorded run certifies a sweep, as
+        (certificate, limit, tails), or None."""
         cur = history[-1]
         top = min(self.sweep_max_period, len(history) - 1)
         for period in range(1, top + 1):
@@ -559,14 +604,12 @@ class _Runner:
             cert = SweepLoopCertificate(
                 base=base, period=period, strides=tuple(strides)
             )
+            trace = _RecordedPeriod(self.program, history[-1 - period :])
             try:
-                trace = _replay_period(self.program, base, period, self.hook)
                 limit, tails = _resolve_sweep(self.program, cert, trace)
             except MalformedCertificate:
                 continue
-            # stash the resolution so the runner does not replay twice
-            self._pending = (cert, limit, tails)
-            return cert
+            return cert, limit, tails
         return None
 
     # .. limit-level detection ..
@@ -699,7 +742,6 @@ class _Runner:
         history: List[Configuration] = [config]
         index: Dict[tuple, int] = {config.key(): 0}
         entries: List[Tuple[Configuration, _SegmentStats]] = []
-        self._pending = None
 
         while True:
             if config.state in program.halt_states:
@@ -723,25 +765,21 @@ class _Runner:
             history.append(config)
 
             cert = self._detect_exact(history, index)
-            pending = None
-            if cert is None:
-                self._pending = None
-                cert = self._detect_sweep(history)
-                pending = self._pending
-            if cert is None:
-                index[config.key()] = len(history) - 1
-                continue
-
-            # resolve the detected loop, then cascade limit-level detection
-            if self.jumps >= self.budget.max_limit_jumps:
-                return Unresolved(config, "limit jump budget exhausted")
-            if pending is not None:
-                _, limit, tails = pending
-                kind = "sweep"
-            else:
-                trace = _replay_period(program, cert.base, cert.period, self.hook)
+            if cert is not None:
+                trace = _RecordedPeriod(program, history[-1 - cert.period :])
                 limit, tails = _resolve_exact(program, cert, trace)
                 kind = "cycle"
+            else:
+                found = self._detect_sweep(history)
+                if found is None:
+                    index[config.key()] = len(history) - 1
+                    continue
+                cert, limit, tails = found
+                kind = "sweep"
+
+            # jump to the loop's limit, then cascade limit-level detection
+            if self.jumps >= self.budget.max_limit_jumps:
+                return Unresolved(config, "limit jump budget exhausted")
             self.jumps += 1
             seg.fold_tail(tails)
             limit = _apply_hook(program, limit, self.hook)

@@ -456,9 +456,10 @@ def _verify_otm(
         report.canonification_count = total_leaves
         report.product_size = total_leaves
         return
-    # fall back to deterministic choice rules: extremal plus seeded samples
+    # fall back to deterministic choice rules: extremal plus seeded samples.
+    # Counterexamples the exhaustive phase already found stay: a report must
+    # not say OK after one has been seen.
     report.mode = "sampled"
-    report.failures.clear()
     report.cases = 0
     report.miracle_calls.clear()
     rules = _choice_rules(target, cap=sample_size, seed=seed)

@@ -130,13 +130,6 @@ class Tape:
                     out.append((lo, hi))
         return Tape(out)
 
-    def boundary_points(self) -> Tuple[Ordinal, ...]:
-        pts = []
-        for lo, hi in self.ones:
-            pts.append(lo)
-            pts.append(hi)
-        return tuple(pts)
-
 
 EMPTY_TAPE = Tape()
 

@@ -5,6 +5,8 @@ directly from a long recorded prefix of the run."""
 import itertools
 import random
 
+from otmlab import machine
+from otmlab.asm import parse_program
 from otmlab.machine import RunBudget, initial_configuration, run, step
 from otmlab.ordinals import from_int, parse_ordinal
 from otmlab.programs import Program, Transition
@@ -131,3 +133,64 @@ def test_multi_jump_runs_are_deterministic_and_robust():
         if not last.time.is_natural and last.time.limit_part() != parse_ordinal("w"):
             seen_multi += 1
     assert seen_multi >= 2, "generator never reached a second limit"
+
+
+# both tapes sweep; the hook below clears the miracle tape on every arrival in
+# qm, so the 1 that b writes there is gone from the configuration after the
+# step: what a step writes differs from what the tape holds after it
+REWRITTEN_MIRACLE = """
+tapes in work out miracle;
+state a;
+state b;
+state qm miracle;
+rule a -> write miracle=1 goto b;
+rule b -> write miracle=1, work=1 move work=R, miracle=R goto qm;
+rule qm -> goto a;
+"""
+
+
+def _trace_fields(trace):
+    return (trace.states, trace.visited, trace.cell_min, trace.snapshots, trace.end)
+
+
+def test_recorded_periods_match_replays(monkeypatch):
+    """At every step, every candidate period read off the recorded run must
+    equal a re-execution of that period from its base."""
+    checked = {"sweep": 0, "cycle": 0}
+    detect_sweep = machine._Runner._detect_sweep
+    detect_exact = machine._Runner._detect_exact
+
+    def check_period(runner, history, period, kind):
+        recorded = machine._RecordedPeriod(runner.program, history[-1 - period :])
+        replayed = machine._replay_period(
+            runner.program, history[-1 - period], period, runner.hook
+        )
+        assert _trace_fields(recorded) == _trace_fields(replayed)
+        checked[kind] += 1
+
+    def checked_sweep(self, history):
+        for period in range(1, min(self.sweep_max_period, len(history) - 1) + 1):
+            check_period(self, history, period, "sweep")
+        return detect_sweep(self, history)
+
+    def checked_exact(self, history, index):
+        cert = detect_exact(self, history, index)
+        if cert is not None:
+            check_period(self, history, cert.period, "cycle")
+        return cert
+
+    monkeypatch.setattr(machine._Runner, "_detect_sweep", checked_sweep)
+    monkeypatch.setattr(machine._Runner, "_detect_exact", checked_exact)
+
+    rng = random.Random(20261017)
+    for _ in range(12):
+        program = sweepish_program(rng)
+        run(program, random_input(rng), RunBudget(120, 3), sweep_max_period=8)
+    run(
+        parse_program(REWRITTEN_MIRACLE),
+        budget=RunBudget(60, 2),
+        miracle_hook=lambda tape: Tape(),
+        sweep_max_period=8,
+    )
+    assert checked["sweep"] > 1000
+    assert checked["cycle"] > 0

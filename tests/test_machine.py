@@ -56,6 +56,17 @@ rule q3 -> goto q5;
 rule q5 -> goto q3;
 """
 
+MIRACLE_SWEEP = """
+tapes in work out miracle;
+state a;
+state b;
+state qm miracle;
+rule a work=0 -> write work=1 goto b;
+rule b -> goto a;
+rule a work=1 -> write work=0 move work=R goto qm;
+rule qm -> goto a;
+"""
+
 
 def simple_program(rules_text):
     return parse_program(rules_text)
@@ -265,6 +276,25 @@ class TestLimits:
         plain = run(p, budget=RunBudget(10, 1))
         assert marked.final.tapes[p.tape_index("out")].read(ZERO) == 1
         assert plain.final.tapes[p.tape_index("out")].read(ZERO) == 0
+
+    def test_miracle_hook_fires_once_per_arrival(self):
+        # the loop a -> b -> a -> qm -> a sweeps the work tape and certifies a
+        # sweep at w; checking loop candidates must not consult the oracle
+        p = parse_program(MIRACLE_SWEEP)
+        calls, records = [], []
+        run(
+            p,
+            budget=RunBudget(200, 1),
+            miracle_hook=lambda tape: calls.append(tape),
+            trace=records.append,
+            trace_steps=True,
+        )
+        arrivals = [
+            r for r in records if r["event"] == "step" and r["state"] == "qm"
+        ]
+        assert any(r["event"] == "limit" for r in records)
+        assert len(arrivals) == 4
+        assert len(calls) == len(arrivals)
 
 
 class TestResolveLimit:

@@ -1,4 +1,5 @@
 import json
+from functools import cmp_to_key
 
 import pytest
 
@@ -12,6 +13,7 @@ from otmlab.errors import (
 from otmlab.formulas import parse_formula
 from otmlab.hfsets import (
     EMPTY,
+    ack_compare,
     format_set,
     hf,
     kpair,
@@ -318,6 +320,40 @@ class TestMiracleProtocol:
         )
         assert report.mode == "sampled"
         assert report.ok, report.to_json()
+
+    def test_sampled_fallback_keeps_exhaustive_counterexamples(self):
+        # wrong only on the second Ackermann choice at the 4-element instance;
+        # the later choices consult the oracle again, so that instance's
+        # choice tree outgrows cap=6 after the counterexample is recorded,
+        # and neither extremal rule of the fallback makes the wrong choice
+        from otmlab.reductions import NativeProcedure
+
+        four = U3[-1]
+        three = next(x for x in U3 if len(x) == 3)
+
+        def wrong_on_second_choice(x, miracle):
+            y = miracle(x)
+            if len(x) == 4:
+                options = sorted(PRINCIPLES["PP"].witness_set(x),
+                                 key=cmp_to_key(ack_compare))
+                if y is options[1]:
+                    return x  # not an element of x
+                if y in options[2:]:
+                    miracle(three)
+            return y
+
+        witness = ReductionWitness(
+            name="wrong_on_second_choice", kind="OTM", source="PP", target="PP",
+            otm=NativeProcedure("wrong-on-second-choice", 2,
+                                wrong_on_second_choice, ("miracle",)),
+        )
+        pp = PRINCIPLES["PP"]
+        full = verify_reduction(witness, pp, pp, U3, cap=10_000)
+        assert full.mode == "exhaustive" and not full.ok
+        capped = verify_reduction(witness, pp, pp, U3, cap=6, seed=1, sample_size=0)
+        assert capped.mode == "sampled"
+        assert not capped.ok, capped.to_json()
+        assert {f.instance for f in capped.failures} == {four}
 
 
 class TestSearchReduction:
