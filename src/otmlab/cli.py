@@ -249,7 +249,7 @@ def _canonification_from_args(args, relation, universe):
     mapping = {}
     for x in universe:
         if relation.domain(x):
-            ws = relations._ack_sorted(relation.witness_set(x))
+            ws = hfsets.ack_sorted(relation.witness_set(x))
             if ws:
                 mapping[x] = ws[0] if rule == "ack-min" else ws[-1]
     return relations.Canonification(mapping, label=f"rule:{rule}")

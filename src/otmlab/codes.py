@@ -44,9 +44,7 @@ class SetCode:
 
 def _coding_domain(x: HfSet) -> List[HfSet]:
     """{x} | tc(x), sorted ascending by Ackermann order (x comes last)."""
-    members = list(tc(x).elements) + [x]
-    members.sort(key=hfsets._AckKey)
-    return members
+    return hfsets.ack_sorted(list(tc(x).elements) + [x])
 
 
 def encode(x: HfSet) -> SetCode:

@@ -21,6 +21,7 @@ __all__ = [
     "hf",
     "singleton",
     "ack_compare",
+    "ack_sorted",
     "ack_index",
     "ack_enumerate",
     "ack_min",
@@ -160,6 +161,11 @@ class _AckKey:
 
     def __lt__(self, other):
         return ack_compare(self.value, other.value) < 0
+
+
+def ack_sorted(values: Iterable[HfSet]) -> List[HfSet]:
+    """The values in ascending Ackermann order."""
+    return sorted(values, key=_AckKey)
 
 
 def ack_index(x: HfSet) -> int:

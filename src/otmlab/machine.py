@@ -1,29 +1,27 @@
 """Transfinite executor: successor steps, head reset, limit resolution.
 
 At successor times the machine behaves classically (with the leftward reset
-rule at limit-indexed cells).  Limit stages cannot be reached by stepping, so
-the executor detects certified loop shapes and jumps:
+rule at limit-indexed cells).  At a limit time the configuration is the
+inferior limit of the run before it, taken separately for the state, each
+head position and each cell.  The executor reaches a limit by certifying that
+a segment base..end of the run repeats, and jumps to the time
+base.time + (end.time - base.time)*w.  One function resolves each loop shape:
 
-  * exact repetition - the configuration recurs; at the next limit every
-    cell/head/state history is periodic, so the inferior limit is a cycle
-    minimum (tape intersection, least head, least state).
-  * monotone sweep - the configuration recurs up to a uniform rightward head
-    translation, with all activity confined to the swept window and constant
-    virgin tape ahead; swept cells stabilize to the translated window
-    pattern, heads go to the window supremum.
+  * exact repetition - end equals base, so every cell/head/state history is
+    periodic and the limit takes the minima over one segment (tape
+    intersection, least head, least state).
+  * monotone sweep - end equals base up to a rightward head translation, with
+    all activity confined to the swept window and constant virgin tape
+    ahead; swept cells stabilize to the translated window pattern, heads go
+    to the window supremum.
 
-A loop candidate is checked against the run already recorded since the last
-limit: a limit configuration is the inferior limit of the run before it, so
-the recorded period holds everything its certificate needs, and the executor
-never re-executes a candidate.  resolve_limit, which is given a certificate
-without the run behind it, replays the period from the certificate's base and
-stays an independent check of the same shapes.
-
-The same two shapes are detected between limit configurations (with ordinal
-strides), which yields jumps to w*2, w^2, w^3, ... Budgets bound both the
-successor steps and the number of limit jumps; anything uncertified is
-reported Unresolved, and a limit configuration that re-enters its own loop is
-a proof of divergence.
+Both read the segment through a summary, so the same rule serves every level:
+a period of successor steps the run already recorded (never re-executed), a
+run of earlier limits (which yields w*2, w^2, w^3, ...), or, in resolve_limit,
+which is given a certificate without the run behind it, a replay from the
+certificate's base.  Budgets bound both the successor steps and the number of
+limit jumps; anything uncertified is reported Unresolved, and a limit
+configuration that re-enters its own loop is a proof of divergence.
 """
 
 from __future__ import annotations
@@ -136,165 +134,227 @@ class SweepLoopCertificate:
 LoopCertificate = Union[ExactLoopCertificate, SweepLoopCertificate]
 
 
-class _PeriodTrace:
-    """Everything one replayed period reveals about the loop."""
-
-    __slots__ = ("states", "visited", "cell_min", "snapshots", "end")
-
-    def __init__(self, n_tapes: int):
-        self.states: List[int] = []
-        self.visited: List[List[Ordinal]] = [[] for _ in range(n_tapes)]
-        self.cell_min: List[Dict[Ordinal, int]] = [{} for _ in range(n_tapes)]
-        self.snapshots: List[Tuple[Tape, ...]] = []
-        self.end: Optional[Configuration] = None
-
-
 def _replay_period(
     program: Program,
     base: Configuration,
     period: int,
     hook: Optional[MiracleHook],
-) -> _PeriodTrace:
-    trace = _PeriodTrace(program.n_tapes)
-    config = base
-    trace.snapshots.append(config.tapes)
+) -> List[Configuration]:
+    """The configurations base, ..., end of one period, re-executed."""
+    configs = [base]
     for _ in range(period):
-        if config.state in program.halt_states:
+        if configs[-1].state in program.halt_states:
             raise MalformedCertificate("loop passes through a halt state")
-        trace.states.append(config.state)
-        reads = tuple(t.read(h) for t, h in zip(config.tapes, config.heads))
-        tr = program.transitions[(config.state, reads)]
-        for i, (h, before, written) in enumerate(
-            zip(config.heads, reads, tr.writes)
-        ):
-            trace.visited[i].append(h)
-            low = min(before, written)
-            if low < trace.cell_min[i].get(h, 1):
-                trace.cell_min[i][h] = low
-        config = _apply_hook(program, step(program, config), hook)
-        trace.snapshots.append(config.tapes)
-    trace.end = config
-    return trace
+        configs.append(_estep(program, configs[-1], hook))
+    return configs
 
 
-class _RecordedPeriod:
-    """The fields of a _PeriodTrace, read off the configurations base, ...,
-    end that the run already passed through, in place of a replay (which stays
-    the reference for them).  Each is computed on first use, so a candidate
-    rejected by an early check never pays for the later ones."""
+# -- segment summaries -------------------------------------------------------------
+#
+# A loop shape is resolved from its base and end configurations and a summary of
+# the segment between them, both ends included: the least state, per tape the
+# least head and the bounds [visited_lo, visited_hi) of the positions a head
+# was stepped from, and acc, the per-cell minima as a tape (acc_ok False where
+# those minima would need infinitely many intervals).
 
-    def __init__(self, program: Program, configs: Sequence[Configuration]):
-        self._program = program
+
+@dataclass(eq=False, slots=True)
+class _SegmentStats:
+    """The summary of a segment between limit configurations, folded as the
+    run goes and combined across earlier jumps.  The visited bounds are None
+    only before the segment's first step, and no summary is combined or
+    checked before that."""
+
+    acc: List[Tape]
+    acc_ok: List[bool]
+    min_heads: List[Ordinal]
+    min_state: int
+    visited_lo: List[Optional[Ordinal]]
+    visited_hi: List[Optional[Ordinal]]
+
+    @classmethod
+    def starting_at(cls, config: Configuration) -> "_SegmentStats":
+        n = len(config.tapes)
+        return cls(
+            list(config.tapes),
+            [True] * n,
+            list(config.heads),
+            config.state,
+            [None] * n,
+            [None] * n,
+        )
+
+    def fold_visited(self, heads: Tuple[Ordinal, ...]):
+        for i, h in enumerate(heads):
+            if self.visited_lo[i] is None or compare(h, self.visited_lo[i]) < 0:
+                self.visited_lo[i] = h
+            top = add(h, ONE)
+            if self.visited_hi[i] is None or compare(top, self.visited_hi[i]) > 0:
+                self.visited_hi[i] = top
+
+    def fold_config(self, config: Configuration):
+        for i, t in enumerate(config.tapes):
+            self.acc[i] = self.acc[i].intersect(t)
+            if compare(config.heads[i], self.min_heads[i]) < 0:
+                self.min_heads[i] = config.heads[i]
+        self.min_state = min(self.min_state, config.state)
+
+    def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
+        """Whether every position head i was stepped from lies in [lo, hi)."""
+        return (
+            compare(self.visited_lo[i], lo) >= 0
+            and compare(self.visited_hi[i], hi) <= 0
+        )
+
+
+class _Period:
+    """The summary of a run of successor steps, given as its configurations:
+    the run already recorded, or a replay.  Each field is computed on first
+    use, so a candidate rejected by an early check never pays for the later
+    ones."""
+
+    def __init__(self, configs: Sequence[Configuration]):
         self._configs = configs
-        self.end: Configuration = configs[-1]
+        self._n = len(configs[0].tapes)
+        self.acc_ok: List[bool] = [True] * self._n
 
     @cached_property
-    def states(self) -> List[int]:
-        return [c.state for c in self._configs[:-1]]
+    def min_state(self) -> int:
+        return min(c.state for c in self._configs)
 
     @cached_property
-    def visited(self) -> List[List[Ordinal]]:
+    def visited_lo(self) -> List[Ordinal]:
         steps = self._configs[:-1]
-        return [[c.heads[i] for c in steps] for i in range(self._program.n_tapes)]
+        return [min(c.heads[i] for c in steps) for i in range(self._n)]
 
     @cached_property
-    def snapshots(self) -> List[Tuple[Tape, ...]]:
-        return [c.tapes for c in self._configs]
+    def min_heads(self) -> List[Ordinal]:
+        end = self._configs[-1]
+        return [min(lo, h) for lo, h in zip(self.visited_lo, end.heads)]
 
     @cached_property
-    def cell_min(self) -> List[Dict[Ordinal, int]]:
-        # what a step writes comes from its transition: the configuration
-        # after it may already carry the miracle hook's replacement tape
-        program = self._program
-        cell_min: List[Dict[Ordinal, int]] = [{} for _ in range(program.n_tapes)]
+    def visited_hi(self) -> List[Ordinal]:
+        steps = self._configs[:-1]
+        return [add(max(c.heads[i] for c in steps), ONE) for i in range(self._n)]
+
+    @cached_property
+    def acc(self) -> List[Tape]:
+        configs = self._configs
+        acc = list(configs[0].tapes)
+        for before, c in zip(configs, configs[1:]):
+            # a step that leaves a tape alone keeps its Tape object
+            acc = [
+                a if t is old else a.intersect(t)
+                for a, t, old in zip(acc, c.tapes, before.tapes)
+            ]
+        return acc
+
+    def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
+        """Whether every position head i was stepped from lies in [lo, hi)."""
         for c in self._configs[:-1]:
-            reads = tuple(t.read(h) for t, h in zip(c.tapes, c.heads))
-            tr = program.transitions[(c.state, reads)]
-            for i, (h, before, written) in enumerate(zip(c.heads, reads, tr.writes)):
-                low = min(before, written)
-                if low < cell_min[i].get(h, 1):
-                    cell_min[i][h] = low
-        return cell_min
+            pos = c.heads[i]
+            if compare(pos, lo) < 0 or compare(pos, hi) >= 0:
+                return False
+        return True
 
 
-_AnyTrace = Union[_PeriodTrace, _RecordedPeriod]
+_Summary = Union[_SegmentStats, _Period]
 
 
-def _min_ordinal(values: Sequence[Ordinal]) -> Ordinal:
-    low = values[0]
-    for v in values[1:]:
-        if compare(v, low) < 0:
-            low = v
-    return low
+def _combine_stats(parts: Sequence[_Summary]) -> _SegmentStats:
+    first = parts[0]
+    out = _SegmentStats(
+        list(first.acc),
+        list(first.acc_ok),
+        list(first.min_heads),
+        first.min_state,
+        list(first.visited_lo),
+        list(first.visited_hi),
+    )
+    for part in parts[1:]:
+        for i in range(len(out.acc)):
+            out.acc[i] = out.acc[i].intersect(part.acc[i])
+            out.acc_ok[i] = out.acc_ok[i] and part.acc_ok[i]
+            if compare(part.min_heads[i], out.min_heads[i]) < 0:
+                out.min_heads[i] = part.min_heads[i]
+            if compare(part.visited_lo[i], out.visited_lo[i]) < 0:
+                out.visited_lo[i] = part.visited_lo[i]
+            if compare(part.visited_hi[i], out.visited_hi[i]) > 0:
+                out.visited_hi[i] = part.visited_hi[i]
+        out.min_state = min(out.min_state, part.min_state)
+    return out
 
 
-@dataclass
-class _TailEffect:
-    """Per-tape summary of the omega-tail a resolution skips over."""
+# -- the two loop shapes -----------------------------------------------------------
+#
+# Each resolver checks that the segment base..end, summarised by unit, repeats
+# with its shape, raising MalformedCertificate otherwise, and returns the
+# configuration at the limit of the repetitions together with the summary of
+# the run from end up to that limit.
 
-    fill_lo: Optional[Ordinal] = None
-    fill_hi: Optional[Ordinal] = None
-    min_bit: Optional[int] = None
+
+def _strides(base: Configuration, end: Configuration) -> Optional[Tuple[Ordinal, ...]]:
+    """The per-tape head translations from base to end when both share their
+    state, no head moves left and some head moves right; otherwise None."""
+    if base.state != end.state:
+        return None
+    strides = []
+    for hb, he in zip(base.heads, end.heads):
+        c = compare(hb, he)
+        if c > 0:
+            return None
+        strides.append(ZERO if c == 0 else sub_left(he, hb))
+    return None if all(d.is_zero for d in strides) else tuple(strides)
+
+
+def _limit_time(base: Configuration, end: Configuration) -> Ordinal:
+    return add(base.time, mul(sub_left(end.time, base.time), OMEGA))
 
 
 def _resolve_exact(
-    program: Program,
-    cert: ExactLoopCertificate,
-    trace: _AnyTrace,
-) -> Tuple[Configuration, List[_TailEffect]]:
-    end = trace.end
-    if end.key() != cert.base.key():
+    base: Configuration, end: Configuration, unit: _Summary
+) -> Tuple[Configuration, _Summary]:
+    if end.key() != base.key():
         raise MalformedCertificate("configuration does not recur at the period")
-    state = min(trace.states)
-    heads = tuple(_min_ordinal(trace.visited[i]) for i in range(program.n_tapes))
-    tapes = []
-    for i in range(program.n_tapes):
-        acc = trace.snapshots[0][i]
-        for snap in trace.snapshots[1:]:
-            acc = acc.intersect(snap[i])
-        tapes.append(acc)
-    time = add(cert.base.time, OMEGA)
-    limit = Configuration(state, heads, tuple(tapes), time)
-    return limit, [_TailEffect() for _ in range(program.n_tapes)]
+    if not all(unit.acc_ok):
+        raise MalformedCertificate("loop minima would need infinitely many intervals")
+    limit = Configuration(
+        unit.min_state, tuple(unit.min_heads), tuple(unit.acc), _limit_time(base, end)
+    )
+    # every later period repeats this one
+    return limit, unit
 
 
 def _resolve_sweep(
-    program: Program,
-    cert: SweepLoopCertificate,
-    trace: _AnyTrace,
-) -> Tuple[Configuration, List[_TailEffect]]:
-    base, end = cert.base, trace.end
-    if len(cert.strides) != program.n_tapes:
-        raise MalformedCertificate(
-            f"certificate has {len(cert.strides)} strides for "
-            f"{program.n_tapes} tapes"
-        )
+    base: Configuration,
+    end: Configuration,
+    strides: Sequence[Ordinal],
+    unit: _Summary,
+) -> Tuple[Configuration, _SegmentStats]:
     if end.state != base.state:
         raise MalformedCertificate("sweep period changes the state")
-    if all(d.is_zero for d in cert.strides):
+    if all(d.is_zero for d in strides):
         raise MalformedCertificate("sweep must move at least one head")
     # every check runs before any part of the limit is built, so a rejected
-    # candidate costs no tape intersections or cell minima
-    sweeps: List[Optional[Tuple[Ordinal, int, int]]] = []
-    for i in range(program.n_tapes):
-        d = cert.strides[i]
-        h0 = base.heads[i]
-        if add(h0, d) != end.heads[i]:
+    # candidate costs no tape intersections
+    sweeps: List[Optional[Tuple[Ordinal, Ordinal, Ordinal, int]]] = []
+    for i, d in enumerate(strides):
+        h0, h1 = base.heads[i], end.heads[i]
+        if add(h0, d) != h1:
             raise MalformedCertificate(f"head {i} does not translate by its stride")
         if d.is_zero:
             if end.tapes[i] != base.tapes[i]:
                 raise MalformedCertificate(f"stationary tape {i} changed content")
+            if not unit.acc_ok[i]:
+                raise MalformedCertificate(
+                    f"stationary tape {i} minima would need infinitely many intervals"
+                )
             sweeps.append(None)
             continue
-        h1 = end.heads[i]
         lam = add(h0, mul(d, OMEGA))
-        for pos in trace.visited[i]:
-            if compare(pos, h0) < 0 or compare(pos, h1) >= 0:
-                raise MalformedCertificate(
-                    f"tape {i} leaves its sweep window at {pos}"
-                )
-        virgin = base.tapes[i].constant_on(h0, lam)
-        if virgin is None:
+        if not unit.within(i, h0, h1):
+            raise MalformedCertificate(f"tape {i} leaves its sweep window")
+        if base.tapes[i].constant_on(h0, lam) is None:
             raise MalformedCertificate(
                 f"tape {i} has non-constant content ahead of the sweep"
             )
@@ -304,35 +364,30 @@ def _resolve_sweep(
                 f"tape {i} sweep pattern is not constant; the limit tape "
                 "would need infinitely many intervals"
             )
-        sweeps.append((lam, virgin, fill))
-    state = min(trace.states)
-    heads: List[Ordinal] = []
-    tapes: List[Tape] = []
-    tails: List[_TailEffect] = []
+        sweeps.append((h0, h1, lam, fill))
+    # a stationary tape repeats the period's minima from end to the limit
+    tail = _combine_stats([unit])
+    heads = list(unit.min_heads)
+    tapes = list(unit.acc)
     for i, sweep in enumerate(sweeps):
         if sweep is None:
-            heads.append(_min_ordinal(trace.visited[i]))
-            acc = trace.snapshots[0][i]
-            for snap in trace.snapshots[1:]:
-                acc = acc.intersect(snap[i])
-            tapes.append(acc)
-            tails.append(_TailEffect())
             continue
-        lam, virgin, fill = sweep
-        # minimum a swept cell ever holds: virgin value, every written value,
-        # and the stabilized fill
-        min_bit = min(virgin, fill)
-        if min_bit:
-            for pos, low in trace.cell_min[i].items():
-                if low == 0:
-                    min_bit = 0
-                    break
-        heads.append(lam)
-        tapes.append(base.tapes[i].fill(base.heads[i], lam, fill))
-        tails.append(_TailEffect(fill_lo=end.heads[i], fill_hi=lam, min_bit=min_bit))
-    time = add(base.time, OMEGA)
-    limit = Configuration(state, tuple(heads), tuple(tapes), time)
-    return limit, tails
+        h0, h1, lam, fill = sweep
+        heads[i] = lam
+        tapes[i] = base.tapes[i].fill(h0, lam, fill)
+        # each cell of [h1, lam) lives through the window's history once, so
+        # its least value is the window's minimum at the same offset; a window
+        # whose minima are not constant makes the tail's minima periodic (a
+        # tape's acc is only used where its acc_ok holds)
+        low = unit.acc[i].constant_on(h0, h1) if unit.acc_ok[i] else None
+        tail.acc[i] = end.tapes[i] if low is None else end.tapes[i].fill(h1, lam, low)
+        tail.acc_ok[i] = low is not None
+        tail.min_heads[i] = h1
+        tail.visited_lo[i], tail.visited_hi[i] = h1, lam
+    limit = Configuration(
+        unit.min_state, tuple(heads), tuple(tapes), _limit_time(base, end)
+    )
+    return limit, tail
 
 
 def resolve_limit(
@@ -345,11 +400,19 @@ def resolve_limit(
     replay contradicts the certified shape."""
     if certificate.period < 1:
         raise MalformedCertificate("period must be positive")
-    trace = _replay_period(program, certificate.base, certificate.period, miracle_hook)
+    configs = _replay_period(
+        program, certificate.base, certificate.period, miracle_hook
+    )
+    base, end, unit = configs[0], configs[-1], _Period(configs)
     if isinstance(certificate, ExactLoopCertificate):
-        limit, _ = _resolve_exact(program, certificate, trace)
+        limit, _ = _resolve_exact(base, end, unit)
     else:
-        limit, _ = _resolve_sweep(program, certificate, trace)
+        if len(certificate.strides) != program.n_tapes:
+            raise MalformedCertificate(
+                f"certificate has {len(certificate.strides)} strides for "
+                f"{program.n_tapes} tapes"
+            )
+        limit, _ = _resolve_sweep(base, end, certificate.strides, unit)
     return limit
 
 
@@ -380,94 +443,6 @@ class Unresolved:
 
 
 RunOutcome = Union[Halted, Diverges, Unresolved]
-
-
-# -- segment statistics (between consecutive limit events) -------------------------
-
-
-class _SegmentStats:
-    """Per-cell minima, least heads/state and visited bounds over a segment."""
-
-    __slots__ = (
-        "acc",
-        "acc_ok",
-        "min_heads",
-        "min_state",
-        "visited_lo",
-        "visited_hi",
-        "start_time",
-        "end_time",
-    )
-
-    def __init__(self, start: Configuration):
-        self.acc: List[Tape] = list(start.tapes)
-        self.acc_ok: List[bool] = [True] * len(start.tapes)
-        self.min_heads: List[Ordinal] = list(start.heads)
-        self.min_state: int = start.state
-        self.visited_lo: List[Optional[Ordinal]] = [None] * len(start.tapes)
-        self.visited_hi: List[Optional[Ordinal]] = [None] * len(start.tapes)
-        self.start_time: Ordinal = start.time
-        self.end_time: Ordinal = start.time
-
-    def fold_visited(self, heads: Tuple[Ordinal, ...]):
-        for i, h in enumerate(heads):
-            if self.visited_lo[i] is None or compare(h, self.visited_lo[i]) < 0:
-                self.visited_lo[i] = h
-            top = add(h, ONE)
-            if self.visited_hi[i] is None or compare(top, self.visited_hi[i]) > 0:
-                self.visited_hi[i] = top
-
-    def fold_config(self, config: Configuration):
-        for i, t in enumerate(config.tapes):
-            self.acc[i] = self.acc[i].intersect(t)
-            if compare(config.heads[i], self.min_heads[i]) < 0:
-                self.min_heads[i] = config.heads[i]
-        self.min_state = min(self.min_state, config.state)
-        self.end_time = config.time
-
-    def fold_tail(self, tails: List[_TailEffect]):
-        for i, tail in enumerate(tails):
-            if tail.fill_lo is None:
-                continue
-            if tail.min_bit == 0:
-                self.acc[i] = self.acc[i].fill(tail.fill_lo, tail.fill_hi, 0)
-            # extend visited through the swept tail
-            if self.visited_lo[i] is None or compare(tail.fill_lo, self.visited_lo[i]) < 0:
-                self.visited_lo[i] = tail.fill_lo
-            if self.visited_hi[i] is None or compare(tail.fill_hi, self.visited_hi[i]) > 0:
-                self.visited_hi[i] = tail.fill_hi
-
-
-def _combine_stats(parts: Sequence[_SegmentStats]) -> _SegmentStats:
-    first = parts[0]
-    out = object.__new__(_SegmentStats)
-    out.acc = list(first.acc)
-    out.acc_ok = list(first.acc_ok)
-    out.min_heads = list(first.min_heads)
-    out.min_state = first.min_state
-    out.visited_lo = list(first.visited_lo)
-    out.visited_hi = list(first.visited_hi)
-    out.start_time = first.start_time
-    out.end_time = first.end_time
-    for part in parts[1:]:
-        for i in range(len(out.acc)):
-            out.acc[i] = out.acc[i].intersect(part.acc[i])
-            out.acc_ok[i] = out.acc_ok[i] and part.acc_ok[i]
-            if compare(part.min_heads[i], out.min_heads[i]) < 0:
-                out.min_heads[i] = part.min_heads[i]
-            if part.visited_lo[i] is not None and (
-                out.visited_lo[i] is None
-                or compare(part.visited_lo[i], out.visited_lo[i]) < 0
-            ):
-                out.visited_lo[i] = part.visited_lo[i]
-            if part.visited_hi[i] is not None and (
-                out.visited_hi[i] is None
-                or compare(part.visited_hi[i], out.visited_hi[i]) > 0
-            ):
-                out.visited_hi[i] = part.visited_hi[i]
-        out.min_state = min(out.min_state, part.min_state)
-        out.end_time = part.end_time
-    return out
 
 
 # -- the runner --------------------------------------------------------------------
@@ -562,183 +537,71 @@ class _Runner:
             }
         )
 
-    # .. level-0 detection ..
+    # .. detection ..
 
-    def _detect_exact(self, history, index) -> Optional[ExactLoopCertificate]:
-        key = history[-1].key()
-        i = index.get(key)
-        if i is None or i == len(history) - 1:
-            return None
-        return ExactLoopCertificate(base=history[i], period=len(history) - 1 - i)
-
-    def _detect_sweep(
-        self, history
-    ) -> Optional[Tuple[SweepLoopCertificate, Configuration, List[_TailEffect]]]:
-        """The first period whose recorded run certifies a sweep, as
-        (certificate, limit, tails), or None."""
-        cur = history[-1]
+    def _detect(
+        self, history: List[Configuration], index: Dict[tuple, int]
+    ) -> Optional[Tuple[str, LoopCertificate, Configuration, _Summary]]:
+        """The first loop the recorded run certifies, as (kind, certificate,
+        limit, tail): an exact recurrence first, then sweeps by increasing
+        period.  None when there is none."""
+        end = history[-1]
+        i = index.get(end.key())
+        if i is not None:
+            base = history[i]
+            limit, tail = _resolve_exact(base, end, _Period(history[i:]))
+            cert = ExactLoopCertificate(base=base, period=len(history) - 1 - i)
+            return "cycle", cert, limit, tail
         top = min(self.sweep_max_period, len(history) - 1)
         for period in range(1, top + 1):
             base = history[-1 - period]
-            if base.state != cur.state:
+            strides = _strides(base, end)
+            if strides is None:
                 continue
-            strides = []
-            ok = True
-            moving = False
-            for hb, hc in zip(base.heads, cur.heads):
-                c = compare(hb, hc)
-                if c > 0:
-                    ok = False
-                    break
-                if c == 0:
-                    strides.append(ZERO)
-                    continue
-                d = sub_left(hc, hb)
-                if not d.is_natural:
-                    ok = False
-                    break
-                strides.append(d)
-                moving = True
-            if not ok or not moving:
-                continue
-            cert = SweepLoopCertificate(
-                base=base, period=period, strides=tuple(strides)
-            )
-            trace = _RecordedPeriod(self.program, history[-1 - period :])
             try:
-                limit, tails = _resolve_sweep(self.program, cert, trace)
+                limit, tail = _resolve_sweep(
+                    base, end, strides, _Period(history[-1 - period :])
+                )
             except MalformedCertificate:
                 continue
-            return cert, limit, tails
+            cert = SweepLoopCertificate(base=base, period=period, strides=strides)
+            return "sweep", cert, limit, tail
         return None
 
-    # .. limit-level detection ..
-
-    def _detect_limit_level(self, entries):
-        """entries: list of (config, stats).  Returns (base_index, kind,
-        limit_config, new_stats) or None."""
+    def _detect_limit_level(
+        self, entries: List[Tuple[Configuration, _SegmentStats]]
+    ) -> Optional[Tuple[str, LoopCertificate, Configuration, _Summary]]:
+        """The loop of earlier limits that the newest limit closes, as in
+        _detect; its certificate only names the base limit.  entries: the
+        limit configurations so far, each with the summary of the segment
+        that ends in it."""
         j = len(entries) - 1
-        config_j, _ = entries[j]
+        end = entries[j][0]
         lo = max(0, j - self.level_lookback)
         for i in range(j - 1, lo - 1, -1):
-            config_i, _ = entries[i]
-            combined = _combine_stats([s for _, s in entries[i + 1 : j + 1]])
-            result = self._try_limit_exact(config_i, config_j, combined)
-            if result is None:
-                result = self._try_limit_translation(config_i, config_j, combined)
-            if result is not None:
-                kind, limit, stats = result
-                return i, kind, limit, stats
-        return None
-
-    def _try_limit_exact(self, config_i, config_j, combined):
-        if config_i.key() != config_j.key():
-            return None
-        if not all(combined.acc_ok):
-            return None
-        seg_len = sub_left(config_j.time, config_i.time)
-        time = add(config_i.time, mul(seg_len, OMEGA))
-        limit = Configuration(
-            combined.min_state,
-            tuple(combined.min_heads),
-            tuple(combined.acc),
-            time,
-        )
-        stats = _combine_stats([combined])
-        stats.start_time = config_j.time
-        stats.end_time = time
-        return "limit-cycle", limit, stats
-
-    def _try_limit_translation(self, config_i, config_j, combined):
-        if config_i.state != config_j.state:
-            return None
-        n = self.program.n_tapes
-        strides: List[Ordinal] = []
-        moving = False
-        for i in range(n):
-            c = compare(config_i.heads[i], config_j.heads[i])
-            if c > 0:
-                return None
-            if c == 0:
-                strides.append(ZERO)
-            else:
-                strides.append(sub_left(config_j.heads[i], config_i.heads[i]))
-                moving = True
-        if not moving:
-            return None
-        heads: List[Ordinal] = []
-        tapes: List[Tape] = []
-        new_acc: List[Tape] = []
-        new_acc_ok: List[bool] = []
-        new_vlo: List[Optional[Ordinal]] = []
-        new_vhi: List[Optional[Ordinal]] = []
-        for i in range(n):
-            d = strides[i]
-            if d.is_zero:
-                if config_i.tapes[i] != config_j.tapes[i]:
-                    return None
-                if not combined.acc_ok[i]:
-                    return None
-                heads.append(combined.min_heads[i])
-                tapes.append(combined.acc[i])
-                new_acc.append(combined.acc[i])
-                new_acc_ok.append(True)
-                new_vlo.append(combined.visited_lo[i])
-                new_vhi.append(combined.visited_hi[i])
+            base = entries[i][0]
+            unit = _combine_stats([s for _, s in entries[i + 1 : j + 1]])
+            try:
+                if base.key() == end.key():
+                    kind = "limit-cycle"
+                    limit, tail = _resolve_exact(base, end, unit)
+                else:
+                    strides = _strides(base, end)
+                    if strides is None:
+                        continue
+                    kind = "limit-sweep"
+                    limit, tail = _resolve_sweep(base, end, strides, unit)
+            except MalformedCertificate:
                 continue
-            h_i, h_j = config_i.heads[i], config_j.heads[i]
-            lam = add(h_i, mul(d, OMEGA))
-            vlo, vhi = combined.visited_lo[i], combined.visited_hi[i]
-            if vlo is not None and compare(vlo, h_i) < 0:
-                return None
-            if vhi is not None and compare(vhi, h_j) > 0:
-                return None
-            virgin = config_i.tapes[i].constant_on(h_i, lam)
-            if virgin is None:
-                return None
-            fill = config_j.tapes[i].constant_on(h_i, h_j)
-            if fill is None:
-                return None
-            limit_tape = config_i.tapes[i].fill(h_i, lam, fill)
-            heads.append(lam)
-            tapes.append(limit_tape)
-            # minima over the tail windows: the combined acc restricted to the
-            # window, which must be constant to stay representable
-            m_const = combined.acc[i].constant_on(h_i, h_j) if combined.acc_ok[i] else None
-            acc_new = limit_tape.intersect(config_j.tapes[i])
-            if m_const is None:
-                new_acc_ok.append(False)
-                new_acc.append(acc_new)
-            else:
-                if m_const == 0:
-                    acc_new = acc_new.fill(h_j, lam, 0)
-                new_acc_ok.append(True)
-                new_acc.append(acc_new)
-            new_vlo.append(h_j)
-            new_vhi.append(lam)
-        seg_len = sub_left(config_j.time, config_i.time)
-        time = add(config_i.time, mul(seg_len, OMEGA))
-        limit = Configuration(combined.min_state, tuple(heads), tuple(tapes), time)
-        stats = object.__new__(_SegmentStats)
-        stats.acc = new_acc
-        stats.acc_ok = new_acc_ok
-        stats.min_heads = [
-            h_j if not strides[i].is_zero else combined.min_heads[i]
-            for i, h_j in enumerate(config_j.heads)
-        ]
-        stats.min_state = combined.min_state
-        stats.visited_lo = new_vlo
-        stats.visited_hi = new_vhi
-        stats.start_time = config_j.time
-        stats.end_time = time
-        return "limit-sweep", limit, stats
+            return kind, ExactLoopCertificate(base=base, period=1), limit, tail
+        return None
 
     # .. main loop ..
 
     def run(self, config: Configuration) -> RunOutcome:
         program = self.program
         config = _apply_hook(program, config, self.hook)
-        seg = _SegmentStats(config)
+        seg = _SegmentStats.starting_at(config)
         history: List[Configuration] = [config]
         index: Dict[tuple, int] = {config.key(): 0}
         entries: List[Tuple[Configuration, _SegmentStats]] = []
@@ -764,52 +627,35 @@ class _Runner:
             self._emit_step(before, config)
             history.append(config)
 
-            cert = self._detect_exact(history, index)
-            if cert is not None:
-                trace = _RecordedPeriod(program, history[-1 - cert.period :])
-                limit, tails = _resolve_exact(program, cert, trace)
-                kind = "cycle"
-            else:
-                found = self._detect_sweep(history)
-                if found is None:
-                    index[config.key()] = len(history) - 1
-                    continue
-                cert, limit, tails = found
-                kind = "sweep"
+            found = self._detect(history, index)
+            if found is None:
+                index[config.key()] = len(history) - 1
+                continue
+            kind, cert, limit, tail = found
+            stats = _combine_stats([seg, tail])
 
-            # jump to the loop's limit, then cascade limit-level detection
-            if self.jumps >= self.budget.max_limit_jumps:
-                return Unresolved(config, "limit jump budget exhausted")
-            self.jumps += 1
-            seg.fold_tail(tails)
-            limit = _apply_hook(program, limit, self.hook)
-            seg.fold_config(limit)
-            if limit.key() == cert.base.key():
-                self._emit_limit(limit, "diverges")
-                return Diverges(cert, limit)
-            self._emit_limit(limit, kind)
-            entries.append((limit, seg))
-            config = limit
-
+            # jump to the loop's limit; a new limit may close a loop of limits
             while True:
-                found = self._detect_limit_level(entries)
-                if found is None:
-                    break
-                i, lkind, llimit, lstats = found
                 if self.jumps >= self.budget.max_limit_jumps:
                     return Unresolved(config, "limit jump budget exhausted")
                 self.jumps += 1
-                llimit = _apply_hook(program, llimit, self.hook)
-                if llimit.key() == entries[i][0].key():
-                    self._emit_limit(llimit, "diverges")
-                    return Diverges(
-                        ExactLoopCertificate(base=entries[i][0], period=1), llimit
-                    )
-                self._emit_limit(llimit, lkind)
-                entries.append((llimit, lstats))
-                config = llimit
+                hooked = _apply_hook(program, limit, self.hook)
+                if hooked is not limit:
+                    # stats already hold the limit the loop resolved to
+                    stats.fold_config(hooked)
+                    limit = hooked
+                if limit.key() == cert.base.key():
+                    self._emit_limit(limit, "diverges")
+                    return Diverges(cert, limit)
+                self._emit_limit(limit, kind)
+                entries.append((limit, stats))
+                config = limit
+                found = self._detect_limit_level(entries)
+                if found is None:
+                    break
+                kind, cert, limit, stats = found
 
-            seg = _SegmentStats(config)
+            seg = _SegmentStats.starting_at(config)
             history = [config]
             index = {config.key(): 0}
 

@@ -35,7 +35,7 @@ from .formulas import PrenexStatement
 from .hfsets import (
     EMPTY,
     HfSet,
-    ack_compare,
+    ack_sorted,
     hf,
     kpair,
     kpair_parts,
@@ -336,22 +336,6 @@ class _NeedInstance(Exception):
         self.instance = instance
 
 
-def _ack_sorted(values):
-    out = list(values)
-
-    class K:
-        __slots__ = ("v",)
-
-        def __init__(self, v):
-            self.v = v
-
-        def __lt__(self, other):
-            return ack_compare(self.v, other.v) < 0
-
-    out.sort(key=K)
-    return out
-
-
 def verify_reduction(
     witness: ReductionWitness,
     source: Relation,
@@ -502,7 +486,7 @@ def _otm_tree(witness, source, target, x, cap, budget, report):
         try:
             y, stats = run_with_miracle(witness, oracle, x, budget)
         except _NeedInstance as need:
-            options = _ack_sorted(target.witness_set(need.instance))
+            options = ack_sorted(target.witness_set(need.instance))
             if not options:
                 report.failures.append(
                     CaseFailure(x, "-", f"no witness for oracle instance {need.instance}")
@@ -556,10 +540,10 @@ def _choice_rules(target: Relation, cap: int, seed: int):
     """Deterministic oracle rules standing in for sampled canonifications."""
 
     def min_rule(s):
-        return _ack_sorted(target.witness_set(s))[0]
+        return ack_sorted(target.witness_set(s))[0]
 
     def max_rule(s):
-        return _ack_sorted(target.witness_set(s))[-1]
+        return ack_sorted(target.witness_set(s))[-1]
 
     rules = [("rule:ack-min", min_rule), ("rule:ack-max", max_rule)]
     for i in range(cap):
@@ -567,7 +551,7 @@ def _choice_rules(target: Relation, cap: int, seed: int):
 
         def sample_rule(s, _rng=rng, _memo={}):
             if s not in _memo:
-                _memo[s] = _rng.choice(_ack_sorted(target.witness_set(s)))
+                _memo[s] = _rng.choice(ack_sorted(target.witness_set(s)))
             return _memo[s]
 
         rules.append((f"rule:sample[{i}]", sample_rule))

@@ -21,7 +21,7 @@ from .formulas import Delta0Formula, parse_delta0
 from .hfsets import (
     EMPTY,
     HfSet,
-    ack_compare,
+    ack_sorted,
     hf,
     kpair,
     kpair_parts,
@@ -108,7 +108,7 @@ def enumerate_canonifications(
     witness_sets: List[List[HfSet]] = []
     for x in domain_instances:
         ws = relation.witness_set(x)
-        ws = _ack_sorted(ws)
+        ws = ack_sorted(ws)
         if not ws:
             raise EmptyWitnessSet(x)
         witness_sets.append(ws)
@@ -141,22 +141,6 @@ def enumerate_canonifications(
             build([rng.choice(ws) for ws in witness_sets], f"sample[{i}]")
         )
     return "sampled", canons, product_size
-
-
-def _ack_sorted(values: Iterable[HfSet]) -> List[HfSet]:
-    out = list(values)
-    out.sort(key=_AckSortKey)
-    return out
-
-
-class _AckSortKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return ack_compare(self.v, other.v) < 0
 
 
 def relation_from_formula(

@@ -149,38 +149,29 @@ rule qm -> goto a;
 """
 
 
-def _trace_fields(trace):
-    return (trace.states, trace.visited, trace.cell_min, trace.snapshots, trace.end)
-
-
 def test_recorded_periods_match_replays(monkeypatch):
     """At every step, every candidate period read off the recorded run must
-    equal a re-execution of that period from its base."""
+    equal a re-execution of that period from its base.  The loop resolvers
+    read a period only through this list of configurations."""
     checked = {"sweep": 0, "cycle": 0}
-    detect_sweep = machine._Runner._detect_sweep
-    detect_exact = machine._Runner._detect_exact
+    detect = machine._Runner._detect
 
     def check_period(runner, history, period, kind):
-        recorded = machine._RecordedPeriod(runner.program, history[-1 - period :])
         replayed = machine._replay_period(
             runner.program, history[-1 - period], period, runner.hook
         )
-        assert _trace_fields(recorded) == _trace_fields(replayed)
+        assert history[-1 - period :] == replayed
         checked[kind] += 1
 
-    def checked_sweep(self, history):
+    def checked_detect(self, history, index):
+        i = index.get(history[-1].key())
+        if i is not None:
+            check_period(self, history, len(history) - 1 - i, "cycle")
         for period in range(1, min(self.sweep_max_period, len(history) - 1) + 1):
             check_period(self, history, period, "sweep")
-        return detect_sweep(self, history)
+        return detect(self, history, index)
 
-    def checked_exact(self, history, index):
-        cert = detect_exact(self, history, index)
-        if cert is not None:
-            check_period(self, history, cert.period, "cycle")
-        return cert
-
-    monkeypatch.setattr(machine._Runner, "_detect_sweep", checked_sweep)
-    monkeypatch.setattr(machine._Runner, "_detect_exact", checked_exact)
+    monkeypatch.setattr(machine._Runner, "_detect", checked_detect)
 
     rng = random.Random(20261017)
     for _ in range(12):

@@ -67,6 +67,33 @@ rule a work=1 -> write work=0 move work=R goto qm;
 rule qm -> goto a;
 """
 
+# on an input of w ones, each 4-step period zeroes an even cell, puts its 1
+# back and skips the odd cell after it; at w the head falls back to 0 and the
+# sweep starts again, so up to w^2 every even cell dips cofinally often and
+# every odd cell keeps its 1: a liminf no interval tape can hold
+EVEN_CELLS_DIP = """
+tapes in work out;
+state a;
+state b;
+state c;
+state d;
+rule a in=1 -> write in=0 move in=R goto b;
+rule a in=0 -> move in=L goto a;
+rule b -> move in=L goto c;
+rule c -> write in=1 move in=R goto d;
+rule d -> move in=R goto a;
+"""
+
+# the same restarting sweep, but every cell dips: the liminf at w^2 is empty
+EVERY_CELL_DIPS = """
+tapes in work out;
+state a;
+state b;
+rule a in=1 -> write in=0 goto b;
+rule a in=0 -> move in=L goto a;
+rule b -> write in=1 move in=R goto a;
+"""
+
 
 def simple_program(rules_text):
     return parse_program(rules_text)
@@ -295,6 +322,38 @@ class TestLimits:
         assert any(r["event"] == "limit" for r in records)
         assert len(arrivals) == 4
         assert len(calls) == len(arrivals)
+
+
+    def _limit_records(self, text):
+        records = []
+        out = run(
+            parse_program(text),
+            Tape([(ZERO, W)]),
+            RunBudget(2000, 8),
+            trace=records.append,
+        )
+        return out, [r for r in records if r["event"] == "limit"]
+
+    def test_mixed_window_minima_block_the_limit_cycle(self):
+        # a loop of limits whose segment has unrepresentable minima must not
+        # resolve: the sweeps repeat until the jump budget runs out
+        out, limits = self._limit_records(EVEN_CELLS_DIP)
+        assert [(r["kind"], r["time"]) for r in limits] == [
+            ("sweep", "w")
+        ] + [("sweep", f"w*{k}") for k in range(2, 9)]
+        assert isinstance(out, Unresolved)
+        assert out.reason == "limit jump budget exhausted"
+
+    def test_uniform_window_minima_resolve_the_limit_cycle(self):
+        out, limits = self._limit_records(EVERY_CELL_DIPS)
+        assert [(r["kind"], r["time"]) for r in limits] == [
+            ("sweep", "w"),
+            ("sweep", "w*2"),
+            ("limit-cycle", "w^2"),
+            ("diverges", "w^2+w"),
+        ]
+        assert limits[2]["tapes"]["in"] == []
+        assert isinstance(out, Diverges)
 
 
 class TestResolveLimit:
