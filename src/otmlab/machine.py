@@ -158,46 +158,21 @@ def _replay_period(
 # those minima would need infinitely many intervals).
 
 
-@dataclass(eq=False, slots=True)
-class _SegmentStats:
-    """The summary of a segment between limit configurations, folded as the
-    run goes and combined across earlier jumps.  The visited bounds are None
-    only before the segment's first step, and no summary is combined or
-    checked before that."""
+def _widen(lo: List[Ordinal], hi: List[Ordinal], heads: Sequence[Ordinal]):
+    """Widen each tape's visited bounds [lo, hi) to cover its head position.
+    A new least position lies below hi, so it is never a new greatest one."""
+    for i, h in enumerate(heads):
+        if compare(h, lo[i]) < 0:
+            lo[i] = h
+        elif compare(h, hi[i]) >= 0:
+            hi[i] = add(h, ONE)
 
-    acc: List[Tape]
-    acc_ok: List[bool]
-    min_heads: List[Ordinal]
-    min_state: int
-    visited_lo: List[Optional[Ordinal]]
-    visited_hi: List[Optional[Ordinal]]
 
-    @classmethod
-    def starting_at(cls, config: Configuration) -> "_SegmentStats":
-        n = len(config.tapes)
-        return cls(
-            list(config.tapes),
-            [True] * n,
-            list(config.heads),
-            config.state,
-            [None] * n,
-            [None] * n,
-        )
+class _Window:
+    """The window check shared by every summary: it reads only the visited
+    bounds, so it costs two compares whatever the segment's length."""
 
-    def fold_visited(self, heads: Tuple[Ordinal, ...]):
-        for i, h in enumerate(heads):
-            if self.visited_lo[i] is None or compare(h, self.visited_lo[i]) < 0:
-                self.visited_lo[i] = h
-            top = add(h, ONE)
-            if self.visited_hi[i] is None or compare(top, self.visited_hi[i]) > 0:
-                self.visited_hi[i] = top
-
-    def fold_config(self, config: Configuration):
-        for i, t in enumerate(config.tapes):
-            self.acc[i] = self.acc[i].intersect(t)
-            if compare(config.heads[i], self.min_heads[i]) < 0:
-                self.min_heads[i] = config.heads[i]
-        self.min_state = min(self.min_state, config.state)
+    __slots__ = ()
 
     def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
         """Whether every position head i was stepped from lies in [lo, hi)."""
@@ -207,35 +182,103 @@ class _SegmentStats:
         )
 
 
-class _Period:
-    """The summary of a run of successor steps, given as its configurations:
-    the run already recorded, or a replay.  Each field is computed on first
-    use, so a candidate rejected by an early check never pays for the later
-    ones."""
+@dataclass(eq=False, slots=True)
+class _SegmentStats(_Window):
+    """The summary of a segment between limit configurations, folded as the
+    run goes and combined across earlier jumps.  A segment's first step is
+    taken from its first configuration, so the visited bounds start there."""
 
-    def __init__(self, configs: Sequence[Configuration]):
+    acc: List[Tape]
+    acc_ok: List[bool]
+    min_heads: List[Ordinal]
+    min_state: int
+    visited_lo: List[Ordinal]
+    visited_hi: List[Ordinal]
+
+    @classmethod
+    def starting_at(cls, config: Configuration) -> "_SegmentStats":
+        n = len(config.tapes)
+        return cls(
+            list(config.tapes),
+            [True] * n,
+            list(config.heads),
+            config.state,
+            list(config.heads),
+            [add(h, ONE) for h in config.heads],
+        )
+
+    def fold_visited(self, heads: Tuple[Ordinal, ...]):
+        _widen(self.visited_lo, self.visited_hi, heads)
+
+    def fold_config(
+        self, config: Configuration, before: Optional[Configuration] = None
+    ):
+        """Fold in config.  before, when given, is the configuration config
+        was stepped from and is already folded in: acc lies inside each tape
+        the step kept (the same Tape object), so only the others are
+        intersected."""
+        for i, t in enumerate(config.tapes):
+            if before is None or t is not before.tapes[i]:
+                self.acc[i] = self.acc[i].intersect(t)
+            if compare(config.heads[i], self.min_heads[i]) < 0:
+                self.min_heads[i] = config.heads[i]
+        self.min_state = min(self.min_state, config.state)
+
+
+class _HeadBounds:
+    """The visited bounds [lo, hi) of the last k steps of a run,
+    history[-1-k:-1], per tape.  k only grows, one configuration at a time,
+    and only as far as a caller asks."""
+
+    __slots__ = ("_history", "_k", "_lo", "_hi")
+
+    def __init__(self, history: Sequence[Configuration]):
+        self._history = history
+        self._k = 0
+
+    def upto(self, k: int) -> Tuple[List[Ordinal], List[Ordinal]]:
+        """(visited_lo, visited_hi) over the last k steps, k >= 1."""
+        history = self._history
+        if self._k == 0:
+            heads = history[-2].heads
+            self._lo = list(heads)
+            self._hi = [add(h, ONE) for h in heads]
+            self._k = 1
+        while self._k < k:
+            self._k += 1
+            _widen(self._lo, self._hi, history[-1 - self._k].heads)
+        return list(self._lo), list(self._hi)
+
+
+class _Period(_Window):
+    """The summary of a run of successor steps, given as its configurations
+    (the run already recorded, or a replay) and their visited bounds.  Every
+    other field is computed on first use, so a candidate rejected by an early
+    check never pays for the later ones."""
+
+    def __init__(
+        self,
+        configs: Sequence[Configuration],
+        visited_lo: List[Ordinal],
+        visited_hi: List[Ordinal],
+    ):
         self._configs = configs
-        self._n = len(configs[0].tapes)
-        self.acc_ok: List[bool] = [True] * self._n
+        self.visited_lo = visited_lo
+        self.visited_hi = visited_hi
+        self.acc_ok: List[bool] = [True] * len(visited_lo)
+
+    @classmethod
+    def of(cls, configs: Sequence[Configuration]) -> "_Period":
+        return cls(configs, *_HeadBounds(configs).upto(len(configs) - 1))
 
     @cached_property
     def min_state(self) -> int:
         return min(c.state for c in self._configs)
 
     @cached_property
-    def visited_lo(self) -> List[Ordinal]:
-        steps = self._configs[:-1]
-        return [min(c.heads[i] for c in steps) for i in range(self._n)]
-
-    @cached_property
     def min_heads(self) -> List[Ordinal]:
         end = self._configs[-1]
         return [min(lo, h) for lo, h in zip(self.visited_lo, end.heads)]
-
-    @cached_property
-    def visited_hi(self) -> List[Ordinal]:
-        steps = self._configs[:-1]
-        return [add(max(c.heads[i] for c in steps), ONE) for i in range(self._n)]
 
     @cached_property
     def acc(self) -> List[Tape]:
@@ -248,14 +291,6 @@ class _Period:
                 for a, t, old in zip(acc, c.tapes, before.tapes)
             ]
         return acc
-
-    def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
-        """Whether every position head i was stepped from lies in [lo, hi)."""
-        for c in self._configs[:-1]:
-            pos = c.heads[i]
-            if compare(pos, lo) < 0 or compare(pos, hi) >= 0:
-                return False
-        return True
 
 
 _Summary = Union[_SegmentStats, _Period]
@@ -397,13 +432,17 @@ def resolve_limit(
 ) -> Configuration:
     """Validate a certificate by replay and return the configuration at the
     least limit ordinal above the loop.  Raises MalformedCertificate when the
-    replay contradicts the certified shape."""
+    replay contradicts the certified shape.
+
+    Only successor-level certificates are validated: the period counts
+    successor steps from the base.  A certificate of a loop of limits (see
+    Diverges) counts limit jumps instead, and its replay is rejected."""
     if certificate.period < 1:
         raise MalformedCertificate("period must be positive")
     configs = _replay_period(
         program, certificate.base, certificate.period, miracle_hook
     )
-    base, end, unit = configs[0], configs[-1], _Period(configs)
+    base, end, unit = configs[0], configs[-1], _Period.of(configs)
     if isinstance(certificate, ExactLoopCertificate):
         limit, _ = _resolve_exact(base, end, unit)
     else:
@@ -428,6 +467,14 @@ class Halted:
 
 @dataclass(frozen=True)
 class Diverges:
+    """The run reached limit_behavior, a limit configuration that equals the
+    base of the certified loop (time aside), so it repeats that loop forever.
+
+    A loop of successor steps has a certificate resolve_limit replays to
+    limit_behavior.  A loop of limits has ExactLoopCertificate(base, 1): base
+    is the recurring limit and the period counts limit jumps, not successor
+    steps, so it names the loop without a replay resolve_limit accepts."""
+
     certificate: LoopCertificate
     limit_behavior: Configuration
 
@@ -549,19 +596,21 @@ class _Runner:
         i = index.get(end.key())
         if i is not None:
             base = history[i]
-            limit, tail = _resolve_exact(base, end, _Period(history[i:]))
+            limit, tail = _resolve_exact(base, end, _Period.of(history[i:]))
             cert = ExactLoopCertificate(base=base, period=len(history) - 1 - i)
             return "cycle", cert, limit, tail
+        bounds = _HeadBounds(history)
         top = min(self.sweep_max_period, len(history) - 1)
         for period in range(1, top + 1):
             base = history[-1 - period]
             strides = _strides(base, end)
             if strides is None:
                 continue
+            # the visited bounds grow with the period, so each candidate only
+            # folds in the positions the previous one did not cover
+            unit = _Period(history[-1 - period :], *bounds.upto(period))
             try:
-                limit, tail = _resolve_sweep(
-                    base, end, strides, _Period(history[-1 - period :])
-                )
+                limit, tail = _resolve_sweep(base, end, strides, unit)
             except MalformedCertificate:
                 continue
             cert = SweepLoopCertificate(base=base, period=period, strides=strides)
@@ -623,7 +672,7 @@ class _Runner:
             seg.fold_visited(before.heads)
             config = _estep(program, before, self.hook)
             self.steps += 1
-            seg.fold_config(config)
+            seg.fold_config(config, before)
             self._emit_step(before, config)
             history.append(config)
 

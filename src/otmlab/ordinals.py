@@ -181,9 +181,11 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     if a is b:
         return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
+        # equal exponents are one interned object: skip the recursive call
+        if ea is not eb:
+            c = compare(ea, eb)
+            if c != 0:
+                return c
         if ca != cb:
             return -1 if ca < cb else 1
     if len(a.terms) != len(b.terms):

@@ -101,6 +101,60 @@ def all_tuple_ordinals_below_w3(max_coeff: int = 3) -> List[TupleOrd]:
     return out
 
 
+# -- ordinals below w^(w^2) as nested tuples ---------------------------------------
+#
+# An ordinal is a tuple of terms ((a, b), c), exponents w*a+b strictly
+# decreasing, coefficients c >= 1.  Exponents are pairs of naturals, so the
+# order needs no recursion: Python's lexicographic tuple order on the term
+# sequence is the ordinal order (a larger first differing term wins; a proper
+# prefix is smaller).
+
+NestedOrd = Tuple[Tuple[Tuple[int, int], int], ...]
+
+
+def n_compare(a: NestedOrd, b: NestedOrd) -> int:
+    return (a > b) - (a < b)
+
+
+def n_add(a: NestedOrd, b: NestedOrd) -> NestedOrd:
+    """Terms of a below b's leading exponent are absorbed; a term of a at that
+    exponent adds its coefficient to b's."""
+    if not b:
+        return a
+    lead = b[0][0]
+    terms = {e: c for e, c in a if e >= lead}
+    for e, c in b:
+        terms[e] = terms.get(e, 0) + c
+    return tuple(sorted(terms.items(), reverse=True))
+
+
+def n_random(rng, max_terms: int = 4) -> NestedOrd:
+    exponents = rng.sample(
+        [(x, y) for x in range(3) for y in range(4)], rng.randint(0, max_terms)
+    )
+    return tuple((e, rng.randint(1, 3)) for e in sorted(exponents, reverse=True))
+
+
+def n_random_pair(rng) -> Tuple[NestedOrd, NestedOrd]:
+    """Two ordinals that are unrelated, equal, share a prefix, or differ only
+    in one coefficient."""
+    a = n_random(rng)
+    kind = rng.randrange(4)
+    if kind == 0 or not a:
+        return a, n_random(rng)
+    if kind == 1:
+        return a, a
+    k = rng.randrange(len(a))
+    if kind == 2:
+        # same first k terms, then a tail below the last of them
+        floor = a[k - 1][0] if k else (3, 0)
+        tail = tuple((e, c) for e, c in n_random(rng) if e < floor)
+        return a, a[:k] + tail
+    (e, c) = a[k]
+    other = rng.choice([x for x in range(1, 5) if x != c])
+    return a, a[:k] + ((e, other),) + a[k + 1 :]
+
+
 # -- pairing oracle ----------------------------------------------------------------
 
 

@@ -7,10 +7,20 @@ import random
 
 from otmlab import machine
 from otmlab.asm import parse_program
-from otmlab.machine import RunBudget, initial_configuration, run, step
-from otmlab.ordinals import from_int, parse_ordinal
+from otmlab.errors import MalformedCertificate
+from otmlab.machine import (
+    Diverges,
+    ExactLoopCertificate,
+    RunBudget,
+    initial_configuration,
+    resolve_limit,
+    run,
+    step,
+)
+from otmlab.ordinals import OMEGA, ZERO, from_int, parse_ordinal
 from otmlab.programs import Program, Transition
 from otmlab.tapes import Tape
+from test_machine import RESTARTING_RUN
 
 PREFIX_STEPS = 1200
 TAIL = 500
@@ -185,3 +195,121 @@ def test_recorded_periods_match_replays(monkeypatch):
     )
     assert checked["sweep"] > 1000
     assert checked["cycle"] > 0
+
+
+def test_divergence_certificates_replay_or_name_the_recurring_limit():
+    """Every Diverges either carries a certificate that resolve_limit replays
+    to its limit behaviour, or one of a loop of limits, whose base is the
+    recurring limit itself."""
+    rng = random.Random(7)
+    cases = [
+        (sweepish_program(rng), random_input(rng), RunBudget(200, 3))
+        for _ in range(40)
+    ]
+    cases.append(
+        (parse_program(RESTARTING_RUN), Tape([(ZERO, OMEGA)]), RunBudget(1000, 16))
+    )
+    seen = {"replays": 0, "limit level": 0}
+    for program, input_tape, budget in cases:
+        out = run(program, input_tape, budget, sweep_max_period=8)
+        if not isinstance(out, Diverges):
+            continue
+        cert = out.certificate
+        try:
+            replayed = resolve_limit(program, cert)
+        except MalformedCertificate:
+            assert isinstance(cert, ExactLoopCertificate) and cert.period == 1
+            assert cert.base.time.is_limit
+            assert cert.base.key() == out.limit_behavior.key()
+            seen["limit level"] += 1
+        else:
+            assert replayed == out.limit_behavior
+            seen["replays"] += 1
+    assert seen["replays"] >= 2 and seen["limit level"] == 1
+
+
+def _naive_bounds(positions):
+    low = high = positions[0]
+    for h in positions[1:]:
+        if h < low:
+            low = h
+        if h > high:
+            high = h
+    return low, high + 1
+
+
+def test_folded_summaries_match_the_recorded_run(monkeypatch):
+    """At every step, the segment summary the runner folds step by step equals
+    the fold of every configuration since the segment start, and every
+    candidate period's visited bounds, extended lazily as _detect extends
+    them, equal a scan of every position a head was stepped from."""
+    segments = []
+    starting_at = machine._SegmentStats.starting_at
+
+    def recorded_start(cls, config):
+        segments.append(starting_at(config))
+        return segments[-1]
+
+    monkeypatch.setattr(
+        machine._SegmentStats, "starting_at", classmethod(recorded_start)
+    )
+    naive = {"history": None, "n": 0, "acc": None}
+    checked = {"steps": 0, "windows": 0, "skipped": 0}
+    detect = machine._Runner._detect
+
+    def checked_detect(self, history, index):
+        if naive["history"] is not history:
+            naive.update(history=history, n=1, acc=list(history[0].tapes))
+        for c in history[naive["n"] :]:
+            naive["acc"] = [a.intersect(t) for a, t in zip(naive["acc"], c.tapes)]
+        naive["n"] = len(history)
+        seg = segments[-1]
+        n_tapes = len(history[0].tapes)
+        assert seg.acc == naive["acc"]
+        assert seg.min_state == min(c.state for c in history)
+        for i in range(n_tapes):
+            assert seg.min_heads[i] == min(c.heads[i] for c in history)
+            lo_hi = _naive_bounds([c.heads[i] for c in history[:-1]])
+            assert (seg.visited_lo[i], seg.visited_hi[i]) == lo_hi
+        checked["steps"] += 1
+
+        end = history[-1]
+        every = machine._HeadBounds(history)
+        lazy = machine._HeadBounds(history)
+        last = 0
+        for period in range(1, min(self.sweep_max_period, len(history) - 1) + 1):
+            base = history[-1 - period]
+            units = [machine._Period(history[-1 - period :], *every.upto(period))]
+            if machine._strides(base, end) is not None:
+                checked["skipped"] += period - last > 1
+                last = period
+                units.append(
+                    machine._Period(history[-1 - period :], *lazy.upto(period))
+                )
+            for i in range(n_tapes):
+                positions = [c.heads[i] for c in history[-1 - period : -1]]
+                lo, hi = base.heads[i], end.heads[i]
+                want = all(lo <= h < hi for h in positions)
+                for unit in units:
+                    assert unit.within(i, lo, hi) == want
+                    bounds = (unit.visited_lo[i], unit.visited_hi[i])
+                    assert bounds == _naive_bounds(positions)
+                checked["windows"] += 1
+        return detect(self, history, index)
+
+    monkeypatch.setattr(machine._Runner, "_detect", checked_detect)
+
+    rng = random.Random(20261018)
+    for _ in range(12):
+        program = sweepish_program(rng)
+        run(program, random_input(rng), RunBudget(200, 3), sweep_max_period=8)
+    run(
+        parse_program(REWRITTEN_MIRACLE),
+        budget=RunBudget(60, 2),
+        miracle_hook=lambda tape: Tape(),
+        sweep_max_period=8,
+    )
+    run(parse_program(RESTARTING_RUN), Tape([(ZERO, OMEGA)]), RunBudget(300, 6))
+    assert checked["steps"] > 1200
+    assert checked["windows"] > 20000
+    assert checked["skipped"] > 1000

@@ -95,6 +95,17 @@ rule b -> write in=1 move in=R goto a;
 """
 
 
+# the input head runs right over a block of ones, falls back to 0 at each
+# limit and runs again: the limits at w^2 and w^3 agree, so a loop of limits
+# closes and the limit at w^4 repeats the one at w^2
+RESTARTING_RUN = """
+tapes in work out;
+state a;
+rule a in=1 -> move in=R goto a;
+rule a in=0 -> move in=L goto a;
+"""
+
+
 def simple_program(rules_text):
     return parse_program(rules_text)
 
@@ -263,6 +274,20 @@ class TestLimits:
         out = run(p, budget=RunBudget(100, 4))
         again = resolve_limit(p, out.certificate)
         assert again.key() == out.limit_behavior.key()
+
+    def test_limit_level_divergence_names_the_recurring_limit(self):
+        # the period of a loop of limits counts limit jumps, so the
+        # certificate names the recurring limit and replays as nothing
+        p = parse_program(RESTARTING_RUN)
+        out = run(p, Tape([(ZERO, W)]), RunBudget(1000, 16))
+        assert isinstance(out, Diverges)
+        assert out.limit_behavior.time == parse_ordinal("w^4")
+        cert = out.certificate
+        assert isinstance(cert, ExactLoopCertificate) and cert.period == 1
+        assert cert.base.time == parse_ordinal("w^2")
+        assert cert.base.key() == out.limit_behavior.key()
+        with pytest.raises(MalformedCertificate, match="does not recur"):
+            resolve_limit(p, cert)
 
     def test_jump_budget_exhaustion_is_unresolved(self):
         p = parse_program(PURE_SWEEP)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,25 @@ def from_tuple(t):
         if coeff:
             value = add(value, mul(omega_power(from_int(power)), from_int(coeff)))
     return value
+
+
+def from_nested(t):
+    """Nested-tuple oracle ordinal -> package ordinal."""
+    value = ZERO
+    for (a, b), coeff in t:
+        exp = add(mul(W, from_int(a)), from_int(b))
+        value = add(value, mul(omega_power(exp), from_int(coeff)))
+    return value
+
+
+def to_nested(x):
+    """Package ordinal below w^(w^2) -> nested-tuple oracle ordinal."""
+    terms = []
+    for exp, coeff in x.terms:
+        parts = {e.to_int(): c for e, c in exp.terms}
+        assert set(parts) <= {0, 1}
+        terms.append(((parts.get(1, 0), parts.get(0, 0)), coeff))
+    return tuple(terms)
 
 
 class TestCompare:
@@ -103,6 +123,43 @@ class TestArithmetic:
         vals = [from_tuple(t) for t in oracles.all_tuple_ordinals_below_w3(2)]
         for a, b in itertools.product(vals[:32], vals[:32]):
             assert sub_left(add(a, b), a) == b
+
+
+class TestNestedOracle:
+    """Exponents up to w*2+3: the CNF terms of both operands often share an
+    exponent object, so this covers compare's identity fast path as well as
+    its recursive exponent comparison."""
+
+    PAIRS = 3000
+
+    def test_roundtrip(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            t = oracles.n_random(rng)
+            assert to_nested(from_nested(t)) == t
+
+    def test_arithmetic_agrees_on_seeded_pairs(self):
+        rng = random.Random(20261018)
+        kinds = {"equal": 0, "shared exponent": 0}
+        for _ in range(self.PAIRS):
+            ta, tb = oracles.n_random_pair(rng)
+            a, b = from_nested(ta), from_nested(tb)
+            want = oracles.n_compare(ta, tb)
+            assert compare(a, b) == want
+            assert compare(b, a) == -want
+            assert to_nested(add(a, b)) == oracles.n_add(ta, tb)
+            if want == 0:
+                kinds["equal"] += 1
+            elif ta and tb and ta[0][0] == tb[0][0]:
+                kinds["shared exponent"] += 1
+            # sub_left: r is right iff b + r = a (left cancellation)
+            big, small = (ta, tb) if want >= 0 else (tb, ta)
+            r = sub_left(from_nested(big), from_nested(small))
+            assert oracles.n_add(small, to_nested(r)) == big
+            if want != 0:
+                with pytest.raises(ValueError):
+                    sub_left(from_nested(small), from_nested(big))
+        assert kinds["equal"] > 300 and kinds["shared exponent"] > 300
 
 
 class TestGodelPairing:
