@@ -1,4 +1,4 @@
-"""Ordinal arithmetic below epsilon_0, the pairing of ordinals, and liminf.
+"""Ordinal arithmetic below epsilon_0 and the pairing of ordinals.
 
 Run:  python3 demos/01_ordinals_and_pairing.py
 """
@@ -6,13 +6,10 @@ Run:  python3 demos/01_ordinals_and_pairing.py
 from otmlab import (
     OMEGA,
     ZERO,
-    DescribedSequence,
-    SweepDescriptor,
     add,
     from_int,
     godel_pair,
     godel_unpair,
-    liminf,
     mul,
     parse_ordinal,
 )
@@ -41,10 +38,3 @@ c = godel_pair(w, ZERO)
 print(f"  p(w,0) = {c}   and back: {godel_unpair(c)}")
 big = godel_pair(parse_ordinal("w*3+1"), parse_ordinal("w*2"))
 print(f"  p(w*3+1, w*2) = {big}   and back: {godel_unpair(big)}")
-
-print()
-print("== liminf of finitely described sequences ==")
-cyc = DescribedSequence(prefix=(from_int(5),), cycle=(from_int(3), from_int(7)))
-print(f"5, 3, 7, 3, 7, ...            liminf = {liminf(cyc)}")
-swp = DescribedSequence(sweep=SweepDescriptor(w, 2, add(w, OMEGA)))
-print(f"w, w+2, w+4, ...              liminf = {liminf(swp)} (the supremum)")

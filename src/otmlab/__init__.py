@@ -24,22 +24,19 @@ from .ordinals import (
     OMEGA,
     ONE,
     ZERO,
-    DescribedSequence,
     Ordinal,
-    SweepDescriptor,
     add,
     compare,
     format_ordinal,
     from_int,
     godel_pair,
     godel_unpair,
-    liminf,
     mul,
     omega_power,
     parse_ordinal,
     sub_left,
 )
-from .tapes import EMPTY_TAPE, SweepFill, Tape, liminf_tapes
+from .tapes import EMPTY_TAPE, Tape
 from .hfsets import (
     EMPTY,
     HfSet,

@@ -31,7 +31,17 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MalformedCertificate
-from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, compare, mul, sub_left
+from .ordinals import (
+    OMEGA,
+    ONE,
+    ZERO,
+    Ordinal,
+    add,
+    compare,
+    format_ordinal,
+    mul,
+    sub_left,
+)
 from .programs import Configuration, Program
 from .tapes import Tape
 
@@ -184,9 +194,8 @@ class _Window:
 
 @dataclass(eq=False, slots=True)
 class _SegmentStats(_Window):
-    """The summary of a segment between limit configurations, folded as the
-    run goes and combined across earlier jumps.  A segment's first step is
-    taken from its first configuration, so the visited bounds start there."""
+    """The summary of a segment that ends in a limit, combined from the
+    summaries of its parts by _combine_stats."""
 
     acc: List[Tape]
     acc_ok: List[bool]
@@ -195,31 +204,10 @@ class _SegmentStats(_Window):
     visited_lo: List[Ordinal]
     visited_hi: List[Ordinal]
 
-    @classmethod
-    def starting_at(cls, config: Configuration) -> "_SegmentStats":
-        n = len(config.tapes)
-        return cls(
-            list(config.tapes),
-            [True] * n,
-            list(config.heads),
-            config.state,
-            list(config.heads),
-            [add(h, ONE) for h in config.heads],
-        )
-
-    def fold_visited(self, heads: Tuple[Ordinal, ...]):
-        _widen(self.visited_lo, self.visited_hi, heads)
-
-    def fold_config(
-        self, config: Configuration, before: Optional[Configuration] = None
-    ):
-        """Fold in config.  before, when given, is the configuration config
-        was stepped from and is already folded in: acc lies inside each tape
-        the step kept (the same Tape object), so only the others are
-        intersected."""
+    def fold_config(self, config: Configuration):
+        """Fold in config, a limit the miracle hook rewrote."""
         for i, t in enumerate(config.tapes):
-            if before is None or t is not before.tapes[i]:
-                self.acc[i] = self.acc[i].intersect(t)
+            self.acc[i] = self.acc[i].intersect(t)
             if compare(config.heads[i], self.min_heads[i]) < 0:
                 self.min_heads[i] = config.heads[i]
         self.min_state = min(self.min_state, config.state)
@@ -386,9 +374,9 @@ def _resolve_sweep(
                 )
             sweeps.append(None)
             continue
-        lam = add(h0, mul(d, OMEGA))
         if not unit.within(i, h0, h1):
             raise MalformedCertificate(f"tape {i} leaves its sweep window")
+        lam = add(h0, mul(d, OMEGA))
         if base.tapes[i].constant_on(h0, lam) is None:
             raise MalformedCertificate(
                 f"tape {i} has non-constant content ahead of the sweep"
@@ -542,8 +530,6 @@ class _Runner:
     def _emit_step(self, before: Configuration, after: Configuration):
         if self.trace is None or not self.trace_steps:
             return
-        from . import ordinals
-
         writes = []
         for i, (old, new) in enumerate(zip(before.tapes, after.tapes)):
             if old is not new and old != new:
@@ -551,16 +537,16 @@ class _Runner:
                 writes.append(
                     [
                         self.program.tape_roles[i],
-                        ordinals.format_ordinal(cell),
+                        format_ordinal(cell),
                         new.read(cell),
                     ]
                 )
         self._emit(
             {
                 "event": "step",
-                "time": ordinals.format_ordinal(after.time),
+                "time": format_ordinal(after.time),
                 "state": self.program.state_name(after.state),
-                "heads": [ordinals.format_ordinal(h) for h in after.heads],
+                "heads": [format_ordinal(h) for h in after.heads],
                 "writes": writes,
             }
         )
@@ -568,15 +554,13 @@ class _Runner:
     def _emit_limit(self, config: Configuration, kind: str):
         if self.trace is None:
             return
-        from . import ordinals
-
         self._emit(
             {
                 "event": "limit",
                 "kind": kind,
-                "time": ordinals.format_ordinal(config.time),
+                "time": format_ordinal(config.time),
                 "state": self.program.state_name(config.state),
-                "heads": [ordinals.format_ordinal(h) for h in config.heads],
+                "heads": [format_ordinal(h) for h in config.heads],
                 "tapes": {
                     role: list(t.interval_strings())
                     for role, t in zip(self.program.tape_roles, config.tapes)
@@ -650,7 +634,6 @@ class _Runner:
     def run(self, config: Configuration) -> RunOutcome:
         program = self.program
         config = _apply_hook(program, config, self.hook)
-        seg = _SegmentStats.starting_at(config)
         history: List[Configuration] = [config]
         index: Dict[tuple, int] = {config.key(): 0}
         entries: List[Tuple[Configuration, _SegmentStats]] = []
@@ -660,7 +643,7 @@ class _Runner:
                 self._emit(
                     {
                         "event": "halt",
-                        "time": _fmt_time(config),
+                        "time": format_ordinal(config.time),
                         "state": program.state_name(config.state),
                     }
                 )
@@ -669,10 +652,8 @@ class _Runner:
                 return Unresolved(config, "successor step budget exhausted")
 
             before = config
-            seg.fold_visited(before.heads)
             config = _estep(program, before, self.hook)
             self.steps += 1
-            seg.fold_config(config, before)
             self._emit_step(before, config)
             history.append(config)
 
@@ -681,7 +662,8 @@ class _Runner:
                 index[config.key()] = len(history) - 1
                 continue
             kind, cert, limit, tail = found
-            stats = _combine_stats([seg, tail])
+            # the segment's summary is read off the run it recorded
+            stats = _combine_stats([_Period.of(history), tail])
 
             # jump to the loop's limit; a new limit may close a loop of limits
             while True:
@@ -704,15 +686,8 @@ class _Runner:
                     break
                 kind, cert, limit, stats = found
 
-            seg = _SegmentStats.starting_at(config)
             history = [config]
             index = {config.key(): 0}
-
-
-def _fmt_time(config: Configuration) -> str:
-    from . import ordinals
-
-    return ordinals.format_ordinal(config.time)
 
 
 def run(

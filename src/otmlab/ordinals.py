@@ -6,16 +6,14 @@ unique, so structural equality is ordinal equality.  Instances are interned:
 equal ordinals are the same object.
 
 Also provides the Goedel pairing (the order isomorphism of pairs ordered by
-(max, left, right) onto the ordinals), liminf of finitely described
-sequences, and the text syntax used everywhere else (`0`, `5`, `w`,
-`w^2*3+w*2+7`, `w^(w+1)`).
+(max, left, right) onto the ordinals) and the text syntax used everywhere
+else (`0`, `5`, `w`, `w^2*3+w*2+7`, `w^(w+1)`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 from .errors import ParseError, RepresentationOverflow, SourceSpan
 
@@ -33,9 +31,6 @@ __all__ = [
     "godel_pair",
     "godel_unpair",
     "pair_rank",
-    "SweepDescriptor",
-    "DescribedSequence",
-    "liminf",
     "parse_ordinal",
     "format_ordinal",
 ]
@@ -356,69 +351,6 @@ def godel_unpair(c: Ordinal) -> Tuple[Ordinal, Ordinal]:
     if compare(right, mu) > 0:
         raise AssertionError(f"unpair overflow at {c}")
     return mu, right
-
-
-# -- described sequences and liminf -------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepDescriptor:
-    """start, start+stride, start+2*stride, ... with supremum limit."""
-
-    start: Ordinal
-    stride: int
-    limit: Ordinal
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be a positive integer")
-        if self.limit != add(self.start, OMEGA):
-            raise ValueError(
-                f"limit {self.limit} is not the supremum of the sweep "
-                f"(expected {add(self.start, OMEGA)})"
-            )
-
-    def value_at(self, k: int) -> Ordinal:
-        return add(self.start, from_int(self.stride * k))
-
-
-@dataclass(frozen=True)
-class DescribedSequence:
-    """Eventually periodic sequence (prefix + cycle) or strictly increasing sweep."""
-
-    prefix: Tuple[Ordinal, ...] = ()
-    cycle: Optional[Tuple[Ordinal, ...]] = None
-    sweep: Optional[SweepDescriptor] = None
-
-    def __post_init__(self):
-        if (self.cycle is None) == (self.sweep is None):
-            raise ValueError("exactly one of cycle/sweep must be given")
-        if self.cycle is not None and len(self.cycle) == 0:
-            raise ValueError("cycle must be nonempty")
-        if self.sweep is not None and self.prefix:
-            raise ValueError("sweep sequences have no prefix")
-
-    def value_at(self, k: int) -> Ordinal:
-        if self.sweep is not None:
-            return self.sweep.value_at(k)
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
-
-    def values(self, n: int) -> Iterator[Ordinal]:
-        for k in range(n):
-            yield self.value_at(k)
-
-
-def liminf(seq: DescribedSequence) -> Ordinal:
-    """Inferior limit: least cofinally recurring value, or the sweep supremum."""
-    if seq.sweep is not None:
-        return seq.sweep.limit
-    low = seq.cycle[0]
-    for v in seq.cycle[1:]:
-        if compare(v, low) < 0:
-            low = v
-    return low
 
 
 # -- text syntax --------------------------------------------------------------

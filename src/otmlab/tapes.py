@@ -7,13 +7,11 @@ immutable values; writes return new tapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
-from . import ordinals as ord_
-from .ordinals import ONE, Ordinal, add, compare
+from .ordinals import ONE, Ordinal, add, compare, format_ordinal
 
-__all__ = ["Tape", "EMPTY_TAPE", "SweepFill", "liminf_tapes"]
+__all__ = ["Tape", "EMPTY_TAPE"]
 
 
 def _normalize(
@@ -55,7 +53,7 @@ class Tape:
 
     def interval_strings(self) -> Tuple[str, ...]:
         return tuple(
-            f"[{ord_.format_ordinal(lo)},{ord_.format_ordinal(hi)})"
+            f"[{format_ordinal(lo)},{format_ordinal(hi)})"
             for lo, hi in self.ones
         )
 
@@ -132,56 +130,3 @@ class Tape:
 
 
 EMPTY_TAPE = Tape()
-
-
-@dataclass(frozen=True)
-class SweepFill:
-    """Monotone rightward fill: `pattern` tiled with period len(pattern) over
-    [base, limit), describing the stabilized values of swept cells."""
-
-    base: Ordinal
-    pattern: Tuple[int, ...]
-    limit: Ordinal
-
-    def __post_init__(self):
-        if not self.pattern or any(b not in (0, 1) for b in self.pattern):
-            raise ValueError("pattern must be a nonempty bit sequence")
-        if compare(self.base, self.limit) >= 0:
-            raise ValueError("sweep region [base, limit) is empty")
-
-
-def _apply_fill(tape: Tape, fill: SweepFill) -> Tape:
-    pattern = fill.pattern
-    if all(b == pattern[0] for b in pattern):
-        return tape.fill(fill.base, fill.limit, pattern[0])
-    span = ord_.sub_left(fill.limit, fill.base)
-    if not span.is_natural:
-        # a mixed pattern over an infinite span has no finite interval form
-        raise ValueError(
-            "mixed sweep pattern over an infinite region is not representable"
-        )
-    out = tape.fill(fill.base, fill.limit, 0)
-    n = span.to_int()
-    for k in range(n):
-        bit = pattern[k % len(pattern)]
-        if bit:
-            cell = add(fill.base, ord_.from_int(k))
-            out = out.write(cell, 1)
-    return out
-
-
-def liminf_tapes(cycle: Sequence[Tape], sweep: Optional[SweepFill] = None) -> Tape:
-    """Cell-wise inferior limit of a tape history.
-
-    For a pure cycle the recurring value of a cell is its minimum over the
-    cycle, i.e. the intersection of the cycle tapes.  A sweep descriptor
-    overrides the swept region [base, limit) with its stabilized fill.
-    """
-    if not cycle:
-        raise ValueError("cycle must be nonempty")
-    acc = cycle[0]
-    for t in cycle[1:]:
-        acc = acc.intersect(t)
-    if sweep is not None:
-        acc = _apply_fill(acc, sweep)
-    return acc

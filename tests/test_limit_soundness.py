@@ -239,23 +239,32 @@ def _naive_bounds(positions):
 
 
 def test_folded_summaries_match_the_recorded_run(monkeypatch):
-    """At every step, the segment summary the runner folds step by step equals
-    the fold of every configuration since the segment start, and every
-    candidate period's visited bounds, extended lazily as _detect extends
-    them, equal a scan of every position a head was stepped from."""
-    segments = []
-    starting_at = machine._SegmentStats.starting_at
-
-    def recorded_start(cls, config):
-        segments.append(starting_at(config))
-        return segments[-1]
-
-    monkeypatch.setattr(
-        machine._SegmentStats, "starting_at", classmethod(recorded_start)
-    )
+    """At every step, the segment summary read off the recorded run
+    (_Period.of(history), as the runner builds it at a jump) equals the fold
+    of every configuration since the segment start, and every candidate
+    period's visited bounds, extended lazily as _detect extends them, equal a
+    scan of every position a head was stepped from.  At every level-0 jump,
+    the summary the runner combines with the loop's tail is that fold."""
     naive = {"history": None, "n": 0, "acc": None}
-    checked = {"steps": 0, "windows": 0, "skipped": 0}
+    checked = {"steps": 0, "jumps": 0, "windows": 0, "skipped": 0}
     detect = machine._Runner._detect
+    combine = machine._combine_stats
+
+    def assert_naive_fold(seg, history):
+        assert seg.acc == naive["acc"]
+        assert seg.min_state == min(c.state for c in history)
+        for i in range(len(history[0].tapes)):
+            assert seg.min_heads[i] == min(c.heads[i] for c in history)
+            lo_hi = _naive_bounds([c.heads[i] for c in history[:-1]])
+            assert (seg.visited_lo[i], seg.visited_hi[i]) == lo_hi
+
+    def checked_combine(parts):
+        # the runner's level-0 jump combines [segment, tail]; every other
+        # call combines limit-level summaries or a single period
+        if len(parts) == 2 and isinstance(parts[0], machine._Period):
+            assert_naive_fold(parts[0], naive["history"])
+            checked["jumps"] += 1
+        return combine(parts)
 
     def checked_detect(self, history, index):
         if naive["history"] is not history:
@@ -263,15 +272,9 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
         for c in history[naive["n"] :]:
             naive["acc"] = [a.intersect(t) for a, t in zip(naive["acc"], c.tapes)]
         naive["n"] = len(history)
-        seg = segments[-1]
-        n_tapes = len(history[0].tapes)
-        assert seg.acc == naive["acc"]
-        assert seg.min_state == min(c.state for c in history)
-        for i in range(n_tapes):
-            assert seg.min_heads[i] == min(c.heads[i] for c in history)
-            lo_hi = _naive_bounds([c.heads[i] for c in history[:-1]])
-            assert (seg.visited_lo[i], seg.visited_hi[i]) == lo_hi
+        assert_naive_fold(machine._Period.of(history), history)
         checked["steps"] += 1
+        n_tapes = len(history[0].tapes)
 
         end = history[-1]
         every = machine._HeadBounds(history)
@@ -298,6 +301,7 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
         return detect(self, history, index)
 
     monkeypatch.setattr(machine._Runner, "_detect", checked_detect)
+    monkeypatch.setattr(machine, "_combine_stats", checked_combine)
 
     rng = random.Random(20261018)
     for _ in range(12):
@@ -311,5 +315,6 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
     )
     run(parse_program(RESTARTING_RUN), Tape([(ZERO, OMEGA)]), RunBudget(300, 6))
     assert checked["steps"] > 1200
+    assert checked["jumps"] > 10
     assert checked["windows"] > 20000
     assert checked["skipped"] > 1000

@@ -48,6 +48,16 @@ state q0;
 rule q0 -> write work=1 move work=R goto q0;
 """
 
+# writes 1, 0, 1, 0, ... while moving right: every stride-2 window holds a
+# mixed pattern, which no interval tape can tile up to w
+ALTERNATING_SWEEP = """
+tapes in work out;
+state a;
+state b;
+rule a -> write work=1 move work=R goto b;
+rule b -> write work=0 move work=R goto a;
+"""
+
 TOGGLE = """
 tapes in work out;
 state q3;
@@ -410,6 +420,34 @@ class TestResolveLimit:
         assert limit.tapes[wi] == Tape([(ZERO, W)])
         assert limit.heads[wi] == W
         assert limit.time == W
+
+    def test_sweep_keeps_content_beyond_the_swept_region(self):
+        p = parse_program(PURE_SWEEP)
+        wi = p.tape_index("work")
+        beyond = (parse_ordinal("w*2"), parse_ordinal("w*2+3"))
+        start = initial_configuration(p)
+        tapes = list(start.tapes)
+        tapes[wi] = Tape([beyond])
+        base = start.replace(tapes=tuple(tapes))
+        cert = SweepLoopCertificate(
+            base=base, period=1, strides=(ZERO, from_int(1), ZERO)
+        )
+        limit = resolve_limit(p, cert)
+        assert limit.tapes[wi] == Tape([(ZERO, W), beyond])
+        assert limit.heads[wi] == W
+
+    def test_mixed_sweep_pattern_is_rejected(self):
+        p = parse_program(ALTERNATING_SWEEP)
+        base = initial_configuration(p)
+        cert = SweepLoopCertificate(
+            base=base, period=2, strides=(ZERO, from_int(2), ZERO)
+        )
+        with pytest.raises(MalformedCertificate, match="pattern is not constant"):
+            resolve_limit(p, cert)
+        out = run(p, budget=RunBudget(200, 2))
+        assert isinstance(out, Unresolved)
+        assert out.reason == "successor step budget exhausted"
+        assert out.last.time == from_int(200)
 
     def test_sweep_certificate_wrong_stride(self):
         p = parse_program(PURE_SWEEP)

@@ -10,15 +10,12 @@ from otmlab.ordinals import (
     OMEGA,
     ONE,
     ZERO,
-    DescribedSequence,
-    SweepDescriptor,
     add,
     compare,
     format_ordinal,
     from_int,
     godel_pair,
     godel_unpair,
-    liminf,
     mul,
     omega_power,
     pair_rank,
@@ -217,38 +214,6 @@ class TestGodelPairing:
         assert pair_rank(W) == W
         assert pair_rank(o("w*2")) == W2
         assert pair_rank(W2) == o("w^3")
-
-
-class TestLiminf:
-    def test_constant_cycle(self):
-        c = o("w+3")
-        assert liminf(DescribedSequence(cycle=(c,))) == c
-
-    def test_prefix_ignored(self):
-        seq = DescribedSequence(prefix=(from_int(5),), cycle=(from_int(3), from_int(7)))
-        assert liminf(seq) == from_int(3)
-
-    def test_sweep_supremum(self):
-        seq = DescribedSequence(sweep=SweepDescriptor(ZERO, 1, W))
-        assert liminf(seq) == W
-
-    def test_sweep_validates_limit(self):
-        with pytest.raises(ValueError):
-            SweepDescriptor(ZERO, 1, W2)
-
-    def test_against_direct_liminf_over_1000_terms(self):
-        seqs = [
-            DescribedSequence(prefix=(from_int(5),), cycle=(from_int(3), from_int(7))),
-            DescribedSequence(prefix=(W,), cycle=(o("w*2"), o("w+1"), o("w*2"))),
-            DescribedSequence(cycle=(o("w^2"), o("w"), o("w^2+w"))),
-        ]
-        for seq in seqs:
-            tail = [seq.value_at(k) for k in range(1000)][500:]
-            low = tail[0]
-            for v in tail:
-                if compare(v, low) < 0:
-                    low = v
-            assert liminf(seq) == low
 
 
 class TestSyntax:

@@ -1,8 +1,7 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from otmlab.ordinals import OMEGA, ZERO, add, from_int, mul
-from otmlab.tapes import EMPTY_TAPE, SweepFill, Tape, liminf_tapes
+from otmlab.tapes import EMPTY_TAPE, Tape
 
 W = OMEGA
 
@@ -68,44 +67,6 @@ class TestReadWrite:
             on.update(range(lo, lo + ln))
         for c in range(41):
             assert t.read(from_int(c)) == (1 if c in on else 0)
-
-
-class TestLiminfTapes:
-    def test_constant_history(self):
-        t = cells(1, 4)
-        assert liminf_tapes([t]) == t
-
-    def test_alternating_cell_drops_out(self):
-        assert liminf_tapes([cells(0), EMPTY_TAPE]) == EMPTY_TAPE
-
-    def test_cycle_is_cellwise_min(self):
-        a, b, c = cells(0, 1, 5), cells(1, 5, 7), cells(1, 3, 5)
-        out = liminf_tapes([a, b, c])
-        for n in range(10):
-            want = min(a.read(from_int(n)), b.read(from_int(n)), c.read(from_int(n)))
-            assert out.read(from_int(n)) == want
-
-    def test_sweep_fill_to_omega(self):
-        out = liminf_tapes([cells(0)], SweepFill(ZERO, (1,), W))
-        assert out == Tape([(ZERO, W)])
-        # per-cell check over the first 1000 sweep positions
-        for n in (0, 1, 17, 999):
-            assert out.read(from_int(n)) == 1
-        assert out.read(W) == 0
-
-    def test_mixed_pattern_finite_region(self):
-        out = liminf_tapes([EMPTY_TAPE], SweepFill(ZERO, (1, 0), from_int(6)))
-        assert [out.read(from_int(n)) for n in range(7)] == [1, 0, 1, 0, 1, 0, 0]
-
-    def test_mixed_pattern_infinite_region_rejected(self):
-        with pytest.raises(ValueError):
-            liminf_tapes([EMPTY_TAPE], SweepFill(ZERO, (1, 0), W))
-
-    def test_fill_preserves_outside(self):
-        base = Tape([(mul(W, from_int(2)), mul(W, from_int(3)))])
-        out = liminf_tapes([base], SweepFill(ZERO, (1,), W))
-        assert out.read(add(mul(W, from_int(2)), from_int(1))) == 1
-        assert out.read(W) == 0
 
 
 class TestQueries:
