@@ -13,16 +13,12 @@ from otmlab import (
     format_set,
     hf,
     load_witness_manifest,
-    parse_formula,
     run_with_miracle,
-    search_reduction_zfc_analog,
     singleton,
-    tc,
     universe_rank_le,
     verify_reduction,
     witness_path,
 )
-from otmlab.relations import ack_order_on
 
 U = universe_rank_le(3)
 PP, ZL, WO = PRINCIPLES["PP"], PRINCIPLES["ZL"], PRINCIPLES["WO"]
@@ -62,10 +58,3 @@ print(f"x = {format_set(x)}")
 print(f"well-order obtained with {stats.calls} oracle picks (|x| = {len(x)})")
 print(f"WO holds: {WO.holds(x, y)}")
 
-print()
-print("== One well-ordering use settles any finitely witnessed Pi2 matrix ==")
-statement = parse_formula("ALL x EX y (x in y)")
-wo_canon = Canonification({tc(s): ack_order_on(tc(s)) for s in U})
-for x in U[:4]:
-    y = search_reduction_zfc_analog(statement, x, wo_canon)
-    print(f"  least y with {format_set(x)} in y:  {format_set(y)}")

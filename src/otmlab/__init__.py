@@ -108,7 +108,6 @@ from .reductions import (
     builtin_witnesses,
     load_witness_manifest,
     run_with_miracle,
-    search_reduction_zfc_analog,
     verify_reduction,
     witness_path,
 )

@@ -286,12 +286,12 @@ def format_set(x: HfSet) -> str:
     return "{" + ",".join(format_set(e) for e in x.elements) + "}"
 
 
-def parse_set_literal(text: str, line: int = 1, col_base: int = 1) -> HfSet:
+def parse_set_literal(text: str) -> HfSet:
     pos = 0
 
     def error(expected):
         found = text[pos : pos + 8] or "end of input"
-        raise ParseError(SourceSpan(line, col_base + pos, 1), expected, found)
+        raise ParseError(SourceSpan(1, 1 + pos, 1), expected, found)
 
     def skip_ws():
         nonlocal pos

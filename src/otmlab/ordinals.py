@@ -379,18 +379,13 @@ def format_ordinal(o: Ordinal) -> str:
 
 
 class _OrdinalScanner:
-    def __init__(self, text: str, line: int = 1, col_base: int = 1):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = line
-        self.col_base = col_base
-
-    def _span(self, length: int = 1) -> SourceSpan:
-        return SourceSpan(self.line, self.col_base + self.pos, max(length, 1))
 
     def error(self, expected: str):
         found = self.text[self.pos : self.pos + 8] or "end of input"
-        raise ParseError(self._span(), expected, found)
+        raise ParseError(SourceSpan(1, 1 + self.pos, 1), expected, found)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -458,8 +453,8 @@ class _OrdinalScanner:
         self.error("an exponent (number, 'w', or parenthesized ordinal)")
 
 
-def parse_ordinal(text: str, line: int = 1, col_base: int = 1) -> Ordinal:
-    scanner = _OrdinalScanner(text, line, col_base)
+def parse_ordinal(text: str) -> Ordinal:
+    scanner = _OrdinalScanner(text)
     scanner.skip_ws()
     value = scanner.parse_expr()
     scanner.skip_ws()

@@ -7,7 +7,8 @@ A witness reduces a relation R to a relation R' in one of three senses:
   OTM   a procedure that may consult F' any number of times (miracle tape)
 
 Stages are either whitelisted native procedures (compositions of
-OTM-effective primitives) or machine programs executed on set codes.
+OTM-effective primitives) or machine programs executed on set codes.  Both
+are pure, so a sweep memoizes every stage by (stage, input).
 verify_reduction sweeps every canonification of the target relation over the
 relevant instances (full product when small, extremal plus seeded samples
 otherwise) and reports counterexamples.
@@ -25,13 +26,11 @@ from . import machine
 from .codes import code_to_tape, decode, encode, is_valid, tape_to_code
 from .errors import (
     EmptyWitnessSet,
-    Exhausted,
     InvalidCode,
     MiracleRangeEscape,
     OracleDomainError,
     WitnessExecutionError,
 )
-from .formulas import PrenexStatement
 from .hfsets import (
     EMPTY,
     HfSet,
@@ -45,7 +44,6 @@ from .hfsets import (
     singleton,
     tc,
 )
-from .logic import eval_delta0
 from .machine import RunBudget
 from .programs import Program
 from .relations import (
@@ -72,7 +70,6 @@ __all__ = [
     "builtin_witnesses",
     "load_witness_manifest",
     "witness_path",
-    "search_reduction_zfc_analog",
 ]
 
 PRIMITIVES = (
@@ -148,30 +145,47 @@ def _run_program_on_set(
 
 
 class _StageRunner:
-    """Executes stages, memoizing program runs (they are pure in their input)."""
+    """Executes stages, memoizing each by (stage, input).
+
+    Native procedures and programs are both pure in their input, so a sweep
+    runs a stage once per distinct input however many canonifications reuse
+    it.  A stage that fails is remembered too and raises the same error again.
+    """
 
     def __init__(self, budget: RunBudget):
         self.budget = budget
-        self._memo: Dict[Tuple[int, HfSet], HfSet] = {}
+        self._memo: Dict[tuple, Tuple[bool, object]] = {}
 
-    def apply(self, stage: Stage, value: HfSet) -> HfSet:
+    def apply(
+        self, stage: Stage, value: HfSet, instance: Optional[HfSet] = None
+    ) -> HfSet:
+        """stage(value).  Given the instance (an oW post stage), a binary
+        native procedure gets it as its second argument and a program reads
+        kpair(value, instance)."""
         if isinstance(stage, NativeProcedure):
-            if stage.arity != 1:
+            args = (value,)
+            if instance is not None and stage.arity == 2:
+                args = (value, instance)
+            if len(args) != stage.arity:
                 raise WitnessExecutionError(
                     f"{stage.name} expects {stage.arity} arguments"
                 )
-            return stage(value)
-        key = (id(stage), value)
-        if key not in self._memo:
-            self._memo[key] = _run_program_on_set(stage, value, self.budget)
-        return self._memo[key]
-
-    def apply_pair(self, stage: Stage, answer: HfSet, instance: HfSet) -> HfSet:
-        if isinstance(stage, NativeProcedure):
-            if stage.arity == 2:
-                return stage(answer, instance)
-            return stage(answer)
-        return self.apply(stage, kpair(answer, instance))
+            execute = stage
+        else:
+            args = (value if instance is None else kpair(value, instance),)
+            execute = lambda v: _run_program_on_set(stage, v, self.budget)
+        key = (id(stage),) + args
+        hit = self._memo.get(key)
+        if hit is None:
+            try:
+                hit = (True, execute(*args))
+            except Exception as exc:
+                hit = (False, exc)
+            self._memo[key] = hit
+        ok, result = hit
+        if not ok:
+            raise result.with_traceback(None)
+        return result
 
 
 def apply_oW(
@@ -194,9 +208,7 @@ def apply_oW(
     if not canon.defined_at(q):
         raise OracleDomainError(f"canonification undefined at {q}")
     answer = canon(q)
-    if witness.kind == "soW":
-        return runner.apply(witness.post, answer)
-    return runner.apply_pair(witness.post, answer, x)
+    return runner.apply(witness.post, answer, x if witness.kind == "oW" else None)
 
 
 @dataclass
@@ -558,65 +570,28 @@ def _choice_rules(target: Relation, cap: int, seed: int):
     return rules
 
 
-# -- the Pi2-provable search reduction ----------------------------------------------
-
-
-def search_reduction_zfc_analog(
-    statement: PrenexStatement,
-    x: HfSet,
-    wo_canon: Canonification,
-    budget: int = 65_536,
-) -> HfSet:
-    """Reduce a (finitely witnessed) Pi2 statement to one well-ordering use:
-    well-order the transitive closure, then search the canonical enumeration
-    for the least witness of the matrix."""
-    if len(statement.blocks) != 1:
-        raise ValueError("the search reduction handles Pi2 statements")
-    closure = tc(x)
-    if not wo_canon.defined_at(closure):
-        raise OracleDomainError(f"well-ordering oracle undefined at {closure}")
-    order = wo_canon(closure)
-    if decode_linear_order(order, closure) is None:
-        raise WitnessExecutionError("oracle answer is not a well-order of tc(x)")
-    from .hfsets import ack_enumerate
-
-    xvar, yvar = statement.blocks[0]
-    for k in range(budget):
-        y = ack_enumerate(k)
-        if eval_delta0(statement.matrix, {xvar: x, yvar: y}):
-            return y
-    raise Exhausted(budget)
-
-
 # -- native procedure registry -------------------------------------------------------
 
 
-def _recover_top(field_set: HfSet) -> HfSet:
-    tops = [
-        u for u in field_set.elements
-        if not any(u in v for v in field_set.elements)
-    ]
-    if len(tops) != 1:
-        raise WitnessExecutionError(f"no unique top in {field_set}")
-    return tops[0]
+def _decode_wo(w: HfSet) -> Tuple[List[HfSet], HfSet]:
+    """(field in order, top element) of an order answer over downclose(x).
 
-
-def _order_field(w: HfSet) -> HfSet:
+    The top is the one field element that belongs to no other field element:
+    the instance x itself."""
     parts: List[HfSet] = []
     for p in w.elements:
         ab = kpair_parts(p)
         if ab is None:
             raise WitnessExecutionError("order value is not a set of pairs")
         parts.extend(ab)
-    return hf(parts)
-
-
-def _ordered_field(w: HfSet) -> List[HfSet]:
-    f = _order_field(w)
+    f = hf(parts)
     ordered = decode_linear_order(w, f)
     if ordered is None:
         raise WitnessExecutionError("oracle answer is not a linear order")
-    return ordered
+    tops = [u for u in f.elements if not any(u in v for v in f.elements)]
+    if len(tops) != 1:
+        raise WitnessExecutionError(f"no unique top in {f}")
+    return ordered, tops[0]
 
 
 def _least_in(ordered: List[HfSet], members: HfSet) -> HfSet:
@@ -626,27 +601,32 @@ def _least_in(ordered: List[HfSet], members: HfSet) -> HfSet:
     raise WitnessExecutionError("order does not reach the requested set")
 
 
+def _decode_wo_poset(w: HfSet):
+    ordered, top = _decode_wo(w)
+    decoded = decode_poset(top)
+    if decoded is None:
+        raise WitnessExecutionError("top element is not an encoded poset")
+    return ordered, decoded
+
+
 def _pp_from_wo(w: HfSet) -> HfSet:
     if len(w) == 0:
         raise WitnessExecutionError("empty order cannot locate an element")
-    ordered = _ordered_field(w)
-    top = _recover_top(_order_field(w))
+    ordered, top = _decode_wo(w)
     return _least_in(ordered, top)
 
 
 def _ac_from_wo(w: HfSet) -> HfSet:
     if len(w) == 0:
         return EMPTY  # the empty family's transversal
-    ordered = _ordered_field(w)
-    top = _recover_top(_order_field(w))
+    ordered, top = _decode_wo(w)
     return hf(_least_in(ordered, z) for z in top.elements)
 
 
 def _acp_from_wo(w: HfSet) -> HfSet:
     if len(w) == 0:
         return EMPTY
-    ordered = _ordered_field(w)
-    top = _recover_top(_order_field(w))
+    ordered, top = _decode_wo(w)
     return hf(kpair(z, _least_in(ordered, z)) for z in top.elements)
 
 
@@ -655,12 +635,7 @@ def _mpp_from_wo(w: HfSet) -> HfSet:
 
 
 def _zl_from_wo(w: HfSet) -> HfSet:
-    ordered = _ordered_field(w)
-    top = _recover_top(_order_field(w))
-    decoded = decode_poset(top)
-    if decoded is None:
-        raise WitnessExecutionError("top element is not an encoded poset")
-    f, pairs = decoded
+    ordered, (f, pairs) = _decode_wo_poset(w)
     maxima = maximal_elements(f, pairs)
     for e in ordered:
         if any(e is m for m in maxima):
@@ -669,12 +644,7 @@ def _zl_from_wo(w: HfSet) -> HfSet:
 
 
 def _hmp_from_wo(w: HfSet) -> HfSet:
-    ordered = _ordered_field(w)
-    top = _recover_top(_order_field(w))
-    decoded = decode_poset(top)
-    if decoded is None:
-        raise WitnessExecutionError("top element is not an encoded poset")
-    f, pairs = decoded
+    ordered, (f, pairs) = _decode_wo_poset(w)
     rel = {(id(a), id(b)) for a, b in pairs}
     chain: List[HfSet] = []
     for e in ordered:

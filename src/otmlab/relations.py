@@ -5,15 +5,17 @@ is satisfied by any value, so a canonification only has real obligations on
 the domain (off-domain entries default to the empty set).  Structured
 instances (orders, posets) are plain sets built from Kuratowski pairs.
 
-Each relation also knows its canonical witness sets: the finite range
-universe a verification sweep quantifies canonifications over.
+Each relation states its solutions once, in `holds`, and lists candidates
+that include every solution; its witness set (the finite range a
+verification sweep quantifies canonifications over) is the candidates that
+`holds` accepts.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyWitnessSet
@@ -21,6 +23,7 @@ from .formulas import Delta0Formula, parse_delta0
 from .hfsets import (
     EMPTY,
     HfSet,
+    ack_enumerate,
     ack_sorted,
     hf,
     kpair,
@@ -42,7 +45,6 @@ __all__ = [
     "decode_linear_order",
     "ack_order_on",
     "maximal_elements",
-    "maximal_chains",
 ]
 
 
@@ -51,9 +53,16 @@ class Relation:
     name: str
     domain: Callable[[HfSet], bool]
     holds: Callable[[HfSet, HfSet], bool]
-    witness_set: Callable[[HfSet], List[HfSet]]
+    candidates: Callable[[HfSet], Iterable[HfSet]]
     matrix: Optional[Delta0Formula] = None
     note: str = ""
+
+    def witness_set(self, x: HfSet) -> List[HfSet]:
+        """The solutions of a domain instance: the candidates `holds` accepts.
+
+        Exact as long as `candidates(x)` includes every y with holds(x, y).
+        """
+        return [y for y in self.candidates(x) if self.holds(x, y)]
 
     def satisfied(self, x: HfSet, y: HfSet) -> bool:
         """Implication form: off-domain instances accept anything."""
@@ -151,23 +160,15 @@ def relation_from_formula(
     witness_budget: int = 256,
 ) -> Relation:
     """The relation {(x, y) : psi(x, y)} with Ackermann-enumerated witnesses."""
-    from .hfsets import ack_enumerate
 
     def holds(x, y):
         return eval_delta0(psi, {instance_var: x, witness_var: y})
-
-    def witness_set(x):
-        return [
-            b
-            for b in (ack_enumerate(k) for k in range(witness_budget))
-            if holds(x, b)
-        ]
 
     return Relation(
         name=name,
         domain=lambda x: True,
         holds=holds,
-        witness_set=witness_set,
+        candidates=lambda x: (ack_enumerate(k) for k in range(witness_budget)),
         matrix=psi,
     )
 
@@ -258,33 +259,6 @@ def maximal_elements(f: HfSet, pairs: Sequence[Tuple[HfSet, HfSet]]) -> List[HfS
     return [e for e in f.elements if id(e) not in non_maximal]
 
 
-def maximal_chains(f: HfSet, pairs: Sequence[Tuple[HfSet, HfSet]]) -> List[HfSet]:
-    rel = {(id(a), id(b)) for a, b in pairs}
-
-    def comparable(a, b):
-        return (id(a), id(b)) in rel or (id(b), id(a)) in rel
-
-    def is_chain(subset):
-        for i, a in enumerate(subset):
-            for b in subset[i + 1 :]:
-                if not comparable(a, b):
-                    return False
-        return True
-
-    elements = list(f.elements)
-    chains = [c for c in itertools.chain.from_iterable(
-        itertools.combinations(elements, r) for r in range(len(elements) + 1)
-    ) if is_chain(c)]
-    out = []
-    for c in chains:
-        extendable = any(
-            e not in c and all(comparable(e, m) for m in c) for e in elements
-        )
-        if not extendable:
-            out.append(hf(c))
-    return out
-
-
 # -- the catalog -----------------------------------------------------------------
 
 
@@ -303,12 +277,21 @@ def _pairwise_disjoint_nonempty(x: HfSet) -> bool:
     return True
 
 
-def _subsets(x: HfSet, nonempty_only: bool = False) -> List[HfSet]:
+def _subsets(x: HfSet) -> List[HfSet]:
     out = []
-    for r in range(0 if not nonempty_only else 1, len(x) + 1):
+    for r in range(len(x) + 1):
         for combo in itertools.combinations(x.elements, r):
             out.append(hf(combo))
     return out
+
+
+def _members(x: HfSet) -> Tuple[HfSet, ...]:
+    return x.elements
+
+
+def _poset_field(c: HfSet) -> HfSet:
+    decoded = decode_poset(c)
+    return decoded[0] if decoded is not None else EMPTY
 
 
 def _pp_holds(x, y):
@@ -319,17 +302,19 @@ def _mpp_holds(x, y):
     return len(y) > 0 and all(e in x for e in y.elements)
 
 
+def _within_union(x, y):
+    union = set_union(x)
+    return all(e in union for e in y.elements)
+
+
 def _muc_holds(x, y):
-    return all(any(e in y for e in z.elements) for z in x.elements)
-
-
-def _muc_witnesses(x):
-    return [y for y in _subsets(set_union(x)) if _muc_holds(x, y)]
+    return _within_union(x, y) and all(
+        any(e in y for e in z.elements) for z in x.elements
+    )
 
 
 def _ac_holds(x, y):
-    union = set_union(x)
-    if not all(e in union for e in y.elements):
+    if not _within_union(x, y):
         return False
     for z in x.elements:
         if sum(1 for e in y.elements if e in z) != 1:
@@ -337,7 +322,7 @@ def _ac_holds(x, y):
     return True
 
 
-def _ac_witnesses(x):
+def _ac_candidates(x):
     picks = [list(z.elements) for z in x.elements]
     return [hf(choice) for choice in itertools.product(*picks)]
 
@@ -355,7 +340,7 @@ def _acp_holds(x, y):
     return len(entries) == len(x)
 
 
-def _acp_witnesses(x):
+def _acp_candidates(x):
     members = list(x.elements)
     picks = [list(z.elements) for z in members]
     return [
@@ -368,7 +353,7 @@ def _wo_holds(x, y):
     return decode_linear_order(y, x) is not None
 
 
-def _wo_witnesses(x):
+def _wo_candidates(x):
     return [
         encode_order(list(perm)) for perm in itertools.permutations(x.elements)
     ]
@@ -385,11 +370,6 @@ def _zl_holds(c, y):
         return False
     f, pairs = decoded
     return y in f and id(y) not in {id(a) for a, _ in pairs}
-
-
-def _zl_witnesses(c):
-    f, pairs = decode_poset(c)
-    return maximal_elements(f, pairs)
 
 
 def _hmp_domain(c):
@@ -419,11 +399,6 @@ def _hmp_holds(c, y):
     return True
 
 
-def _hmp_witnesses(c):
-    f, pairs = decode_poset(c)
-    return maximal_chains(f, pairs)
-
-
 _PP_MATRIX = parse_delta0("(ex u in x (u = u)) -> y in x")
 
 PRINCIPLES: Dict[str, Relation] = {
@@ -431,14 +406,14 @@ PRINCIPLES: Dict[str, Relation] = {
         name="ZERO",
         domain=lambda x: True,
         holds=lambda x, y: y is EMPTY,
-        witness_set=lambda x: [EMPTY],
+        candidates=lambda x: [EMPTY],
         note="the trivially effective bottom relation V x {0}",
     ),
     "PP": Relation(
         name="PP",
         domain=_nonempty,
         holds=_pp_holds,
-        witness_set=lambda x: list(x.elements),
+        candidates=_members,
         matrix=_PP_MATRIX,
         note="every nonempty set contains an element",
     ),
@@ -446,14 +421,14 @@ PRINCIPLES: Dict[str, Relation] = {
         name="PP2",
         domain=lambda x: len(x) == 2,
         holds=_pp_holds,
-        witness_set=lambda x: list(x.elements),
+        candidates=_members,
         note="every 2-element set contains an element",
     ),
     "PPfin": Relation(
         name="PPfin",
         domain=_nonempty,
         holds=_pp_holds,
-        witness_set=lambda x: list(x.elements),
+        candidates=_members,
         note="every nonempty finite set contains an element; on the "
         "hereditarily finite universe the domain coincides with PP",
     ),
@@ -461,50 +436,51 @@ PRINCIPLES: Dict[str, Relation] = {
         name="MPP",
         domain=_nonempty,
         holds=_mpp_holds,
-        witness_set=lambda x: _subsets(x, nonempty_only=True),
+        candidates=_subsets,
         note="every nonempty set has a nonempty finite subset",
     ),
     "MuC": Relation(
         name="MuC",
         domain=_pairwise_disjoint_nonempty,
         holds=_muc_holds,
-        witness_set=_muc_witnesses,
-        note="multiple choice; degenerate on hereditarily finite sets, "
-        "where every intersection is finite",
+        candidates=lambda x: _subsets(set_union(x)),
+        note="multiple choice: a subset of the union meeting every member; "
+        "degenerate on hereditarily finite sets, where every intersection "
+        "is finite",
     ),
     "AC": Relation(
         name="AC",
         domain=_pairwise_disjoint_nonempty,
         holds=_ac_holds,
-        witness_set=_ac_witnesses,
+        candidates=_ac_candidates,
         note="transversals for disjoint families",
     ),
     "ACprime": Relation(
         name="ACprime",
         domain=lambda x: all(len(z) > 0 for z in x.elements),
         holds=_acp_holds,
-        witness_set=_acp_witnesses,
+        candidates=_acp_candidates,
         note="choice functions for families of nonempty sets",
     ),
     "WO": Relation(
         name="WO",
         domain=lambda x: True,
         holds=_wo_holds,
-        witness_set=_wo_witnesses,
+        candidates=_wo_candidates,
         note="strict well-orders (finite: linear orders) of the instance",
     ),
     "ZL": Relation(
         name="ZL",
         domain=_zl_domain,
         holds=_zl_holds,
-        witness_set=_zl_witnesses,
+        candidates=lambda c: _poset_field(c).elements,
         note="maximal elements of encoded nonempty posets",
     ),
     "HMP": Relation(
         name="HMP",
         domain=_hmp_domain,
         holds=_hmp_holds,
-        witness_set=_hmp_witnesses,
+        candidates=lambda c: _subsets(_poset_field(c)),
         note="maximal chains of encoded posets",
     ),
 }

@@ -1,33 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from otmlab.cli import main
 
-RIGHT_SWEEP = """
-tapes in work out;
-state qs;
-state qa;
-state qb;
-state qc;
-state qd;
-state done halt;
-rule qs -> write in=1 goto qa;
-rule qa in=1 -> goto qb;
-rule qa in=0 -> goto qd;
-rule qb -> write in=0 goto qc;
-rule qc -> write in=1, work=1 move work=R goto qa;
-rule qd -> goto done;
-"""
+ROOT = Path(__file__).resolve().parent.parent
 
 HALT_NOW = "tapes in work out;\nstate q0 halt;\n"
 
 
 @pytest.fixture
-def sweep_path(tmp_path):
-    p = tmp_path / "right_sweep.otm"
-    p.write_text(RIGHT_SWEEP)
-    return str(p)
+def sweep_path():
+    return str(ROOT / "demos" / "right_sweep.otm")
 
 
 class TestRun:
@@ -43,6 +28,17 @@ class TestRun:
         out = capsys.readouterr().out
         assert "HALTED time=w+2" in out
         assert "[0,w)" in out
+
+    def test_readme_transfinite_example(self, monkeypatch, capsys):
+        # the README's example block: a `$ otmlab ...` line, then its output
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("A run over the transfinite looks like this:")[1]
+        block = block.split("```")[1].strip("\n").splitlines()
+        command = block[0].split()
+        assert command[:2] == ["$", "otmlab"]
+        monkeypatch.chdir(ROOT)
+        assert main(command[2:]) == 0
+        assert capsys.readouterr().out.splitlines() == block[1:]
 
     def test_budget_exhaustion_exits_3(self, sweep_path, capsys):
         assert main(["run", sweep_path, "--budget", "3,1"]) == 3

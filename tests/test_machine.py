@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,21 +27,9 @@ W = OMEGA
 
 # the right-sweep writer with a limit flag on the input tape: writes 1s
 # rightward on the work tape, wakes up at time w, and halts two steps later
-RIGHT_SWEEP = """
-tapes in work out;
-state qs;
-state qa;
-state qb;
-state qc;
-state qd;
-state done halt;
-rule qs -> write in=1 goto qa;
-rule qa in=1 -> goto qb;
-rule qa in=0 -> goto qd;
-rule qb -> write in=0 goto qc;
-rule qc -> write in=1, work=1 move work=R goto qa;
-rule qd -> goto done;
-"""
+RIGHT_SWEEP = (
+    Path(__file__).resolve().parent.parent / "demos" / "right_sweep.otm"
+).read_text()
 
 PURE_SWEEP = """
 tapes in work out;

@@ -10,7 +10,6 @@ from otmlab.errors import (
     OracleDomainError,
     WitnessExecutionError,
 )
-from otmlab.formulas import parse_formula
 from otmlab.hfsets import (
     EMPTY,
     ack_compare,
@@ -19,12 +18,11 @@ from otmlab.hfsets import (
     kpair,
     rank,
     singleton,
-    tc,
     universe_rank_le,
 )
 from otmlab.machine import RunBudget, run
 from otmlab.ordinals import from_int
-from otmlab.relations import PRINCIPLES, Canonification, ack_order_on
+from otmlab.relations import PRINCIPLES, Canonification
 from otmlab.reductions import (
     NATIVE_REGISTRY,
     PRIMITIVES,
@@ -33,7 +31,6 @@ from otmlab.reductions import (
     builtin_witnesses,
     load_witness_manifest,
     run_with_miracle,
-    search_reduction_zfc_analog,
     verify_reduction,
     witness_path,
 )
@@ -129,6 +126,39 @@ class TestVerify:
         assert report.ok and report.mode == "exhaustive"
         for x in U3:
             assert report.miracle_calls[format_set(x)] == len(x)
+
+    def test_each_stage_runs_once_per_distinct_input(self):
+        # stages are pure, so a sweep over many canonifications runs each one
+        # once per distinct input; a failing stage is not re-run either
+        from collections import Counter
+
+        from otmlab.reductions import NativeProcedure
+
+        pre_calls, post_calls = Counter(), Counter()
+
+        def counted_pre(x):
+            pre_calls[x] += 1
+            return x
+
+        def counted_post(y):
+            post_calls[y] += 1
+            if y is EMPTY:
+                raise WitnessExecutionError("post refuses {}")
+            return y
+
+        witness = ReductionWitness(
+            name="counted_pp_le_pp", kind="soW", source="PP", target="PP",
+            pre=NativeProcedure("counted-pre", 1, counted_pre, ("set-algebra",)),
+            post=NativeProcedure("counted-post", 1, counted_post, ("set-algebra",)),
+        )
+        pp = PRINCIPLES["PP"]
+        report = verify_reduction(witness, pp, pp, U3, cap=10_000, seed=1)
+        assert report.canonification_count > 1
+        assert set(pre_calls) == {x for x in U3 if pp.domain(x)}
+        assert set(pre_calls.values()) == {1}
+        assert set(post_calls.values()) == {1}
+        assert report.failures
+        assert {f.reason for f in report.failures} == {"post refuses {}"}
 
 
 BROKEN = []
@@ -354,54 +384,6 @@ class TestMiracleProtocol:
         assert capped.mode == "sampled"
         assert not capped.ok, capped.to_json()
         assert {f.instance for f in capped.failures} == {four}
-
-
-class TestSearchReduction:
-    def test_least_superset(self):
-        s = parse_formula("ALL x EX y (x in y)")
-        wo = Canonification({tc(x): ack_order_on(tc(x)) for x in U3})
-        assert search_reduction_zfc_analog(s, EMPTY, wo) is SE
-
-    def test_identity_matrix(self):
-        s = parse_formula("ALL x EX y (y = x)")
-        wo = Canonification({tc(x): ack_order_on(tc(x)) for x in U3})
-        for x in U3[:8]:
-            assert search_reduction_zfc_analog(s, x, wo) is x
-
-    def test_result_always_satisfies_matrix(self):
-        import random
-
-        from otmlab.logic import eval_delta0
-
-        rng = random.Random(13)
-        statements = [
-            "ALL x EX y (x in y)",
-            "ALL x EX y (y = x)",
-            "ALL x EX y (x in y | y = x)",
-            "ALL x EX y (ex z in y (z = x) & all z in y (z = x))",
-        ]
-        wo = Canonification({tc(x): ack_order_on(tc(x)) for x in U3})
-        checked = 0
-        for text in statements:
-            s = parse_formula(text)
-            for _ in range(25):
-                x = rng.choice(U3)
-                y = search_reduction_zfc_analog(s, x, wo)
-                xvar, yvar = s.blocks[0]
-                assert eval_delta0(s.matrix, {xvar: x, yvar: y})
-                checked += 1
-        assert checked == 100
-
-    def test_oracle_must_be_defined(self):
-        s = parse_formula("ALL x EX y (y = x)")
-        with pytest.raises(OracleDomainError):
-            search_reduction_zfc_analog(s, PAIR01, Canonification({}))
-
-    def test_junk_oracle_rejected(self):
-        s = parse_formula("ALL x EX y (y = x)")
-        junk = Canonification({tc(PAIR01): SSE})
-        with pytest.raises(WitnessExecutionError):
-            search_reduction_zfc_analog(s, PAIR01, junk)
 
 
 class TestNativeRegistry:

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from otmlab.errors import EmptyWitnessSet
-from otmlab.hfsets import EMPTY, hf, kpair, singleton, universe_rank_le
+from otmlab.hfsets import EMPTY, hf, kpair, set_union, singleton, universe_rank_le
+from otmlab.reductions import builtin_witnesses
 from otmlab.relations import (
     PRINCIPLES,
     Canonification,
@@ -12,7 +15,6 @@ from otmlab.relations import (
     encode_order,
     encode_poset,
     enumerate_canonifications,
-    maximal_chains,
     maximal_elements,
     relation_from_formula,
 )
@@ -21,6 +23,7 @@ SE = singleton(EMPTY)
 SSE = singleton(SE)
 PAIR01 = hf([EMPTY, SE])
 U3 = universe_rank_le(3)
+U2 = universe_rank_le(2)
 
 
 class TestEncodedStructures:
@@ -59,7 +62,7 @@ class TestEncodedStructures:
         three = hf([EMPTY, SE, SSE])
         pairs = [(EMPTY, SE)]
         assert set(maximal_elements(three, pairs)) == {SE, SSE}
-        chains = maximal_chains(three, pairs)
+        chains = PRINCIPLES["HMP"].witness_set(encode_poset(three, pairs))
         assert hf([EMPTY, SE]) in chains and singleton(SSE) in chains
         assert len(chains) == 2
 
@@ -139,6 +142,55 @@ class TestCatalog:
     def test_zero(self):
         Z = PRINCIPLES["ZERO"]
         assert Z.holds(SSE, EMPTY) and not Z.holds(SSE, SE)
+
+
+def _catalog_instances(name):
+    """Domain instances of a principle: the rank-<=3 ones and every pre-image
+    a shipped single-use witness hands to it as its target."""
+    relation = PRINCIPLES[name]
+    found = {x for x in U3 if relation.domain(x)}
+    for w in builtin_witnesses().values():
+        if w.kind == "OTM" or w.target != name:
+            continue
+        source = PRINCIPLES[w.source]
+        for x in U3:
+            if source.domain(x):
+                q = w.pre(x)
+                if relation.domain(q):
+                    found.add(q)
+    return found
+
+
+def _pair_set_answers(name, x):
+    """For principles whose answers are sets of Kuratowski pairs: every set of
+    candidate pairs, with and without a junk pair from outside the field, on
+    instances with at most 4 field elements (none for the other principles)."""
+    if name == "WO" and len(x) <= 4:
+        pairs = [kpair(a, b) for a in x.elements for b in x.elements if a is not b]
+    elif name == "ACprime" and len(x) + len(set_union(x)) <= 4:
+        pairs = [kpair(z, e) for z in x.elements for e in set_union(x).elements]
+    else:
+        return []
+    pairs.append(kpair(x, x))
+    return [
+        hf(combo)
+        for r in range(len(pairs) + 1)
+        for combo in itertools.combinations(pairs, r)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PRINCIPLES))
+def test_witness_set_is_exactly_the_solutions(name):
+    # A verdict quantifies over witness_set(q) but judges answers with holds:
+    # it is exact only if the two agree.  Answers tried: every rank-<=3 set,
+    # every witness, and every witness extended by one rank-<=2 set.
+    relation = PRINCIPLES[name]
+    for x in _catalog_instances(name):
+        witnesses = relation.witness_set(x)
+        answers = set(U3) | set(witnesses) | set(_pair_set_answers(name, x))
+        answers.update(hf(y.elements + (s,)) for y in witnesses for s in U2)
+        accepted = {y for y in answers if relation.holds(x, y)}
+        assert set(witnesses) == accepted, (name, x)
 
 
 class TestEnumeration:
