@@ -23,6 +23,7 @@ from .errors import (
     UnboundVariable,
 )
 from .formulas import PrenexStatement, parse_formula
+from .tapes import Tape
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -47,11 +48,15 @@ def _parse_budget(text: str) -> machine.RunBudget:
         raise ValueError(f"budget must be STEPS,JUMPS; got {text!r}") from None
 
 
-def _universe(spec: str):
-    if not spec.startswith("rank:"):
-        raise ValueError(f"universe must be rank:N, got {spec!r}")
-    r = int(spec[len("rank:") :])
-    return hfsets.universe_rank_le(r)
+def _universe_rank(spec: str) -> int:
+    """The N of a `rank:N` universe spec, for the ranks that can be enumerated."""
+    top = len(hfsets.RANK_LAYER_BOUNDS) - 1
+    kind, _, digits = spec.partition(":")
+    if kind != "rank" or not digits.isdigit() or int(digits) > top:
+        raise argparse.ArgumentTypeError(
+            f"universe must be rank:N with 0 <= N <= {top}, got {spec!r}"
+        )
+    return int(digits)
 
 
 def _emit(data, as_json: bool, human: str):
@@ -73,8 +78,6 @@ def cmd_run(args) -> int:
         code = codes.code_from_json(_read_arg_text(args.input_code))
         input_tape = codes.code_to_tape(code)
     else:
-        from .tapes import Tape
-
         input_tape = Tape()
     budget = _parse_budget(args.budget)
 
@@ -160,7 +163,7 @@ def cmd_check(args) -> int:
         if args.witness is None:
             print("check: provide a witness (name or manifest) or --all", file=sys.stderr)
             return EXIT_USAGE
-    universe = _universe(args.universe)
+    universe = hfsets.universe_rank_le(args.universe)
     budget = _parse_budget(args.budget)
     reports = []
     for name in names:
@@ -257,7 +260,7 @@ def _canonification_from_args(args, relation, universe):
 
 def cmd_canon(args) -> int:
     relation = relations.PRINCIPLES[args.relation]
-    universe = _universe(args.universe)
+    universe = hfsets.universe_rank_le(args.universe)
     canon = _canonification_from_args(args, relation, universe)
     ok, counterexample = relations.check_canonification(canon, relation, universe)
     data = {
@@ -275,7 +278,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_list_universe(args) -> int:
-    for x in _universe(args.universe):
+    for x in hfsets.universe_rank_le(args.universe):
         print(hfsets.format_set(x))
     return EXIT_OK
 
@@ -306,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("witness", nargs="?",
                          help="builtin witness name, manifest path, or shipped manifest")
     p_check.add_argument("--all", action="store_true", help="verify every builtin witness")
-    p_check.add_argument("--universe", default="rank:3", help="rank:N (default rank:3)")
+    p_check.add_argument("--universe", type=_universe_rank, default="rank:3",
+                         help="rank:N, N <= 4 (default rank:3)")
     p_check.add_argument("--cap", type=int, default=30_000,
                          help="full canonification product up to this size (default 30000)")
     p_check.add_argument("--samples", type=int, default=100,
@@ -338,12 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_canon.add_argument("--map", help="JSON list of [instance, value] set-literal pairs")
     p_canon.add_argument("--rule", choices=("ack-min", "ack-max"),
                          help="use the Ackermann-least/-greatest witness everywhere")
-    p_canon.add_argument("--universe", default="rank:3")
+    p_canon.add_argument("--universe", type=_universe_rank, default="rank:3",
+                         help="rank:N, N <= 4 (default rank:3)")
     p_canon.add_argument("--json", action="store_true")
     p_canon.set_defaults(func=cmd_canon)
 
     p_list = sub.add_parser("list-universe", help="list the sets of a bounded-rank universe")
-    p_list.add_argument("universe", help="rank:N")
+    p_list.add_argument("universe", type=_universe_rank, help="rank:N, N <= 4")
     p_list.set_defaults(func=cmd_list_universe)
 
     return parser

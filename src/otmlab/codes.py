@@ -10,6 +10,7 @@ Mostowski-collapses the digraph and returns the unique top node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -55,14 +56,14 @@ def encode(x: HfSet) -> SetCode:
 def encode_with_order(x: HfSet, domain: Sequence[HfSet]) -> SetCode:
     """Code x via an explicit bijection (domain[i] = f(i)); domain must be a
     permutation of {x} | tc(x)."""
-    expect = set(id(s) for s in _coding_domain(x))
-    if set(id(s) for s in domain) != expect or len(domain) != len(expect):
+    expect = set(_coding_domain(x))
+    if set(domain) != expect or len(domain) != len(expect):
         raise ValueError("domain is not a bijection with {x} | tc(x)")
-    index = {id(s): i for i, s in enumerate(domain)}
+    index = {s: i for i, s in enumerate(domain)}
     pairs = set()
     for j, container in enumerate(domain):
         for member in container.elements:
-            pairs.add(godel_pair(from_int(index[id(member)]), from_int(j)))
+            pairs.add(godel_pair(from_int(index[member]), from_int(j)))
     return SetCode(bound=from_int(len(domain)), pairs=frozenset(pairs))
 
 
@@ -98,21 +99,21 @@ def _collapse(code: SetCode) -> Tuple[List[HfSet], int]:
     values: List[Optional[HfSet]] = [None] * bound
     state = [0] * bound  # 0 unvisited, 1 in progress, 2 done
 
-    def visit(node: int, stack: Tuple[int, ...]):
+    def visit(node: int):
         if state[node] == 1:
             raise InvalidCode("ill-founded", f"membership cycle through {node}")
         if state[node] == 2:
             return
         state[node] = 1
         for m in members[node]:
-            visit(m, stack)
+            visit(m)
         values[node] = hf(values[m] for m in members[node])
         state[node] = 2
 
     for node in range(bound):
-        visit(node, ())
+        visit(node)
 
-    if len({id(v) for v in values}) != bound:
+    if len(set(values)) != bound:
         raise InvalidCode("not-extensional", "two nodes collapse to the same set")
 
     is_member = [False] * bound
@@ -172,8 +173,6 @@ def tape_to_code(tape: Tape) -> SetCode:
             pairs.append(from_int(n))
     if not pairs:
         return SetCode(bound=from_int(1), pairs=frozenset())
-    import math
-
     top_shell = max(math.isqrt(p.to_int()) for p in pairs)
     return SetCode(bound=from_int(top_shell + 1), pairs=frozenset(pairs))
 

@@ -122,13 +122,6 @@ class PrenexStatement:
     blocks: Tuple[Tuple[str, str], ...]  # (forall var, exists var) per block
     matrix: Delta0Formula
 
-    @property
-    def prefix_variables(self) -> Tuple[str, ...]:
-        out: List[str] = []
-        for a, e in self.blocks:
-            out.extend((a, e))
-        return tuple(out)
-
 
 # -- scanner --------------------------------------------------------------------
 

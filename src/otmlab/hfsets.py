@@ -1,7 +1,9 @@
 """Hereditarily finite sets with the Ackermann ordering.
 
 HfSet values are interned and canonically ordered (elements sorted ascending
-by Ackermann index), so extensional equality is object identity.  The
+by Ackermann index), so extensional equality is object identity.  HfSet
+therefore keeps the default identity `==` and hash: a set is its own key in
+dicts and sets, and lookups never call back into Python.  The
 Ackermann coding n <-> set of positions of 1-bits gives the canonical
 enumeration used as the desk-scale stand-in for a constructible enumeration;
 comparisons are computed structurally so deep sets never force the
@@ -60,37 +62,30 @@ class HfSet:
 
     __slots__ = ("elements", "_rank", "_index")
 
-    _intern: Dict[Tuple[int, ...], "HfSet"] = {}
+    _intern: Dict[Tuple["HfSet", ...], "HfSet"] = {}
 
     def __new__(cls, elements: Tuple["HfSet", ...] = ()):
-        key = tuple(id(e) for e in elements)
-        cached = cls._intern.get(key)
+        cached = cls._intern.get(elements)
         if cached is not None:
             return cached
         self = object.__new__(cls)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_index", None)
-        cls._intern[key] = self
+        cls._intern[elements] = self
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HfSet is immutable")
 
     def __contains__(self, item):
-        return isinstance(item, HfSet) and item in self.elements
+        return item in self.elements
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self):
         return format_set(self)
@@ -101,14 +96,10 @@ EMPTY = HfSet()
 
 def hf(elements: Iterable[HfSet]) -> HfSet:
     """Build a set: deduplicate and sort elements into canonical order."""
-    unique: List[HfSet] = []
-    seen = set()
-    for e in elements:
+    unique = list(dict.fromkeys(elements))
+    for e in unique:
         if not isinstance(e, HfSet):
             raise TypeError(f"HfSet elements must be HfSets, got {e!r}")
-        if id(e) not in seen:
-            seen.add(id(e))
-            unique.append(e)
     unique.sort(key=_AckKey)
     return HfSet(tuple(unique))
 
@@ -117,7 +108,7 @@ def singleton(x: HfSet) -> HfSet:
     return hf([x])
 
 
-_ACK_CMP_CACHE: Dict[Tuple[int, int], int] = {}
+_ACK_CMP_CACHE: Dict[Tuple[HfSet, HfSet], int] = {}
 
 
 def ack_compare(x: HfSet, y: HfSet) -> int:
@@ -128,7 +119,7 @@ def ack_compare(x: HfSet, y: HfSet) -> int:
     """
     if x is y:
         return 0
-    key = (id(x), id(y))
+    key = (x, y)
     cached = _ACK_CMP_CACHE.get(key)
     if cached is not None:
         return cached
@@ -149,7 +140,7 @@ def ack_compare(x: HfSet, y: HfSet) -> int:
         i -= 1
         j -= 1
     _ACK_CMP_CACHE[key] = result
-    _ACK_CMP_CACHE[(id(y), id(x))] = -result
+    _ACK_CMP_CACHE[(y, x)] = -result
     return result
 
 
@@ -215,12 +206,12 @@ def ack_min(x: HfSet) -> HfSet:
     return x.elements[0]
 
 
-_TC_CACHE: Dict[int, HfSet] = {}
+_TC_CACHE: Dict[HfSet, HfSet] = {}
 
 
 def tc(x: HfSet) -> HfSet:
     """Transitive closure: least transitive set containing all elements of x."""
-    cached = _TC_CACHE.get(id(x))
+    cached = _TC_CACHE.get(x)
     if cached is not None:
         return cached
     members: List[HfSet] = []
@@ -228,7 +219,7 @@ def tc(x: HfSet) -> HfSet:
         members.append(y)
         members.extend(tc(y).elements)
     result = hf(members)
-    _TC_CACHE[id(x)] = result
+    _TC_CACHE[x] = result
     return result
 
 

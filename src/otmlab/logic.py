@@ -27,7 +27,7 @@ from .formulas import (
     Or,
     PrenexStatement,
 )
-from .hfsets import HfSet, ack_enumerate, hf, rank
+from .hfsets import RANK_LAYER_BOUNDS, HfSet, ack_enumerate, hf, rank
 
 __all__ = [
     "Carrier",
@@ -49,7 +49,7 @@ class Carrier:
     def __post_init__(self):
         if not self.members:
             raise ValueError("carrier must be nonempty")
-        if len({id(m) for m in self.members}) != len(self.members):
+        if len(set(self.members)) != len(self.members):
             raise ValueError("carrier members must be distinct")
 
     def __iter__(self):
@@ -59,7 +59,7 @@ class Carrier:
         return len(self.members)
 
     def __contains__(self, x):
-        return any(m is x for m in self.members)
+        return x in self.members
 
 
 def eval_delta0(formula: Union[Delta0Formula, Node], env: Dict[str, HfSet]) -> bool:
@@ -135,27 +135,16 @@ def search_witness_set(
     """
     first = search_witness(psi, a, budget, instance_var, witness_var)
     target = rank(first)
-    layer_end = _rank_layer_end(target)
-    if layer_end > budget:
+    if target >= len(RANK_LAYER_BOUNDS) or RANK_LAYER_BOUNDS[target] > budget:
         raise Exhausted(budget)
     found: List[HfSet] = []
-    for k in range(layer_end):
+    for k in range(RANK_LAYER_BOUNDS[target]):
         b = ack_enumerate(k)
         if rank(b) == target and eval_delta0(
             psi, {instance_var: a, witness_var: b}
         ):
             found.append(b)
     return hf(found)
-
-
-def _rank_layer_end(r: int) -> int:
-    # sets of rank <= r have index < tower(r+1) where tower(0)=1, tower(k+1)=2**tower(k)
-    bound = 1
-    for _ in range(r + 1):
-        bound = 2**bound
-        if bound > 1 << 20:
-            return bound
-    return bound
 
 
 def eval_prenex(statement: PrenexStatement, carrier: Carrier) -> bool:

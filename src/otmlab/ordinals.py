@@ -3,7 +3,10 @@
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients.  The representation is
 unique, so structural equality is ordinal equality.  Instances are interned:
-equal ordinals are the same object.
+equal ordinals are the same object, so `==` is the default identity test.
+The hash stays the value hash `hash(terms)`, not the identity hash: the
+iteration order of sets of ordinals (the pairs of a set code, which decoding
+walks and reports the first bad pair of) must not depend on memory addresses.
 
 Also provides the Goedel pairing (the order isomorphism of pairs ordered by
 (max, left, right) onto the ordinals) and the text syntax used everywhere
@@ -87,20 +90,10 @@ class Ordinal:
         """Exponent of the leading term; 0 for finite ordinals."""
         return self.terms[0][0] if self.terms else ZERO
 
-    @property
-    def natural_part(self) -> int:
-        """The finite tail (coefficient of w^0, possibly 0)."""
-        if self.terms and self.terms[-1][0].is_zero:
-            return self.terms[-1][1]
-        return 0
-
     def to_int(self) -> int:
         if not self.is_natural:
             raise ValueError(f"{self} is not a natural number")
         return self.terms[0][1] if self.terms else 0
-
-    def successor(self) -> "Ordinal":
-        return add(self, ONE)
 
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
@@ -117,11 +110,6 @@ class Ordinal:
         return self
 
     # -- comparisons --------------------------------------------------------
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Ordinal) and self.terms == other.terms
-        )
 
     def __hash__(self):
         return self._hash

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import machine
+from .asm import load_program
 from .codes import code_to_tape, decode, encode, is_valid, tape_to_code
 from .errors import (
     EmptyWitnessSet,
@@ -35,6 +36,7 @@ from .hfsets import (
     EMPTY,
     HfSet,
     ack_sorted,
+    format_set,
     hf,
     kpair,
     kpair_parts,
@@ -174,6 +176,7 @@ class _StageRunner:
         else:
             args = (value if instance is None else kpair(value, instance),)
             execute = lambda v: _run_program_on_set(stage, v, self.budget)
+        # keyed on id: a Program holds a dict, so it cannot be hashed
         key = (id(stage),) + args
         hit = self._memo.get(key)
         if hit is None:
@@ -247,8 +250,6 @@ def run_with_miracle(
 
     stage = witness.otm
     if isinstance(stage, NativeProcedure):
-        stats.entries = 0
-
         def miracle(s: HfSet) -> HfSet:
             stats.entries += 1
             return call(s)
@@ -289,8 +290,6 @@ class CaseFailure:
     reason: str
 
     def to_json(self):
-        from .hfsets import format_set
-
         return {
             "instance": format_set(self.instance),
             "canonification": self.canonification,
@@ -530,8 +529,6 @@ def _otm_tree(witness, source, target, x, cap, budget, report):
 
 
 def _label(partial: Dict[HfSet, HfSet]) -> str:
-    from .hfsets import format_set
-
     if not partial:
         return "(no oracle use)"
     return ",".join(
@@ -540,8 +537,6 @@ def _label(partial: Dict[HfSet, HfSet]) -> str:
 
 
 def _record_calls(report: VerificationReport, x: HfSet, stats: MiracleStats):
-    from .hfsets import format_set
-
     key = format_set(x)
     prev = report.miracle_calls.get(key)
     if prev is None or stats.calls > prev:
@@ -635,24 +630,21 @@ def _mpp_from_wo(w: HfSet) -> HfSet:
 
 
 def _zl_from_wo(w: HfSet) -> HfSet:
-    ordered, (f, pairs) = _decode_wo_poset(w)
-    maxima = maximal_elements(f, pairs)
+    ordered, (f, order) = _decode_wo_poset(w)
+    maxima = maximal_elements(f, order)
     for e in ordered:
-        if any(e is m for m in maxima):
+        if e in maxima:
             return e
     raise WitnessExecutionError("no maximal element found in the order")
 
 
 def _hmp_from_wo(w: HfSet) -> HfSet:
-    ordered, (f, pairs) = _decode_wo_poset(w)
-    rel = {(id(a), id(b)) for a, b in pairs}
+    ordered, (f, order) = _decode_wo_poset(w)
     chain: List[HfSet] = []
     for e in ordered:
         if e not in f:
             continue
-        if all(
-            (id(e), id(c)) in rel or (id(c), id(e)) in rel for c in chain
-        ):
+        if all((e, c) in order or (c, e) in order for c in chain):
             chain.append(e)
     return hf(chain)
 
@@ -810,8 +802,6 @@ def _resolve_stage(spec: Optional[str], base: Path) -> Optional[Stage]:
             raise ValueError(f"unknown native procedure {name!r}")
         return NATIVE_REGISTRY[name]
     if spec.startswith("file:"):
-        from .asm import load_program
-
         return load_program(base / spec[len("file:") :])
     raise ValueError(f"stage spec must be native:NAME or file:PATH, got {spec!r}")
 

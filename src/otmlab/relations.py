@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyWitnessSet
 from .formulas import Delta0Formula, parse_delta0
@@ -181,9 +181,9 @@ def encode_poset(f: HfSet, order: Iterable[Tuple[HfSet, HfSet]]) -> HfSet:
     return kpair(f, hf(kpair(a, b) for a, b in order))
 
 
-def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, List[Tuple[HfSet, HfSet]]]]:
-    """(field, strict partial order pairs), or None if c is not a valid
-    encoded poset."""
+def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, FrozenSet[Tuple[HfSet, HfSet]]]]:
+    """(field, strict partial order as a frozenset of pairs), or None if c is
+    not a valid encoded poset."""
     parts = kpair_parts(c)
     if parts is None:
         return None
@@ -197,17 +197,17 @@ def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, List[Tuple[HfSet, HfSet]]]]:
         if a not in f or b not in f:
             return None
         pairs.append((a, b))
-    rel = set((id(a), id(b)) for a, b in pairs)
+    rel = frozenset(pairs)
     for a, b in pairs:
         if a is b:
             return None  # irreflexive
-        if (id(b), id(a)) in rel:
+        if (b, a) in rel:
             return None  # asymmetric
     for a, b in pairs:
         for c2, d in pairs:
-            if b is c2 and (id(a), id(d)) not in rel:
+            if b is c2 and (a, d) not in rel:
                 return None  # transitive
-    return f, pairs
+    return f, rel
 
 
 def encode_order(elements: Sequence[HfSet]) -> HfSet:
@@ -230,21 +230,21 @@ def decode_linear_order(y: HfSet, f: HfSet) -> Optional[List[HfSet]]:
         if a not in f or b not in f or a is b:
             return None
         pairs.append((a, b))
-    rel = set((id(a), id(b)) for a, b in pairs)
-    if any((id(b), id(a)) in rel for a, b in pairs):
+    rel = set(pairs)
+    if any((b, a) in rel for a, b in pairs):
         return None
     elements = list(f.elements)
     n = len(elements)
     # totality and transitivity for finite strict orders: sort by predecessor count
-    below = {id(e): 0 for e in elements}
+    below = {e: 0 for e in elements}
     for a, b in pairs:
-        below[id(b)] += 1
+        below[b] += 1
     if sorted(below.values()) != list(range(n)):
         return None
-    ordered = sorted(elements, key=lambda e: below[id(e)])
+    ordered = sorted(elements, key=below.get)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            if (id(a), id(b)) not in rel:
+            if (a, b) not in rel:
                 return None
     return ordered
 
@@ -254,9 +254,9 @@ def ack_order_on(x: HfSet) -> HfSet:
     return encode_order(list(x.elements))
 
 
-def maximal_elements(f: HfSet, pairs: Sequence[Tuple[HfSet, HfSet]]) -> List[HfSet]:
-    non_maximal = {id(a) for a, _ in pairs}
-    return [e for e in f.elements if id(e) not in non_maximal]
+def maximal_elements(f: HfSet, order: FrozenSet[Tuple[HfSet, HfSet]]) -> List[HfSet]:
+    non_maximal = {a for a, _ in order}
+    return [e for e in f.elements if e not in non_maximal]
 
 
 # -- the catalog -----------------------------------------------------------------
@@ -334,9 +334,9 @@ def _acp_holds(x, y):
         if ab is None:
             return False
         z, e = ab
-        if z not in x or e not in z or id(z) in entries:
+        if z not in x or e not in z or z in entries:
             return False
-        entries[id(z)] = e
+        entries[z] = e
     return len(entries) == len(x)
 
 
@@ -368,8 +368,7 @@ def _zl_holds(c, y):
     decoded = decode_poset(c)
     if decoded is None:
         return False
-    f, pairs = decoded
-    return y in f and id(y) not in {id(a) for a, _ in pairs}
+    return y in maximal_elements(*decoded)
 
 
 def _hmp_domain(c):
@@ -380,21 +379,18 @@ def _hmp_holds(c, y):
     decoded = decode_poset(c)
     if decoded is None:
         return False
-    f, pairs = decoded
+    f, order = decoded
     if not all(e in f for e in y.elements):
         return False
-    rel = {(id(a), id(b)) for a, b in pairs}
-    els = list(y.elements)
+    els = y.elements
     for i, a in enumerate(els):
         for b in els[i + 1 :]:
-            if (id(a), id(b)) not in rel and (id(b), id(a)) not in rel:
+            if (a, b) not in order and (b, a) not in order:
                 return False
     for e in f.elements:
         if e in y:
             continue
-        if all(
-            (id(e), id(c2)) in rel or (id(c2), id(e)) in rel for c2 in els
-        ):
+        if all((e, c2) in order or (c2, e) in order for c2 in els):
             return False
     return True
 

@@ -102,6 +102,27 @@ class TestCheck:
     def test_rank0_universe_trivially_ok(self, capsys):
         assert main(["check", "pp_le_zl", "--universe", "rank:0"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "pp_le_ac", "--universe", "rank:-1"],
+            ["check", "pp_le_ac", "--universe", "rank:5"],
+            ["check", "pp_le_ac", "--universe", "rank:x"],
+            ["check", "pp_le_ac", "--universe", "rank:"],
+            ["check", "pp_le_ac", "--universe", "3"],
+            ["canon", "PP", "--universe", "rank:-1"],
+            ["canon", "PP", "--universe", "rank:9"],
+            ["list-universe", "rank:-1"],
+            ["list-universe", "ranks:2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_universe_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "universe must be rank:N" in captured.err
+
 
 class TestSetCommands:
     def test_encode_empty(self, capsys):

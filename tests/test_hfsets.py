@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from oracles import to_frozen
+from otmlab.codes import decode, encode
 from otmlab.errors import ParseError, RepresentationOverflow
 from otmlab.hfsets import (
     EMPTY,
+    HfSet,
     ack_compare,
     ack_enumerate,
     ack_index,
@@ -145,3 +148,51 @@ class TestUniverse:
         assert len(universe_rank_le(3)) == 16
         for x in universe_rank_le(3):
             assert rank(x) <= 3
+
+
+class TestInterning:
+    """Equal sets are one object, so identity is the equality of dicts and sets."""
+
+    U3 = universe_rank_le(3)
+
+    def test_every_construction_returns_the_interned_set(self):
+        rng = random.Random(5)
+        for x in self.U3:
+            members = list(x.elements) * 2
+            rng.shuffle(members)
+            assert hf(members) is x
+            assert parse_set_literal(format_set(x)) is x
+            assert decode(encode(x)) is x
+
+    def test_membership_agrees_with_frozensets(self):
+        def rebuild(fz):
+            return hf(rebuild(e) for e in fz)
+
+        keys = self.U3[::3]
+        as_set = set(keys)
+        as_dict = {x: i for i, x in enumerate(keys)}
+        frozen_keys = {to_frozen(x) for x in keys}
+        for y in self.U3:
+            fy = to_frozen(y)
+            fresh = rebuild(fy)
+            assert fresh is y
+            expect = fy in frozen_keys
+            assert (y in as_set) == expect and (fresh in as_set) == expect
+            assert (fresh in as_dict) == expect
+            for x in self.U3:
+                assert (y in x) == (fy in to_frozen(x))
+                assert (x == y) == (to_frozen(x) == fy)
+
+    def test_equality_and_hash_are_identity(self):
+        assert HfSet.__eq__ is object.__eq__
+        assert HfSet.__hash__ is object.__hash__
+
+    def test_non_sets_are_never_members(self):
+        for item in (0, None, "{}", (), frozenset()):
+            assert item not in EMPTY
+            assert item not in PAIR01
+
+    def test_elements_must_be_sets(self):
+        for bad in (0, "{}", frozenset(), []):
+            with pytest.raises(TypeError):
+                hf([EMPTY, bad])

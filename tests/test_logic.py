@@ -7,6 +7,7 @@ import oracles
 from otmlab.errors import Exhausted, RangeEscape, UnboundVariable
 from otmlab.formulas import Delta0Formula, parse_delta0, parse_formula
 from otmlab.hfsets import EMPTY, ack_enumerate, hf, rank, singleton, universe_rank_le
+from otmlab import logic
 from otmlab.logic import (
     Carrier,
     check_s_canonification,
@@ -111,6 +112,21 @@ class TestSearchWitness:
             b for b in universe_rank_le(2) if SE in b and rank(b) == 2
         )
         assert result2 is expected
+
+    def test_witness_set_scans_only_the_witness_layer(self, monkeypatch):
+        # every superset of {{{}}} has rank 3, the layer of indices 4..15
+        psi = parse_delta0("ex z in b (z = a)")
+        expected = hf(b for b in universe_rank_le(3) if SSE in b)
+        assert search_witness_set(psi, SSE, 16) is expected
+        scanned = []
+
+        def counting(k):
+            scanned.append(k)
+            return ack_enumerate(k)
+
+        monkeypatch.setattr(logic, "ack_enumerate", counting)
+        assert search_witness_set(psi, SSE, 65536) is expected
+        assert max(scanned) < 16
 
 
 class TestEvalPrenex:

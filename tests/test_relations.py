@@ -34,7 +34,7 @@ class TestEncodedStructures:
         decoded = decode_poset(c)
         assert decoded is not None
         assert decoded[0] is f
-        assert decoded[1] == [(EMPTY, SE)]
+        assert decoded[1] == frozenset({(EMPTY, SE)})
 
     def test_poset_rejects_cycles_and_reflexivity(self):
         assert decode_poset(encode_poset(SE, [(EMPTY, EMPTY)])) is None
