@@ -24,70 +24,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ConflictingRules, ParseError, SourceSpan, TotalityError
 from .programs import MOVES, ROLE_ORDER, Program, Transition
+from .syntax import TokenCursor, scan
 
 __all__ = ["parse_program", "format_program", "load_program"]
 
 _ROLE_ALIASES = {"input": "in", "output": "out"}
-
-_KEYWORDS = ("tapes", "state", "rule", "halt", "miracle", "write", "move", "goto")
-
-
-class _Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind, text, span):
-        self.kind = kind
-        self.text = text
-        self.span = span
-
-
-def _scan(text: str) -> List[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("punct", "->", SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in ";,=":
-            tokens.append(_Token("punct", ch, SourceSpan(line, col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(
-                _Token("number", text[start:i], SourceSpan(line, col, i - start))
-            )
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            tokens.append(_Token("ident", word, SourceSpan(line, col, len(word))))
-            col += len(word)
-            continue
-        raise ParseError(SourceSpan(line, col, 1), "a token", ch)
-    tokens.append(_Token("eof", "", SourceSpan(line, col, 1)))
-    return tokens
+_PUNCT = ("->", ";", ",", "=")
 
 
 class _Rule:
@@ -102,40 +44,15 @@ class _Rule:
         self.span = span
 
 
-class _ProgramParser:
+class _ProgramParser(TokenCursor):
     def __init__(self, text: str):
-        self.tokens = _scan(text)
-        self.pos = 0
+        super().__init__(scan(text, _PUNCT, "a token", numbers=True))
         self.roles: Optional[Tuple[str, ...]] = None
         self.state_names: List[str] = []
         self.state_ids: Dict[str, int] = {}
         self.halt_states = set()
         self.miracle_state: Optional[int] = None
         self.rules: List[_Rule] = []
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, expected, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(tok.span, expected, tok.text or "end of input")
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"'{text}'")
-        return self.next()
-
-    def expect_ident(self, what="a name") -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(what)
-        return self.next()
 
     def parse(self) -> Program:
         while self.peek().kind != "eof":
@@ -213,10 +130,8 @@ class _ProgramParser:
                 if val.text not in MOVES:
                     self.error("a move L, R, or S", val)
             out[role] = val.text
-            if self.peek().text == ",":
-                self.next()
-                continue
-            return out
+            if not self.accept(","):
+                return out
 
     def parse_rule(self):
         span = self.next().span
@@ -232,11 +147,9 @@ class _ProgramParser:
         self.expect("->")
         writes: Dict[str, str] = {}
         moves: Dict[str, str] = {}
-        if self.peek().text == "write":
-            self.next()
+        if self.accept("write"):
             writes = self._parse_assignments("bit")
-        if self.peek().text == "move":
-            self.next()
+        if self.accept("move"):
             moves = self._parse_assignments("move")
         self.expect("goto")
         target = self.expect_ident("a state name")

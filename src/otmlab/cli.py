@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--all", action="store_true", help="verify every builtin witness")
     p_check.add_argument("--universe", type=_universe_rank, default="rank:3",
                          help="rank:N, N <= 4 (default rank:3)")
-    p_check.add_argument("--cap", type=int, default=30_000,
-                         help="full canonification product up to this size (default 30000)")
+    p_check.add_argument("--cap", type=int, default=reductions.DEFAULT_CAP,
+                         help="full canonification product up to this size (default %(default)s)")
     p_check.add_argument("--samples", type=int, default=100,
                          help="sample count past the cap (default 100)")
     p_check.add_argument("--seed", type=int, default=None,

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple, Union
 
-from .errors import NotDelta0, ParseError, SourceSpan, UnboundVariable
+from .errors import NotDelta0, UnboundVariable
+from .syntax import TokenCursor, scan
 
 __all__ = [
     "Member",
@@ -123,132 +124,44 @@ class PrenexStatement:
     matrix: Delta0Formula
 
 
-# -- scanner --------------------------------------------------------------------
+# -- parser ---------------------------------------------------------------------
 
 _PUNCT = ("->", "!", "&", "|", "=", "(", ")")
 _KEYWORDS = ("all", "ex", "in", "ALL", "EX")
+_VAR = "a variable name"
 
 
-class _Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind, text, span):
-        self.kind = kind
-        self.text = text
-        self.span = span
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r})"
-
-
-def _scan(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched:
-            tokens.append(_Token("punct", matched, SourceSpan(line, col, len(matched))))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, SourceSpan(line, col, len(word))))
-            col += len(word)
-            continue
-        raise ParseError(SourceSpan(line, col, 1), "a formula token", ch)
-    tokens.append(_Token("eof", "", SourceSpan(line, col, 1)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, expected: str):
-        tok = self.peek()
-        raise ParseError(tok.span, expected, tok.text or "end of input")
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"'{text}'")
-        return self.next()
-
-    def expect_ident(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error("a variable name")
-        return self.next()
-
+class _Parser(TokenCursor):
     # precedence-climbing over -> | & !
     def parse_delta0(self) -> Node:
         return self.parse_implies()
 
     def parse_implies(self) -> Node:
         left = self.parse_or()
-        if self.peek().text == "->":
-            self.next()
-            right = self.parse_implies()
-            return Implies(left, right)
+        if self.accept("->"):
+            return Implies(left, self.parse_implies())
         return left
 
     def parse_or(self) -> Node:
         node = self.parse_and()
-        while self.peek().text == "|":
-            self.next()
+        while self.accept("|"):
             node = Or(node, self.parse_and())
         return node
 
     def parse_and(self) -> Node:
         node = self.parse_unary()
-        while self.peek().text == "&":
-            self.next()
+        while self.accept("&"):
             node = And(node, self.parse_unary())
         return node
 
     def parse_unary(self) -> Node:
-        tok = self.peek()
-        if tok.text == "!":
-            self.next()
+        if self.accept("!"):
             return Not(self.parse_unary())
-        if tok.text == "(":
-            self.next()
+        if self.accept("("):
             inner = self.parse_delta0()
             self.expect(")")
             return inner
+        tok = self.peek()
         if tok.text in ("all", "ex"):
             return self.parse_quantifier()
         if tok.text in ("ALL", "EX"):
@@ -263,17 +176,16 @@ class _Parser:
 
     def parse_quantifier(self) -> Node:
         kw = self.next()
-        var = self.expect_ident()
+        var = self.expect_ident(_VAR)
         tok = self.peek()
-        if tok.text != "in":
+        if not self.accept("in"):
             raise NotDelta0(
                 f"{tok.span.line}:{tok.span.column}: quantifier '{kw.text} "
                 f"{var.text}' has no bound; bounded form is "
                 f"'{kw.text} {var.text} in v (...)'",
                 tok.span,
             )
-        self.next()
-        bound = self.expect_ident()
+        bound = self.expect_ident(_VAR)
         self.expect("(")
         body = self.parse_delta0()
         self.expect(")")
@@ -281,25 +193,19 @@ class _Parser:
         return cls(var.text, bound.text, body)
 
     def parse_atom(self) -> Node:
-        left = self.expect_ident()
-        op = self.peek()
-        if op.text == "in":
-            self.next()
-            right = self.expect_ident()
-            return Member(left.text, right.text)
-        if op.text == "=":
-            self.next()
-            right = self.expect_ident()
-            return Equal(left.text, right.text)
+        left = self.expect_ident(_VAR).text
+        if self.accept("in"):
+            return Member(left, self.expect_ident(_VAR).text)
+        if self.accept("="):
+            return Equal(left, self.expect_ident(_VAR).text)
         self.error("'in' or '='")
 
     def parse_prenex(self) -> PrenexStatement:
         blocks: List[Tuple[str, str]] = []
-        while self.peek().text == "ALL":
-            self.next()
-            avar = self.expect_ident()
+        while self.accept("ALL"):
+            avar = self.expect_ident(_VAR)
             self.expect("EX")
-            evar = self.expect_ident()
+            evar = self.expect_ident(_VAR)
             blocks.append((avar.text, evar.text))
         self.expect("(")
         matrix_root = self.parse_delta0()
@@ -317,19 +223,16 @@ class _Parser:
 def parse_formula(text: str) -> Union[Delta0Formula, PrenexStatement]:
     """Parse a formula file: a prenex statement if it starts with ALL/EX,
     otherwise a bounded formula (free variables allowed)."""
-    parser = _Parser(_scan(text))
-    first = parser.peek()
-    if first.text in ("ALL", "EX"):
-        if first.text == "EX":
-            parser.error("'ALL' (prenex prefixes alternate ALL/EX)")
-        stmt = parser.parse_prenex()
-        if parser.peek().kind != "eof":
-            parser.error("end of formula")
-        return stmt
-    node = parser.parse_delta0()
-    if parser.peek().kind != "eof":
-        parser.error("end of formula")
-    return Delta0Formula.of(node)
+    parser = _Parser(scan(text, _PUNCT, "a formula token", _KEYWORDS))
+    first = parser.peek().text
+    if first == "EX":
+        parser.error("'ALL' (prenex prefixes alternate ALL/EX)")
+    if first == "ALL":
+        result = parser.parse_prenex()
+    else:
+        result = Delta0Formula.of(parser.parse_delta0())
+    parser.expect_end("end of formula")
+    return result
 
 
 def parse_delta0(text: str) -> Delta0Formula:

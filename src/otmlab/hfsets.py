@@ -15,7 +15,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import ParseError, RepresentationOverflow, SourceSpan
+from .errors import RepresentationOverflow
+from .syntax import CharCursor
 
 __all__ = [
     "HfSet",
@@ -26,7 +27,6 @@ __all__ = [
     "ack_sorted",
     "ack_index",
     "ack_enumerate",
-    "ack_min",
     "tc",
     "rank",
     "rank_cap",
@@ -199,13 +199,6 @@ def ack_enumerate(n: int) -> HfSet:
     return result
 
 
-def ack_min(x: HfSet) -> HfSet:
-    """Ackermann-least element of a nonempty set (elements are sorted)."""
-    if not x.elements:
-        raise ValueError("ack_min of the empty set")
-    return x.elements[0]
-
-
 _TC_CACHE: Dict[HfSet, HfSet] = {}
 
 
@@ -278,43 +271,25 @@ def format_set(x: HfSet) -> str:
 
 
 def parse_set_literal(text: str) -> HfSet:
-    pos = 0
-
-    def error(expected):
-        found = text[pos : pos + 8] or "end of input"
-        raise ParseError(SourceSpan(1, 1 + pos, 1), expected, found)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos] in " \t\r\n":
-            pos += 1
+    cursor = CharCursor(text, " \t\r\n")
 
     def parse() -> HfSet:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != "{":
-            error("'{'")
-        pos += 1
+        cursor.skip_ws()
+        cursor.take("{")
         elements = []
-        skip_ws()
-        if pos < len(text) and text[pos] == "}":
-            pos += 1
+        cursor.skip_ws()
+        if cursor.accept("}"):
             return hf(elements)
         while True:
             elements.append(parse())
-            skip_ws()
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            if pos < len(text) and text[pos] == "}":
-                pos += 1
+            cursor.skip_ws()
+            if cursor.accept("}"):
                 return hf(elements)
-            error("',' or '}'")
+            if not cursor.accept(","):
+                cursor.error("',' or '}'")
 
     result = parse()
-    skip_ws()
-    if pos != len(text):
-        error("end of set literal")
+    cursor.expect_end("end of set literal")
     return result
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .errors import ParseError, RepresentationOverflow, SourceSpan
+from .errors import RepresentationOverflow
+from .syntax import CharCursor
 
 __all__ = [
     "Ordinal",
@@ -366,40 +367,11 @@ def format_ordinal(o: Ordinal) -> str:
     return "+".join(parts)
 
 
-class _OrdinalScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, expected: str):
-        found = self.text[self.pos : self.pos + 8] or "end of input"
-        raise ParseError(SourceSpan(1, 1 + self.pos, 1), expected, found)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"'{ch}'")
-        self.pos += 1
-
-    def take_nat(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("a number")
-        return int(self.text[start : self.pos])
-
+class _OrdinalScanner(CharCursor):
     def parse_expr(self) -> Ordinal:
         total = self.parse_term()
         self.skip_ws()
-        while self.peek() == "+":
-            self.pos += 1
+        while self.accept("+"):
             self.skip_ws()
             total = add(total, self.parse_term())
             self.skip_ws()
@@ -407,33 +379,24 @@ class _OrdinalScanner:
 
     def parse_term(self) -> Ordinal:
         self.skip_ws()
-        ch = self.peek()
-        if ch.isdigit():
+        if self.peek().isdigit():
             return from_int(self.take_nat())
-        if ch != "w":
+        if not self.accept("w"):
             self.error("'w' or a number")
-        self.pos += 1
-        exp = ONE
-        if self.peek() == "^":
-            self.pos += 1
-            exp = self.parse_exponent()
+        exp = self.parse_exponent() if self.accept("^") else ONE
         coef = 1
-        if self.peek() == "*":
-            self.pos += 1
+        if self.accept("*"):
             coef = self.take_nat()
             if coef < 1:
                 self.error("a positive coefficient")
         return mul(omega_power(exp), from_int(coef))
 
     def parse_exponent(self) -> Ordinal:
-        ch = self.peek()
-        if ch.isdigit():
+        if self.peek().isdigit():
             return from_int(self.take_nat())
-        if ch == "w":
-            self.pos += 1
+        if self.accept("w"):
             return OMEGA
-        if ch == "(":
-            self.pos += 1
+        if self.accept("("):
             inner = self.parse_expr()
             self.skip_ws()
             self.take(")")
@@ -442,10 +405,8 @@ class _OrdinalScanner:
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    scanner = _OrdinalScanner(text)
+    scanner = _OrdinalScanner(text, " \t")
     scanner.skip_ws()
     value = scanner.parse_expr()
-    scanner.skip_ws()
-    if scanner.pos != len(text):
-        scanner.error("end of ordinal")
+    scanner.expect_end("end of ordinal")
     return value

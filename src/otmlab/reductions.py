@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import machine
 from .asm import load_program
-from .codes import code_to_tape, decode, encode, is_valid, tape_to_code
+from .codes import code_to_tape, decode, encode, tape_to_code
 from .errors import (
     EmptyWitnessSet,
     InvalidCode,
@@ -84,6 +84,10 @@ PRIMITIVES = (
     "miracle",
 )
 
+# default size of the canonification product (or OTM choice tree) that a
+# verification sweeps in full before it falls back to sampling
+DEFAULT_CAP = 30_000
+
 
 @dataclass(frozen=True)
 class NativeProcedure:
@@ -130,10 +134,17 @@ class ReductionWitness:
 # -- stage execution ---------------------------------------------------------------
 
 
-def _run_program_on_set(
-    program: Program, value: HfSet, budget: RunBudget
+def _run_program(
+    program: Program,
+    value: HfSet,
+    budget: RunBudget,
+    hook: Optional[machine.MiracleHook] = None,
 ) -> HfSet:
-    outcome = machine.run(program, code_to_tape(encode(value)), budget)
+    """Run program on a code of value (hook: the miracle hook, if any) and
+    decode its out tape."""
+    outcome = machine.run(
+        program, code_to_tape(encode(value)), budget, miracle_hook=hook
+    )
     if outcome.kind != "halted":
         raise WitnessExecutionError(
             f"program did not halt ({outcome.kind}: "
@@ -175,7 +186,7 @@ class _StageRunner:
             execute = stage
         else:
             args = (value if instance is None else kpair(value, instance),)
-            execute = lambda v: _run_program_on_set(stage, v, self.budget)
+            execute = lambda v: _run_program(stage, v, self.budget)
         # keyed on id: a Program holds a dict, so it cannot be hashed
         key = (id(stage),) + args
         hit = self._memo.get(key)
@@ -259,25 +270,12 @@ def run_with_miracle(
     def hook(tape):
         stats.entries += 1
         try:
-            code = tape_to_code(tape)
+            s = decode(tape_to_code(tape))
         except InvalidCode:
             return None
-        ok, _ = is_valid(code)
-        if not ok:
-            return None
-        s = decode(code)
         return code_to_tape(encode(call(s)))
 
-    outcome = machine.run(
-        stage, code_to_tape(encode(x)), budget, miracle_hook=hook
-    )
-    if outcome.kind != "halted":
-        raise WitnessExecutionError(f"miracle program did not halt ({outcome.kind})")
-    out_tape = outcome.final.tapes[stage.tape_index("out")]
-    try:
-        return decode(tape_to_code(out_tape)), stats
-    except InvalidCode as exc:
-        raise WitnessExecutionError(f"miracle program output invalid: {exc}")
+    return _run_program(stage, x, budget, hook), stats
 
 
 # -- verification -------------------------------------------------------------------
@@ -352,7 +350,7 @@ def verify_reduction(
     source: Relation,
     target: Relation,
     universe: Sequence[HfSet],
-    cap: int = 10_000,
+    cap: int = DEFAULT_CAP,
     seed: int = 0,
     budget: RunBudget = RunBudget(),
     sample_size: int = 100,
@@ -457,7 +455,7 @@ def _verify_otm(
     report.mode = "sampled"
     report.cases = 0
     report.miracle_calls.clear()
-    rules = _choice_rules(target, cap=sample_size, seed=seed)
+    rules = _choice_rules(target, samples=sample_size, seed=seed)
     report.canonification_count = len(rules)
     report.product_size = -1
     for label, rule in rules:
@@ -543,7 +541,7 @@ def _record_calls(report: VerificationReport, x: HfSet, stats: MiracleStats):
         report.miracle_calls[key] = stats.calls
 
 
-def _choice_rules(target: Relation, cap: int, seed: int):
+def _choice_rules(target: Relation, samples: int, seed: int):
     """Deterministic oracle rules standing in for sampled canonifications."""
 
     def min_rule(s):
@@ -553,7 +551,7 @@ def _choice_rules(target: Relation, cap: int, seed: int):
         return ack_sorted(target.witness_set(s))[-1]
 
     rules = [("rule:ack-min", min_rule), ("rule:ack-max", max_rule)]
-    for i in range(cap):
+    for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
 
         def sample_rule(s, _rng=rng, _memo={}):

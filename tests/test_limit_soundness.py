@@ -17,8 +17,8 @@ from otmlab.machine import (
     run,
     step,
 )
-from otmlab.ordinals import OMEGA, ZERO, from_int, parse_ordinal
-from otmlab.programs import Program, Transition
+from otmlab.ordinals import OMEGA, ZERO, add, from_int, mul, parse_ordinal
+from otmlab.programs import Configuration, Program, Transition
 from otmlab.tapes import Tape
 from test_machine import RESTARTING_RUN
 
@@ -125,6 +125,144 @@ def test_resolved_limits_match_recomputed_liminfs():
 def _parse_interval(text):
     lo, hi = text[1:-1].split(",")
     return parse_ordinal(lo), parse_ordinal(hi)
+
+
+W2 = parse_ordinal("w^2")
+# segments w*k..w*(k+1) late enough that the run below w^2 has settled into
+# the pattern the level-1 jump certified
+LATE_SEGMENTS = range(4, 8)
+SEGMENT_STEPS = 300
+
+
+def _partial_program(names, rules):
+    """A program on (in, work, out) whose last state halts and whose other
+    (state, reads) pairs without a rule go there.  rules maps (state, reads)
+    to (writes, moves, next state)."""
+    halt = len(names) - 1
+    transitions = {}
+    for state in range(halt):
+        for reads in itertools.product((0, 1), repeat=3):
+            writes, moves, target = rules.get(
+                (names[state], reads), (reads, "SSS", names[halt])
+            )
+            transitions[(state, reads)] = Transition(
+                writes, tuple(moves), names.index(target)
+            )
+    return Program(
+        state_names=names,
+        tape_roles=("in", "work", "out"),
+        start_state=0,
+        halt_states=frozenset((halt,)),
+        transitions=transitions,
+    )
+
+
+# The work head parks at 0 (cell 0 toggles), sweeps to w (the out cell
+# toggles), falls back to 0 from w and sweeps again (the in cell toggles),
+# then falls back and parks again.  The limits at w and w*3 differ only by
+# the work head's translation 0 -> w, but at w*2 the head is stepped from w,
+# outside the window [0, w): no limit-level sweep may be certified there.
+# The limits repeat at w*4, so the work head at w^2 is 0.
+PARK_SWEEP_RESTART = _partial_program(
+    ("a1", "a2", "b1", "p1", "h"),
+    {
+        # reads and writes are (in, work, out)
+        ("a1", (0, 0, 1)): ((0, 0, 0), "SRS", "a2"),
+        ("a2", (0, 0, 0)): ((0, 0, 1), "SSS", "a1"),
+        ("a1", (0, 0, 0)): ((0, 1, 1), "SLS", "b1"),
+        ("b1", (0, 0, 1)): ((1, 0, 1), "SSS", "a1"),
+        ("a1", (1, 0, 1)): ((0, 0, 1), "SRS", "b1"),
+        ("a1", (0, 1, 1)): ((0, 0, 1), "SLS", "p1"),
+        ("p1", (0, 0, 1)): ((0, 1, 1), "SSS", "a1"),
+        ("b1", (0, 1, 1)): ((0, 1, 1), "SSS", "a1"),
+    },
+)
+
+
+def _limit_configuration(program, record):
+    """The configuration a trace's limit record describes."""
+    return Configuration(
+        program.state_names.index(record["state"]),
+        tuple(parse_ordinal(h) for h in record["heads"]),
+        tuple(
+            Tape(tuple(_parse_interval(s) for s in record["tapes"][role]))
+            for role in program.tape_roles
+        ),
+        parse_ordinal(record["time"]),
+    )
+
+
+def _segment_minima(program, config, cells):
+    """Least state, least head positions and least value of each sampled
+    cell over a limit configuration and the successor steps after it."""
+    state, heads = config.state, list(config.heads)
+    lows = [{c: t.read(c) for c in cells} for t in config.tapes]
+    for _ in range(SEGMENT_STEPS):
+        before, config = config, step(program, config)
+        state = min(state, config.state)
+        for i, tape in enumerate(config.tapes):
+            heads[i] = min(heads[i], config.heads[i])
+            cell = before.heads[i]
+            if cell in lows[i]:
+                lows[i][cell] = min(lows[i][cell], tape.read(cell))
+    return state, heads, lows
+
+
+def test_limit_level_jumps_match_liminfs_of_level0_segments():
+    """The configuration at w^2 is the inferior limit of the run below it.
+    Rebuild it without limit-level detection: rerun with level_lookback=0,
+    so every limit w*k comes from the level-0 resolver, and take the minima
+    over late segments w*k..w*(k+1) of the state, each head and cells the
+    run has left behind (naturals and cells below w*3)."""
+    rng = random.Random(20261018)
+    cases = [(f"seeded {i}", sweepish_program(rng), random_input(rng)) for i in range(30)]
+    cases.append(("park-sweep-restart", PARK_SWEEP_RESTART, Tape()))
+    cells = [from_int(c) for c in range(30)] + [
+        add(mul(OMEGA, from_int(m)), from_int(c)) for m in (1, 2) for c in range(15)
+    ]
+    checked = []
+    for name, program, input_tape in cases:
+        limits = []
+        keep = lambda r: limits.append(r) if r["event"] == "limit" else None
+        run(program, input_tape, RunBudget(400, 5), trace=keep, sweep_max_period=8)
+        jump = next((r for r in limits if r["time"] == "w^2"), None)
+        if jump is None:
+            continue
+        limits.clear()
+        run(
+            program,
+            input_tape,
+            RunBudget(4000, LATE_SEGMENTS.stop),
+            trace=keep,
+            sweep_max_period=8,
+            level_lookback=0,
+        )
+        times = [parse_ordinal(r["time"]) for r in limits]
+        assert times == [mul(OMEGA, from_int(k)) for k in range(1, LATE_SEGMENTS.stop + 1)]
+        segments = [
+            _segment_minima(program, _limit_configuration(program, limits[k - 1]), cells)
+            for k in LATE_SEGMENTS
+        ]
+        assert jump["state"] == program.state_name(min(s for s, _, _ in segments)), name
+        for i, role in enumerate(program.tape_roles):
+            lows = [heads[i] for _, heads, _ in segments]
+            if all(low == lows[0] for low in lows):
+                want = lows[0]
+            else:
+                # a head that never returns below its segment's start escapes
+                # to the supremum
+                assert all(
+                    low >= mul(OMEGA, from_int(k)) for k, low in zip(LATE_SEGMENTS, lows)
+                ), f"{name}: {role} head neither settles nor escapes"
+                want = W2
+            assert parse_ordinal(jump["heads"][i]) == want, f"{name}: {role} head"
+            tape = Tape(tuple(_parse_interval(s) for s in jump["tapes"][role]))
+            for c in cells:
+                want = min(seg_lows[i][c] for _, _, seg_lows in segments)
+                assert tape.read(c) == want, f"{name}: {role} cell {c}"
+        checked.append(name)
+    assert "park-sweep-restart" in checked
+    assert len(checked) >= 15, f"only {len(checked)} programs reached w^2"
 
 
 def test_multi_jump_runs_are_deterministic_and_robust():
