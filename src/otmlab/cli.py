@@ -52,7 +52,8 @@ def _universe_rank(spec: str) -> int:
     """The N of a `rank:N` universe spec, for the ranks that can be enumerated."""
     top = len(hfsets.RANK_LAYER_BOUNDS) - 1
     kind, _, digits = spec.partition(":")
-    if kind != "rank" or not digits.isdigit() or int(digits) > top:
+    ascii_nat = digits.isascii() and digits.isdigit()
+    if kind != "rank" or not ascii_nat or int(digits) > top:
         raise argparse.ArgumentTypeError(
             f"universe must be rank:N with 0 <= N <= {top}, got {spec!r}"
         )

@@ -7,6 +7,11 @@ equal ordinals are the same object, so `==` is the default identity test.
 The hash stays the value hash `hash(terms)`, not the identity hash: the
 iteration order of sets of ordinals (the pairs of a set code, which decoding
 walks and reports the first bad pair of) must not depend on memory addresses.
+The order is an order key: each instance carries `_key`, the tuple of its
+terms with every exponent replaced by that exponent's key.  Python's
+lexicographic tuple order is CNF order (the first differing (exponent,
+coefficient) term decides; a proper prefix is smaller), and interning makes
+the key injective, so comparing two ordinals is one native tuple comparison.
 
 Also provides the Goedel pairing (the order isomorphism of pairs ordered by
 (max, left, right) onto the ordinals) and the text syntax used everywhere
@@ -19,7 +24,7 @@ import math
 from typing import Tuple
 
 from .errors import RepresentationOverflow
-from .syntax import CharCursor
+from .syntax import DIGITS, CharCursor
 
 __all__ = [
     "Ordinal",
@@ -43,7 +48,7 @@ __all__ = [
 class Ordinal:
     """Immutable CNF ordinal.  Use from_int/omega_power/parse_ordinal to build."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_key")
 
     _intern: dict = {}
 
@@ -55,12 +60,13 @@ class Ordinal:
         for exp, coef in terms:
             if not isinstance(exp, Ordinal) or not isinstance(coef, int) or coef < 1:
                 raise ValueError(f"bad CNF term ({exp!r}, {coef!r})")
-            if prev is not None and compare(prev, exp) <= 0:
+            if prev is not None and prev._key <= exp._key:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", hash(terms))
+        object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
         cls._intern[terms] = self
         return self
 
@@ -116,16 +122,16 @@ class Ordinal:
         return self._hash
 
     def __lt__(self, other):
-        return compare(self, other) < 0
+        return self._key < other._key
 
     def __le__(self, other):
-        return compare(self, other) <= 0
+        return self._key <= other._key
 
     def __gt__(self, other):
-        return compare(self, other) > 0
+        return self._key > other._key
 
     def __ge__(self, other):
-        return compare(self, other) >= 0
+        return self._key >= other._key
 
     # -- arithmetic sugar ----------------------------------------------------
 
@@ -161,20 +167,8 @@ def omega_power(exp: Ordinal) -> Ordinal:
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, or 1: lexicographic comparison of CNF term sequences."""
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        # equal exponents are one interned object: skip the recursive call
-        if ea is not eb:
-            c = compare(ea, eb)
-            if c != 0:
-                return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """-1, 0, or 1: the order of the two ordinals' keys."""
+    return 0 if a is b else (-1 if a._key < b._key else 1)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -323,16 +317,25 @@ def godel_unpair(c: Ordinal) -> Tuple[Ordinal, Ordinal]:
         raise RepresentationOverflow(
             f"godel_unpair above w^w is not supported (got {c})"
         )
-    # gallop to the largest mu with pair_rank(mu) <= c
-    mu = ZERO
-    for t in range(c.lead_exponent.to_int(), -1, -1):
-        step = omega_power(from_int(t))
-        while True:
-            nxt = add(mu, step)
-            if compare(pair_rank(nxt), c) <= 0:
-                mu = nxt
-            else:
-                break
+    # mu = max(a, b) is the largest ordinal with pair_rank(mu) <= c.  Below
+    # w^w, pair_rank(w^n*k + ... + w^t*k_t + ... + m) is w^(2n-1) for k = 1 or
+    # w^(2n)*(k-1) for k > 1, then w^(n+t)*k_t for each 0 < t < n, then
+    # gamma*(2m) + m for the infinite part gamma; the pair's offset inside
+    # mu's shell is at most gamma*2 + m.  So each coefficient is read off c.
+    top = c.lead_exponent.to_int()
+    n = (top + 1) // 2
+    k = c.terms[0][1] + 1 if top == 2 * n else 1
+    lead = Ordinal(((from_int(n), k),))
+    middle = {e.to_int(): k_t for e, k_t in sub_left(c, pair_rank(lead)).terms}
+    gamma = Ordinal(lead.terms + tuple(
+        (from_int(t), middle[n + t]) for t in range(n - 1, 0, -1) if n + t in middle
+    ))
+    rest = sub_left(c, pair_rank(gamma))
+    # rest's coefficient at w^n is 2*k*m plus up to 2*k from the offset
+    m = rest.terms[0][1] // (2 * k) if rest.lead_exponent is from_int(n) else 0
+    if m and compare(pair_rank(add(gamma, from_int(m))), c) > 0:
+        m -= 1
+    mu = add(gamma, from_int(m))
     offset = sub_left(c, pair_rank(mu))
     if compare(offset, mu) < 0:
         return offset, mu
@@ -379,7 +382,7 @@ class _OrdinalScanner(CharCursor):
 
     def parse_term(self) -> Ordinal:
         self.skip_ws()
-        if self.peek().isdigit():
+        if self.peek() in DIGITS:
             return from_int(self.take_nat())
         if not self.accept("w"):
             self.error("'w' or a number")
@@ -392,7 +395,7 @@ class _OrdinalScanner(CharCursor):
         return mul(omega_power(exp), from_int(coef))
 
     def parse_exponent(self) -> Ordinal:
-        if self.peek().isdigit():
+        if self.peek() in DIGITS:
             return from_int(self.take_nat())
         if self.accept("w"):
             return OMEGA

@@ -14,6 +14,10 @@ from typing import Collection, List, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, SourceSpan
 
+# The digits of a number.  `str.isdigit` also holds for characters such as
+# '²' that `int` rejects.
+DIGITS = frozenset("0123456789")
+
 
 class Token(NamedTuple):
     kind: str  # "punct", "keyword", "ident", "number" or "eof"
@@ -32,9 +36,9 @@ def scan(
 
     punct is tried in order, so a longer mark must precede its prefixes.  A
     word (a letter or `_`, then letters, digits or `_`) is a "keyword" if it
-    is in keywords and an "ident" otherwise; with numbers, a run of digits is
-    a "number".  Any other character raises a ParseError expecting `what`.
-    The list ends with an "eof" token.
+    is in keywords and an "ident" otherwise; with numbers, a run of ASCII
+    digits is a "number".  Any other character raises a ParseError expecting
+    `what`.  The list ends with an "eof" token.
     """
     tokens: List[Token] = []
     starts = {p[0] for p in punct}
@@ -56,9 +60,9 @@ def scan(
         mark = ch in starts and next((p for p in punct if text.startswith(p, i)), None)
         if mark:
             kind, end = "punct", i + len(mark)
-        elif numbers and ch.isdigit():
+        elif numbers and ch in DIGITS:
             kind, end = "number", i + 1
-            while end < n and text[end].isdigit():
+            while end < n and text[end] in DIGITS:
                 end += 1
         elif ch.isalpha() or ch == "_":
             end = i + 1
@@ -148,7 +152,7 @@ class CharCursor:
 
     def take_nat(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("a number")

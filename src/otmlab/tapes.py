@@ -19,7 +19,7 @@ def _normalize(
 ) -> Tuple[Tuple[Ordinal, Ordinal], ...]:
     """Sort, drop empties, merge overlapping and adjacent intervals."""
     pending = [(lo, hi) for lo, hi in intervals if compare(lo, hi) < 0]
-    pending.sort(key=lambda p: p[0])  # Ordinal supports rich comparison
+    pending.sort(key=lambda p: p[0]._key)
     out = []
     for lo, hi in pending:
         if out and compare(lo, out[-1][1]) <= 0:

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written on different data structures and by
 different derivations than the package code: ordinals as fixed-length
-coefficient tuples, tapes as dicts, sets as nested frozensets, machines as
-dict-tape simulators.
+coefficient tuples, the CNF order by recursion instead of by order key, tapes
+as dicts, sets as nested frozensets, machines as dict-tape simulators.
 """
 
 from __future__ import annotations
@@ -153,6 +153,31 @@ def n_random_pair(rng) -> Tuple[NestedOrd, NestedOrd]:
     (e, c) = a[k]
     other = rng.choice([x for x in range(1, 5) if x != c])
     return a, a[:k] + ((e, other),) + a[k + 1 :]
+
+
+# -- CNF order by recursion on the exponents -----------------------------------------
+#
+# The package orders ordinals by a precomputed key; this is the recursive
+# comparison it replaced, kept as the reference for ordinals of any height.
+
+
+def cnf_compare(a, b) -> int:
+    """-1, 0 or 1: lexicographic comparison of two package ordinals' CNF term
+    sequences, recursing into the exponents (a larger first differing term
+    wins; a proper prefix is smaller)."""
+    if a is b:
+        return 0
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        # equal exponents are one interned object: skip the recursive call
+        if ea is not eb:
+            c = cnf_compare(ea, eb)
+            if c != 0:
+                return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
 
 
 # -- pairing oracle ----------------------------------------------------------------

@@ -114,6 +114,7 @@ class TestCheck:
             ["canon", "PP", "--universe", "rank:9"],
             ["list-universe", "rank:-1"],
             ["list-universe", "ranks:2"],
+            ["list-universe", "rank:²"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -138,6 +139,12 @@ class TestSetCommands:
     def test_decode_invalid_exits_3(self, capsys):
         bad = json.dumps({"bound": "2", "pairs": []})
         assert main(["decode", bad]) == 3
+
+    def test_decode_unparsable_ordinal_exits_2(self, capsys):
+        for bound in ("x", "²"):
+            bad = json.dumps({"bound": bound, "pairs": []}, ensure_ascii=False)
+            assert main(["decode", bad]) == 2
+            assert "expected 'w' or a number" in capsys.readouterr().err
 
     def test_eval_delta0(self, capsys):
         code = main(["eval", "all z in x (z in y)",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from otmlab.errors import ParseError, RepresentationOverflow
 from otmlab.ordinals import (
     OMEGA,
     ONE,
+    Ordinal,
     ZERO,
     add,
     compare,
@@ -124,8 +126,8 @@ class TestArithmetic:
 
 class TestNestedOracle:
     """Exponents up to w*2+3: the CNF terms of both operands often share an
-    exponent object, so this covers compare's identity fast path as well as
-    its recursive exponent comparison."""
+    exponent, so this covers order keys that share a prefix as well as keys
+    that first differ inside an exponent."""
 
     PAIRS = 3000
 
@@ -157,6 +159,45 @@ class TestNestedOracle:
                 with pytest.raises(ValueError):
                     sub_left(from_nested(small), from_nested(big))
         assert kinds["equal"] > 300 and kinds["shared exponent"] > 300
+
+
+class TestCnfOracle:
+    """compare, the rich comparisons and sorted against the recursive CNF
+    order, on seeded towers up to w^(w^(w^3)): beyond TestNestedOracle's
+    range below w^(w^2), and with many pairs that are equal or differ only in
+    a coefficient or a term deep inside an exponent."""
+
+    @staticmethod
+    def random_ordinal(rng, depth):
+        if depth == 0 or rng.random() < 0.2:
+            return from_int(rng.randrange(4))
+        exponents = {
+            TestCnfOracle.random_ordinal(rng, depth - 1)
+            for _ in range(rng.randint(1, 3))
+        }
+        order = sorted(exponents, key=functools.cmp_to_key(oracles.cnf_compare))
+        return Ordinal(tuple((e, rng.randint(1, 2)) for e in reversed(order)))
+
+    def test_order_agrees_with_recursive_cnf_compare(self):
+        rng = random.Random(20261018)
+        pool = [self.random_ordinal(rng, 3) for _ in range(250)]
+        assert any(
+            oracles.cnf_compare(x, omega_power(omega_power(W))) >= 0 for x in pool
+        )
+        kinds = {"equal": 0, "same exponents": 0}
+        for a, b in itertools.product(pool, pool):
+            want = oracles.cnf_compare(a, b)
+            assert compare(a, b) == want
+            assert (a < b, a <= b, a > b, a >= b) == (
+                want < 0, want <= 0, want > 0, want >= 0
+            )
+            if want == 0:
+                kinds["equal"] += 1
+            elif [e for e, _ in a.terms] == [e for e, _ in b.terms]:
+                kinds["same exponents"] += 1
+        assert all(count > 500 for count in kinds.values()), kinds
+        by_oracle = sorted(pool, key=functools.cmp_to_key(oracles.cnf_compare))
+        assert sorted(pool) == by_oracle
 
 
 class TestGodelPairing:
@@ -204,6 +245,20 @@ class TestGodelPairing:
         for a in grid:
             for b in grid:
                 assert godel_unpair(godel_pair(a, b)) == (a, b)
+
+    def test_unpair_inverts_below_w_to_w_with_large_coefficients(self):
+        rng = random.Random(20261019)
+
+        def draw():
+            powers = sorted(rng.sample(range(6), rng.randint(0, 4)), reverse=True)
+            return Ordinal(tuple((from_int(p), rng.randint(1, 1000)) for p in powers))
+
+        for _ in range(300):
+            a, b = draw(), draw()
+            assert godel_unpair(godel_pair(a, b)) == (a, b)
+            # the pairing is onto: every ordinal below w^w is a code
+            c = draw()
+            assert godel_pair(*godel_unpair(c)) is c
 
     def test_unpair_beyond_w_to_w_rejected(self):
         huge = omega_power(omega_power(from_int(2)))

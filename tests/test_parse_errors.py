@@ -131,6 +131,13 @@ CONTRACT = [
     ('set', '{ { } , { { } }  ', ParseError, "1:18: expected ',' or '}', found 'end of input'", (1, 18, 1)),
     ('set', '{}x123456789', ParseError, "1:3: expected end of set literal, found 'x1234567'", (1, 3, 1)),
     ('set', '{{}{}}', ParseError, "1:4: expected ',' or '}', found '{}}'", (1, 4, 1)),
+    # numbers are ASCII digits only; `str.isdigit` also holds for '²', which
+    # `int` rejects (these rows come last so every id above stays the same)
+    ('ordinal', '²', ParseError, "1:1: expected 'w' or a number, found '²'", (1, 1, 1)),
+    ('ordinal', 'w*²', ParseError, "1:3: expected a number, found '²'", (1, 3, 1)),
+    ('ordinal', 'w^²', ParseError, "1:3: expected an exponent (number, 'w', or parenthesized ordinal), found '²'", (1, 3, 1)),
+    ('ordinal', '3٣', ParseError, "1:2: expected end of ordinal, found '٣'", (1, 2, 1)),
+    ('program', 'tapes in work out; state q0; rule q0 work=² -> goto q0;', ParseError, "1:43: expected a token, found '²'", (1, 43, 1)),
 ]
 
 
