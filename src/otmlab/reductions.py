@@ -11,7 +11,11 @@ OTM-effective primitives) or machine programs executed on set codes.  Both
 are pure, so a sweep memoizes every stage by (stage, input).
 verify_reduction sweeps every canonification of the target relation over the
 relevant instances (full product when small, extremal plus seeded samples
-otherwise) and reports counterexamples.
+otherwise) and reports counterexamples.  A single-use case depends on its
+canonification only through the answer at pre(x), so the sweep decides
+pointwise: one verdict per (instance, answer).  It walks the product of
+canonifications only when some verdict fails, to list the counterexamples
+case by case.
 """
 
 from __future__ import annotations
@@ -358,8 +362,12 @@ def verify_reduction(
     """Check the witness against every (or cap-sampled) canonification of the
     target over the instances the pre-stage actually produces.
 
-    Execution errors are recorded as failures for their case.  The sweep is
-    deterministic for a fixed (witness, universe, cap, seed).
+    An oW/soW sweep decides pointwise: it checks post once per instance x and
+    answer y' that a canonification gives at pre(x), and when all pass it
+    counts one passing case per (canonification, instance) without running
+    them.  It walks the product only to list counterexamples, in product
+    order.  Execution errors are recorded as failures for their case.  The
+    sweep is deterministic for a fixed (witness, universe, cap, seed).
     """
     instances = [x for x in universe if source.domain(x)]
     report = VerificationReport(
@@ -415,6 +423,9 @@ def _verify_single_use(
     report.mode = mode
     report.canonification_count = len(canons)
     report.product_size = product
+    if _every_answer_solves(witness, source, instances, pre_images, canons, runner):
+        report.cases = len(canons) * sum(q is not None for q in pre_images)
+        return
     for canon in canons:
         for x, q in zip(instances, pre_images):
             if q is None:
@@ -429,6 +440,36 @@ def _verify_single_use(
                 report.failures.append(
                     CaseFailure(x, canon.label, f"result {y} fails {source.name}")
                 )
+
+
+def _every_answer_solves(witness, source, instances, pre_images, canons, runner):
+    """True iff post(y') solves x for every instance x whose pre stage
+    succeeded and every answer y' a canonification gives at pre(x).
+
+    A case depends on its canonification only through that answer, so then
+    every (canonification, instance) case passes.  False as soon as some
+    canonification is undefined at a pre-image, a stage raises or `holds`
+    rejects a result: the caller then lists the counterexamples case by case.
+    """
+    answers: Dict[HfSet, Dict[HfSet, None]] = {}
+    for x, q in zip(instances, pre_images):
+        if q is None:
+            continue
+        if q not in answers:
+            # in canonification order; None: some canonification is undefined
+            answers[q] = dict.fromkeys(canon.mapping.get(q) for canon in canons)
+            if None in answers[q]:
+                return False
+        for y in answers[q]:
+            try:
+                result = runner.apply(
+                    witness.post, y, x if witness.kind == "oW" else None
+                )
+            except Exception:
+                return False
+            if not source.holds(x, result):
+                return False
+    return True
 
 
 def _verify_otm(

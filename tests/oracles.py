@@ -3,7 +3,8 @@
 Everything here is deliberately written on different data structures and by
 different derivations than the package code: ordinals as fixed-length
 coefficient tuples, the CNF order by recursion instead of by order key, tapes
-as dicts, sets as nested frozensets, machines as dict-tape simulators.
+as dicts, sets as nested frozensets, machines as dict-tape simulators, and
+single-use verdicts by walking every (canonification, instance) case.
 """
 
 from __future__ import annotations
@@ -391,3 +392,69 @@ def random_formula(rng, size, scope=("x", "y"), depth=0):
     body = random_formula(rng, size - 1, scope + (var,), depth + 1)
     cls = F.BoundedAll if kind == "all" else F.BoundedEx
     return cls(var, bound, body)
+
+
+# -- single-use sweep over the whole canonification product --------------------------
+#
+# The package decides a single-use sweep pointwise, one verdict per (instance,
+# answer), and walks the product only to list counterexamples; this is the
+# loop it shortcuts, kept as the reference report.
+
+
+def product_sweep(witness, source, target, universe, cap, seed=0,
+                  budget=None, sample_size=100):
+    """The VerificationReport of an oW/soW witness from one unmemoized
+    apply_oW per (canonification, instance) case."""
+    from otmlab.errors import EmptyWitnessSet
+    from otmlab.machine import RunBudget
+    from otmlab.reductions import (
+        CaseFailure,
+        VerificationReport,
+        _StageRunner,
+        apply_oW,
+    )
+    from otmlab.relations import enumerate_canonifications
+
+    budget = budget or RunBudget()
+    instances = [x for x in universe if source.domain(x)]
+    report = VerificationReport(
+        witness=witness.name, kind=witness.kind, source=source.name,
+        target=target.name, universe_size=len(universe),
+        instance_count=len(instances), mode="exhaustive",
+        canonification_count=0, product_size=0, cases=0,
+    )
+    live, targets = [], []
+    for x in instances:
+        try:
+            q = _StageRunner(budget).apply(witness.pre, x)
+        except Exception as exc:
+            report.failures.append(CaseFailure(x, "-", f"pre stage failed: {exc}"))
+            continue
+        live.append(x)
+        if q not in targets:
+            targets.append(q)
+    try:
+        mode, canons, product = enumerate_canonifications(
+            target, targets, cap, seed, sample_size
+        )
+    except EmptyWitnessSet as exc:
+        report.mode = "aborted"
+        report.failures.append(
+            CaseFailure(exc.instance, "-", "target instance has no witness")
+        )
+        return report
+    report.mode, report.canonification_count = mode, len(canons)
+    report.product_size = product
+    for canon in canons:
+        for x in live:
+            report.cases += 1
+            try:
+                y = apply_oW(witness, canon, x, budget)
+            except Exception as exc:
+                report.failures.append(CaseFailure(x, canon.label, str(exc)))
+                continue
+            if not source.holds(x, y):
+                report.failures.append(
+                    CaseFailure(x, canon.label, f"result {y} fails {source.name}")
+                )
+    return report

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,14 @@ class TestCheck:
         assert main(["check", "pp_le_zl", "--universe", "rank:3"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "exhaustive" in out
+
+    def test_python_dash_m_runs_the_command(self, capsys):
+        argv = ["check", "zl_le_pp", "--universe", "rank:2"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-m", "otmlab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert main(argv) == 0
+        assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
 
     def test_shipped_assembly_manifest(self, capsys):
         assert main(["check", "pp_le_zl.json", "--universe", "rank:3"]) == 0

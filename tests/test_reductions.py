@@ -3,6 +3,7 @@ from functools import cmp_to_key
 
 import pytest
 
+import oracles
 from otmlab.asm import parse_program
 from otmlab.codes import code_to_tape, encode, tape_to_code, decode
 from otmlab.errors import (
@@ -24,8 +25,10 @@ from otmlab.machine import RunBudget, run
 from otmlab.ordinals import from_int
 from otmlab.relations import PRINCIPLES, Canonification
 from otmlab.reductions import (
+    DEFAULT_CAP,
     NATIVE_REGISTRY,
     PRIMITIVES,
+    NativeProcedure,
     ReductionWitness,
     apply_oW,
     builtin_witnesses,
@@ -39,13 +42,23 @@ from otmlab.tapes import Tape
 SE = singleton(EMPTY)
 SSE = singleton(SE)
 PAIR01 = hf([EMPTY, SE])
+U2 = universe_rank_le(2)
 U3 = universe_rank_le(3)
 
 WITNESSES = builtin_witnesses()
+SINGLE_USE = [w for w in WITNESSES.values() if w.kind == "soW"]
 
 
 def relations_of(witness):
     return PRINCIPLES[witness.source], PRINCIPLES[witness.target]
+
+
+def as_oW(witness):
+    """The soW witness declared as oW: its post stage ignores the instance."""
+    return ReductionWitness(
+        name=witness.name + "_as_oW", kind="oW", source=witness.source,
+        target=witness.target, pre=witness.pre, post=witness.post,
+    )
 
 
 class TestApplyOW:
@@ -97,19 +110,9 @@ class TestVerify:
 
     def test_strong_witnesses_also_pass_as_oW(self):
         # the side channel is simply unused
-        for name, w in WITNESSES.items():
-            if w.kind != "soW":
-                continue
-            as_ow = ReductionWitness(
-                name=w.name + "_as_oW",
-                kind="oW",
-                source=w.source,
-                target=w.target,
-                pre=w.pre,
-                post=w.post,
-            )
+        for w in SINGLE_USE:
             source, target = relations_of(w)
-            report = verify_reduction(as_ow, source, target, U3, cap=2_000, seed=7)
+            report = verify_reduction(as_oW(w), source, target, U3, cap=2_000, seed=7)
             assert report.ok, report.to_json()
 
     def test_deterministic_given_seed(self):
@@ -131,8 +134,6 @@ class TestVerify:
         # stages are pure, so a sweep over many canonifications runs each one
         # once per distinct input; a failing stage is not re-run either
         from collections import Counter
-
-        from otmlab.reductions import NativeProcedure
 
         pre_calls, post_calls = Counter(), Counter()
 
@@ -225,6 +226,83 @@ class TestNegativeControls:
 
             ok, cex = check_canonification(canon, relation, universe)
             assert not ok and cex is not None
+
+
+def matches_product_sweep(witness, universe, **sweep):
+    """verify_reduction's report, after checking it equals the reference
+    report of the full product walk."""
+    source, target = relations_of(witness)
+    got = verify_reduction(witness, source, target, universe, **sweep)
+    want = oracles.product_sweep(witness, source, target, universe, **sweep)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+MANIFESTS = [load_witness_manifest(witness_path(name))
+             for name in ("zero_le_pp2.json", "pp_le_zl.json")]
+# the rank-3 soW builtins whose product walk has 311,040 cases
+LARGE_PRODUCTS = {"pp_le_ac", "pp_le_hmp", "pp_le_zl", "ppfin_le_pp"}
+
+
+class TestPointwiseVerdicts:
+    """A sweep decides each (instance, answer) once and walks the product of
+    canonifications only to list counterexamples; its report must be the one
+    the product walk gives, counts, failures and their order included."""
+
+    @pytest.mark.parametrize(
+        "witness", SINGLE_USE + [as_oW(w) for w in SINGLE_USE] + MANIFESTS,
+        ids=lambda w: w.name,
+    )
+    def test_rank2_report_equals_product_sweep(self, witness):
+        assert matches_product_sweep(witness, U2, cap=DEFAULT_CAP, seed=1).ok
+
+    @pytest.mark.parametrize(
+        "witness", [w for w in SINGLE_USE if w.name not in LARGE_PRODUCTS],
+        ids=lambda w: w.name,
+    )
+    def test_rank3_report_equals_product_sweep(self, witness):
+        report = matches_product_sweep(witness, U3, cap=DEFAULT_CAP, seed=1)
+        assert report.ok and report.cases <= 2_000
+
+    @pytest.mark.parametrize("witness", BROKEN, ids=lambda w: w.name)
+    def test_broken_report_equals_product_sweep(self, witness):
+        assert not matches_product_sweep(witness, U3, cap=2_000, seed=5).ok
+
+    @pytest.mark.parametrize("fault", ["raises", "fails PP"])
+    def test_one_failing_answer_fails_only_the_cases_that_choose_it(self, fault):
+        # {{{}}} is an answer only at `two`, and not its Ackermann-least one:
+        # the four canonifications are (a, b) for a in [{}, {{}}] at PAIR01
+        # and b in [{{}}, {{{}}}] at `two`
+        two = hf([SE, SSE])
+
+        def post(y):
+            if y is not SSE:
+                return y
+            if fault == "raises":
+                raise WitnessExecutionError("post refuses {{{}}}")
+            return EMPTY
+
+        witness = ReductionWitness(
+            name="refuses_one_answer", kind="soW", source="PP", target="PP",
+            pre=NATIVE_REGISTRY["identity"],
+            post=NativeProcedure("refuse-one-answer", 1, post, ("set-algebra",)),
+        )
+        report = matches_product_sweep(witness, [PAIR01, two], cap=2_000)
+        assert (report.mode, report.canonification_count, report.cases) == (
+            "exhaustive", 4, 8)
+        failed = [(f.instance, f.canonification) for f in report.failures]
+        assert failed == [(two, "product[1]"), (two, "product[3]")]
+
+    def test_pre_image_outside_the_target_domain_fails_every_case(self):
+        # {} is no PP instance, so no canonification is defined at it
+        witness = ReductionWitness(
+            name="empty_pp_le_pp", kind="soW", source="PP", target="PP",
+            pre=NATIVE_REGISTRY["const-empty"], post=NATIVE_REGISTRY["identity"],
+        )
+        report = matches_product_sweep(witness, U3, cap=2_000)
+        assert report.cases == report.instance_count == len(report.failures)
+        assert all(f.reason == "canonification undefined at {}"
+                   for f in report.failures)
 
 
 class TestMiracleProtocol:
@@ -336,8 +414,6 @@ class TestMiracleProtocol:
             assert miracle(EMPTY) is EMPTY
             return EMPTY
 
-        from otmlab.reductions import NativeProcedure
-
         witness = ReductionWitness(
             name="offdomain_probe", kind="OTM", source="ZERO", target="PP",
             otm=NativeProcedure("offdomain-probe", 2, off_domain_probe,
@@ -356,8 +432,6 @@ class TestMiracleProtocol:
         # the later choices consult the oracle again, so that instance's
         # choice tree outgrows cap=6 after the counterexample is recorded,
         # and neither extremal rule of the fallback makes the wrong choice
-        from otmlab.reductions import NativeProcedure
-
         four = U3[-1]
         three = next(x for x in U3 if len(x) == 3)
 
