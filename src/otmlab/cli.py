@@ -40,12 +40,18 @@ def _read_arg_text(value: str) -> str:
     return value
 
 
-def _parse_budget(text: str) -> machine.RunBudget:
+def _budget(spec: str) -> machine.RunBudget:
+    """The RunBudget of a `STEPS,JUMPS` spec."""
     try:
-        steps, jumps = (int(part) for part in text.split(","))
+        steps, jumps = (int(part) for part in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"budget must be STEPS,JUMPS; got {spec!r}"
+        ) from None
+    try:
         return machine.RunBudget(steps, jumps)
-    except (ValueError, TypeError):
-        raise ValueError(f"budget must be STEPS,JUMPS; got {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _universe_rank(spec: str) -> int:
@@ -80,8 +86,6 @@ def cmd_run(args) -> int:
         input_tape = codes.code_to_tape(code)
     else:
         input_tape = Tape()
-    budget = _parse_budget(args.budget)
-
     trace_fh = None
     trace_cb = None
     if args.trace:
@@ -94,7 +98,7 @@ def cmd_run(args) -> int:
         outcome = machine.run(
             program,
             input_tape,
-            budget,
+            args.budget,
             trace=trace_cb,
             trace_steps=args.trace_steps,
         )
@@ -165,7 +169,6 @@ def cmd_check(args) -> int:
             print("check: provide a witness (name or manifest) or --all", file=sys.stderr)
             return EXIT_USAGE
     universe = hfsets.universe_rank_le(args.universe)
-    budget = _parse_budget(args.budget)
     reports = []
     for name in names:
         witness = _load_witness(name)
@@ -178,7 +181,7 @@ def cmd_check(args) -> int:
             universe,
             cap=args.cap,
             seed=args.seed if args.seed is not None else 0,
-            budget=budget,
+            budget=args.budget,
             sample_size=args.samples,
         )
         if report.mode == "sampled" and args.seed is None:
@@ -299,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("program", help=".otm program file")
     p_run.add_argument("--input", help="input as a set literal (encoded onto the input tape)")
     p_run.add_argument("--input-code", help="input as SetCode JSON (text or @file)")
-    p_run.add_argument("--budget", default="100000,64", help="STEPS,JUMPS (default 100000,64)")
+    p_run.add_argument("--budget", type=_budget, default="100000,64",
+                       help="STEPS,JUMPS (default 100000,64)")
     p_run.add_argument("--trace", help="write a JSONL trace to this path")
     p_run.add_argument("--trace-steps", action="store_true",
                        help="trace every successor step, not just limit events")
@@ -318,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sample count past the cap (default 100)")
     p_check.add_argument("--seed", type=int, default=None,
                          help="sampling seed (required when sampling occurs)")
-    p_check.add_argument("--budget", default="100000,64")
+    p_check.add_argument("--budget", type=_budget, default="100000,64",
+                         help="STEPS,JUMPS (default 100000,64)")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 

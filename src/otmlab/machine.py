@@ -15,7 +15,10 @@ base.time + (end.time - base.time)*w.  One function resolves each loop shape:
     ahead; swept cells stabilize to the translated window pattern, heads go
     to the window supremum.
 
-Both read the segment through a summary, so the same rule serves every level:
+After each successor step the executor tries an exact recurrence first, then
+the earlier configurations in the current state as sweep bases by increasing
+period, deciding each base's check ahead of the sweep only once.  Both shapes
+read the segment through a summary, so the same rule serves every level:
 a period of successor steps the run already recorded (never re-executed), a
 run of earlier limits (which yields w*2, w^2, w^3, ...), or, in resolve_limit,
 which is given a certificate without the run behind it, a replay from the
@@ -26,6 +29,7 @@ configuration that re-enters its own loop is a proof of divergence.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -570,12 +574,20 @@ class _Runner:
 
     # .. detection ..
 
+    def _reset_sweep_bases(self, config: Configuration):
+        """Start the sweep-base records of a run segment that begins at
+        config: the history indices of each state, and the memo of each
+        base's check ahead of the sweep."""
+        self._by_state: Dict[int, List[int]] = defaultdict(list)
+        self._by_state[config.state].append(0)
+        self._ahead: Dict[Tuple[int, int, Ordinal], bool] = {}
+
     def _detect(
         self, history: List[Configuration], index: Dict[tuple, int]
     ) -> Optional[Tuple[str, LoopCertificate, Configuration, _Summary]]:
         """The first loop the recorded run certifies, as (kind, certificate,
-        limit, tail): an exact recurrence first, then sweeps by increasing
-        period.  None when there is none."""
+        limit, tail): an exact recurrence first, then sweeps from the bases
+        in the end's state, by increasing period.  None when there is none."""
         end = history[-1]
         i = index.get(end.key())
         if i is not None:
@@ -583,16 +595,19 @@ class _Runner:
             limit, tail = _resolve_exact(base, end, _Period.of(history[i:]))
             cert = ExactLoopCertificate(base=base, period=len(history) - 1 - i)
             return "cycle", cert, limit, tail
+        n = len(history) - 1
         bounds = _HeadBounds(history)
-        top = min(self.sweep_max_period, len(history) - 1)
-        for period in range(1, top + 1):
-            base = history[-1 - period]
+        for b in reversed(self._by_state.get(end.state, ())):
+            period = n - b
+            if period > self.sweep_max_period:
+                break
+            base = history[b]
             strides = _strides(base, end)
-            if strides is None:
+            if strides is None or not self._sweep_prefilter(b, base, end, strides):
                 continue
             # the visited bounds grow with the period, so each candidate only
             # folds in the positions the previous one did not cover
-            unit = _Period(history[-1 - period :], *bounds.upto(period))
+            unit = _Period(history[b:], *bounds.upto(period))
             try:
                 limit, tail = _resolve_sweep(base, end, strides, unit)
             except MalformedCertificate:
@@ -600,6 +615,35 @@ class _Runner:
             cert = SweepLoopCertificate(base=base, period=period, strides=strides)
             return "sweep", cert, limit, tail
         return None
+
+    def _sweep_prefilter(
+        self,
+        b: int,
+        base: Configuration,
+        end: Configuration,
+        strides: Tuple[Ordinal, ...],
+    ) -> bool:
+        """Whether the sweep from base = history[b] to end passes two checks
+        of _resolve_sweep before any segment summary is built: every
+        stationary tape keeps its content, and every swept tape is constant
+        ahead of its sweep.  The second reads only the base, the tape and the
+        sweep's limit, so it is decided once for each."""
+        for i, d in enumerate(strides):
+            tape = base.tapes[i]
+            if d.is_zero:
+                if tape is not end.tapes[i] and tape != end.tapes[i]:
+                    return False
+                continue
+            h0 = base.heads[i]
+            lam = add(h0, mul(d, OMEGA))
+            key = (b, i, lam)
+            constant = self._ahead.get(key)
+            if constant is None:
+                constant = tape.constant_on(h0, lam) is not None
+                self._ahead[key] = constant
+            if not constant:
+                return False
+        return True
 
     def _detect_limit_level(
         self, entries: List[Tuple[Configuration, _SegmentStats]]
@@ -636,6 +680,7 @@ class _Runner:
         config = _apply_hook(program, config, self.hook)
         history: List[Configuration] = [config]
         index: Dict[tuple, int] = {config.key(): 0}
+        self._reset_sweep_bases(config)
         entries: List[Tuple[Configuration, _SegmentStats]] = []
 
         while True:
@@ -659,7 +704,9 @@ class _Runner:
 
             found = self._detect(history, index)
             if found is None:
-                index[config.key()] = len(history) - 1
+                n = len(history) - 1
+                index[config.key()] = n
+                self._by_state[config.state].append(n)
                 continue
             kind, cert, limit, tail = found
             # the segment's summary is read off the run it recorded
@@ -688,6 +735,7 @@ class _Runner:
 
             history = [config]
             index = {config.key(): 0}
+            self._reset_sweep_bases(config)
 
 
 def run(

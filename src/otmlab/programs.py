@@ -85,7 +85,7 @@ class Program:
         return self.state_names[index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     state: int
     heads: Tuple[Ordinal, ...]

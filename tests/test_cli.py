@@ -136,6 +136,23 @@ class TestCheck:
         assert "universe must be rank:N" in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "budget, reason",
+    [
+        ("abc", "budget must be STEPS,JUMPS; got 'abc'"),
+        ("1,2,3", "budget must be STEPS,JUMPS; got '1,2,3'"),
+        ("0,1", "budgets must be positive"),
+    ],
+)
+def test_bad_budget_is_a_usage_error(command, budget, reason, capsys):
+    target = str(ROOT / "demos" / "right_sweep.otm") if command == "run" else "pp_le_zl"
+    assert main([command, target, "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --budget: {reason}" in captured.err
+
+
 class TestSetCommands:
     def test_encode_empty(self, capsys):
         assert main(["encode", "{}"]) == 0

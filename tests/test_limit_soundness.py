@@ -2,10 +2,13 @@
 time w, the limit configuration must agree with inferior limits recomputed
 directly from a long recorded prefix of the run."""
 
+import collections
 import itertools
 import random
+from pathlib import Path
 
-from otmlab import machine
+import oracles
+from otmlab import codes, hfsets, machine
 from otmlab.asm import parse_program
 from otmlab.errors import MalformedCertificate
 from otmlab.machine import (
@@ -20,7 +23,9 @@ from otmlab.machine import (
 from otmlab.ordinals import OMEGA, ZERO, add, from_int, mul, parse_ordinal
 from otmlab.programs import Configuration, Program, Transition
 from otmlab.tapes import Tape
-from test_machine import RESTARTING_RUN
+from test_machine import EVERY_CELL_DIPS, RESTARTING_RUN, random_program
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PREFIX_STEPS = 1200
 TAIL = 500
@@ -456,3 +461,120 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
     assert checked["jumps"] > 10
     assert checked["windows"] > 20000
     assert checked["skipped"] > 1000
+
+
+_TAIL_FIELDS = ("acc", "acc_ok", "min_heads", "min_state", "visited_lo", "visited_hi")
+
+
+def _decision(found):
+    """What a detection decides: the loop's kind, certificate and limit, and
+    every field of the summary of the run from its end to the limit."""
+    if found is None:
+        return None
+    kind, cert, limit, tail = found
+    return kind, cert, limit, [getattr(tail, f) for f in _TAIL_FIELDS]
+
+
+def test_detection_matches_the_unfiltered_scan(monkeypatch):
+    """At every step, _Runner._detect, which tries only bases in the end's
+    state and rejects most of them before building a summary, decides what
+    the unfiltered scan of oracles.reference_detect decides.  The runs
+    include programs that move heads left, hand-written limit-level loops
+    and a miracle hook that rewrites its tape."""
+    detect = machine._Runner._detect
+    seen = collections.Counter()
+
+    def compared(self, history, index):
+        found = detect(self, history, index)
+        want = oracles.reference_detect(history, index, self.sweep_max_period)
+        assert _decision(found) == _decision(want)
+        seen[found[0] if found else "none"] += 1
+        return found
+
+    monkeypatch.setattr(machine._Runner, "_detect", compared)
+
+    rng = random.Random(20261019)
+    for _ in range(10):
+        run(sweepish_program(rng), random_input(rng), RunBudget(200, 3))
+    # after each of its first three limits the input head is still below w,
+    # so a base index and sweep limit of one segment recur in the next with
+    # other tape ahead of the sweep
+    rng = random.Random(294)
+    run(sweepish_program(rng), random_input(rng), RunBudget(100, 6))
+    seeded = seen.copy()
+    # random_program moves heads left, so heads reset at limits
+    rng = random.Random(2)
+    for _ in range(40):
+        run(random_program(rng), random_input(rng), RunBudget(60, 4))
+    left = seen - seeded
+    full_input = Tape([(ZERO, OMEGA)])
+    run(parse_program(EVERY_CELL_DIPS), full_input, RunBudget(400, 8))
+    run(parse_program(RESTARTING_RUN), full_input, RunBudget(300, 6))
+    run(PARK_SWEEP_RESTART, Tape(), RunBudget(400, 5), sweep_max_period=8)
+    run(
+        parse_program(REWRITTEN_MIRACLE),
+        budget=RunBudget(60, 2),
+        miracle_hook=lambda tape: Tape(),
+        sweep_max_period=8,
+    )
+    assert seeded["sweep"] >= 5 and seeded["none"] >= 1000, seeded
+    assert left["sweep"] >= 20 and left["cycle"] >= 10, left
+    assert seen["sweep"] >= seeded["sweep"] + left["sweep"] + 6, seen
+
+
+def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypatch):
+    """On the shipped .otm stages, the benchmark's limit fixtures and seeded
+    sweep-biased programs, every sweep candidate that reaches _resolve_sweep
+    shares the end's state, and none fails the stationary-tape or the
+    ahead-of-sweep check: _detect decides those before it builds a segment
+    summary.  So each call from _detect certifies a sweep or fails the window
+    or fill check."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import limits as bench_limits
+    import stages as bench_stages
+
+    resolve = machine._resolve_sweep
+    detect = machine._Runner._detect
+    prefiltered = ("changed content", "ahead of the sweep")
+    counts = collections.Counter()
+    in_detect = []
+
+    def counted_resolve(base, end, strides, unit):
+        assert base.state == end.state
+        where = "detect" if in_detect else "limit level"
+        counts[where] += 1
+        try:
+            found = resolve(base, end, strides, unit)
+        except MalformedCertificate as exc:
+            reason = str(exc)
+            assert not any(r in reason for r in prefiltered), reason
+            if in_detect and "leaves its sweep window" in reason:
+                counts["window"] += 1
+            elif in_detect and "pattern is not constant" in reason:
+                counts["fill"] += 1
+            raise
+        counts["certified " + where] += 1
+        return found
+
+    def flagged_detect(self, history, index):
+        in_detect.append(True)
+        try:
+            return detect(self, history, index)
+        finally:
+            in_detect.pop()
+
+    monkeypatch.setattr(machine, "_resolve_sweep", counted_resolve)
+    monkeypatch.setattr(machine._Runner, "_detect", flagged_detect)
+
+    sets = [x for x in hfsets.universe_rank_le(3) if len(x)]
+    for _, program, x, _ in bench_stages.stage_runs(sets):
+        run(program, codes.code_to_tape(codes.encode(x)))
+    for text, budget, _ in bench_limits.FIXTURES.values():
+        run(parse_program(text), Tape(), budget)
+    rng = random.Random(bench_limits.POOL_SEED)
+    for _ in range(20):
+        run(sweepish_program(rng), random_input(rng), bench_limits.BUDGET)
+    resolved = counts["certified detect"] + counts["window"] + counts["fill"]
+    assert counts["detect"] <= resolved, counts
+    assert counts["certified detect"] >= 30 and counts["limit level"] >= 20, counts
+    assert counts["window"] and counts["fill"], counts

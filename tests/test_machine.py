@@ -438,6 +438,56 @@ class TestResolveLimit:
         assert out.reason == "successor step budget exhausted"
         assert out.last.time == from_int(200)
 
+    @staticmethod
+    def _base_with_work_cell(p, cell):
+        """The start configuration with a 1 at `cell` of the work tape."""
+        start = initial_configuration(p)
+        tapes = list(start.tapes)
+        tapes[p.tape_index("work")] = Tape([(from_int(cell), from_int(cell + 1))])
+        return start.replace(tapes=tuple(tapes))
+
+    # each certificate below fails two checks; resolve_limit reports the one
+    # it makes first, whatever the executor's detection checks first
+    @pytest.mark.parametrize(
+        "text, period, stride, reason",
+        [
+            # the head steps from cell 2, past the window [0, 1) of its
+            # stride; the 1 at cell 5 lies ahead of the sweep too
+            (
+                "tapes in work out; state a; state b; state c;\n"
+                "rule a -> move work=R goto b; rule b -> move work=R goto c;\n"
+                "rule c -> move work=L goto a;",
+                3,
+                1,
+                "tape 1 leaves its sweep window",
+            ),
+            # the 1 at cell 5 lies ahead of the sweep, and the swept window
+            # holds the pattern 1, 0
+            (ALTERNATING_SWEEP, 2, 2, "tape 1 has non-constant content ahead of the sweep"),
+            # the input head stays put while its cell becomes 1, and the 1 at
+            # cell 5 lies ahead of the work tape's sweep
+            (
+                "tapes in work out; state q0;\n"
+                "rule q0 -> write in=1, work=1 move work=R goto q0;",
+                1,
+                1,
+                "stationary tape 0 changed content",
+            ),
+        ],
+    )
+    def test_malformed_sweep_reports_its_first_failed_check(
+        self, text, period, stride, reason
+    ):
+        p = parse_program(text)
+        cert = SweepLoopCertificate(
+            base=self._base_with_work_cell(p, 5),
+            period=period,
+            strides=(ZERO, from_int(stride), ZERO),
+        )
+        with pytest.raises(MalformedCertificate) as err:
+            resolve_limit(p, cert)
+        assert str(err.value) == reason
+
     def test_sweep_certificate_wrong_stride(self):
         p = parse_program(PURE_SWEEP)
         base = initial_configuration(p)
