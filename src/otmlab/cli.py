@@ -2,13 +2,15 @@
 
 Subcommands: run, check, encode, decode, eval, canon, list-universe.
 Exit codes: 0 success, 1 verification counterexample, 2 usage/parse error,
-3 execution error.  OTMLAB_RANK_CAP overrides the default rank cap (6).
+3 execution error, 141 standard output closed by its reader (128 + SIGPIPE;
+nothing is printed).  OTMLAB_RANK_CAP overrides the default rank cap (6).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_EXECUTION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 _USAGE_ERRORS = (ParseError, TotalityError, ConflictingRules, NotDelta0, UnboundVariable)
 
@@ -41,15 +44,16 @@ def _read_arg_text(value: str) -> str:
 
 
 def _budget(spec: str) -> machine.RunBudget:
-    """The RunBudget of a `STEPS,JUMPS` spec."""
-    try:
-        steps, jumps = (int(part) for part in spec.split(","))
-    except ValueError:
+    """The RunBudget of a `STEPS,JUMPS` spec of ASCII digits."""
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"budget must be STEPS,JUMPS; got {spec!r}")
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(
-            f"budget must be STEPS,JUMPS; got {spec!r}"
-        ) from None
+            f"budget must be STEPS,JUMPS in ASCII digits only; got {spec!r}"
+        )
     try:
-        return machine.RunBudget(steps, jumps)
+        return machine.RunBudget(int(parts[0]), int(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -368,7 +372,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed reader shows up here rather than at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again: send what is left
+        # of the output to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _USAGE_ERRORS as exc:
         print(f"otmlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,8 +17,11 @@ base.time + (end.time - base.time)*w.  One function resolves each loop shape:
 
 After each successor step the executor tries an exact recurrence first, then
 the earlier configurations in the current state as sweep bases by increasing
-period, deciding each base's check ahead of the sweep only once.  Both shapes
-read the segment through a summary, so the same rule serves every level:
+period.  A base blocks the tapes that are not constant on the w cells from
+their head, found once per base, and a candidate that moves the head of a
+blocked tape is rejected by identity tests alone, since every sweep limit
+lies at least w cells beyond the base's head.  Both shapes read the segment
+through a summary, so the same rule serves every level:
 a period of successor steps the run already recorded (never re-executed), a
 run of earlier limits (which yields w*2, w^2, w^3, ...), or, in resolve_limit,
 which is given a certificate without the run behind it, a replay from the
@@ -47,7 +50,7 @@ from .ordinals import (
     sub_left,
 )
 from .programs import Configuration, Program
-from .tapes import Tape
+from .tapes import EMPTY_TAPE, Tape
 
 __all__ = [
     "RunBudget",
@@ -132,13 +135,13 @@ def _estep(
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactLoopCertificate:
     base: Configuration
     period: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepLoopCertificate:
     base: Configuration
     period: int
@@ -334,6 +337,17 @@ def _strides(base: Configuration, end: Configuration) -> Optional[Tuple[Ordinal,
     return None if all(d.is_zero for d in strides) else tuple(strides)
 
 
+def _blocked_tapes(base: Configuration) -> Tuple[int, ...]:
+    """The tapes base blocks: those not constant on [h, h+w) from their head
+    h.  A sweep from base with stride d >= 1 has its limit h + d*w at or
+    beyond h + w, so it is never constant ahead of a blocked tape's sweep."""
+    return tuple(
+        i
+        for i, (tape, h) in enumerate(zip(base.tapes, base.heads))
+        if tape.constant_on(h, add(h, OMEGA)) is None
+    )
+
+
 def _limit_time(base: Configuration, end: Configuration) -> Ordinal:
     return add(base.time, mul(sub_left(end.time, base.time), OMEGA))
 
@@ -450,14 +464,14 @@ def resolve_limit(
 # -- run outcomes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halted:
     final: Configuration
 
     kind = "halted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diverges:
     """The run reached limit_behavior, a limit configuration that equals the
     base of the certified loop (time aside), so it repeats that loop forever.
@@ -473,7 +487,7 @@ class Diverges:
     kind = "diverges"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unresolved:
     last: Configuration
     reason: str
@@ -489,7 +503,7 @@ RunOutcome = Union[Halted, Diverges, Unresolved]
 
 def initial_configuration(
     program: Program,
-    input_tape: Tape = Tape(),
+    input_tape: Tape = EMPTY_TAPE,
     oracle_tape: Optional[Tape] = None,
 ) -> Configuration:
     tapes = []
@@ -499,7 +513,7 @@ def initial_configuration(
         elif role == "oracle" and oracle_tape is not None:
             tapes.append(oracle_tape)
         else:
-            tapes.append(Tape())
+            tapes.append(EMPTY_TAPE)
     heads = tuple(ZERO for _ in range(program.n_tapes))
     return Configuration(program.start_state, heads, tuple(tapes), ZERO)
 
@@ -576,11 +590,11 @@ class _Runner:
 
     def _reset_sweep_bases(self, config: Configuration):
         """Start the sweep-base records of a run segment that begins at
-        config: the history indices of each state, and the memo of each
-        base's check ahead of the sweep."""
+        config: the history indices of each state, and the tapes each base
+        tried so far blocks, by history index."""
         self._by_state: Dict[int, List[int]] = defaultdict(list)
         self._by_state[config.state].append(0)
-        self._ahead: Dict[Tuple[int, int, Ordinal], bool] = {}
+        self._blocked: Dict[int, Tuple[int, ...]] = {}
 
     def _detect(
         self, history: List[Configuration], index: Dict[tuple, int]
@@ -602,8 +616,8 @@ class _Runner:
             if period > self.sweep_max_period:
                 break
             base = history[b]
-            strides = _strides(base, end)
-            if strides is None or not self._sweep_prefilter(b, base, end, strides):
+            strides = self._sweep_prefilter(b, base, end)
+            if strides is None:
                 continue
             # the visited bounds grow with the period, so each candidate only
             # folds in the positions the previous one did not cover
@@ -617,33 +631,29 @@ class _Runner:
         return None
 
     def _sweep_prefilter(
-        self,
-        b: int,
-        base: Configuration,
-        end: Configuration,
-        strides: Tuple[Ordinal, ...],
-    ) -> bool:
-        """Whether the sweep from base = history[b] to end passes two checks
-        of _resolve_sweep before any segment summary is built: every
-        stationary tape keeps its content, and every swept tape is constant
-        ahead of its sweep.  The second reads only the base, the tape and the
-        sweep's limit, so it is decided once for each."""
+        self, b: int, base: Configuration, end: Configuration
+    ) -> Optional[Tuple[Ordinal, ...]]:
+        """The strides of the sweep from base = history[b] to end, or None
+        when it fails a check of _resolve_sweep that reads no segment
+        summary: _strides finds no sweep, a swept tape is not constant ahead
+        of its sweep, or a stationary tape changed content.  A head moves right
+        at most one cell a step, so every stride here is finite and every sweep
+        limit is h0 + w: a swept tape is constant ahead of its sweep exactly
+        when base does not block it."""
+        blocked = self._blocked.get(b)
+        if blocked is None:
+            blocked = self._blocked[b] = _blocked_tapes(base)
+        for i in blocked:
+            if end.heads[i] is not base.heads[i]:
+                return None
+        strides = _strides(base, end)
+        if strides is None:
+            return None
         for i, d in enumerate(strides):
             tape = base.tapes[i]
-            if d.is_zero:
-                if tape is not end.tapes[i] and tape != end.tapes[i]:
-                    return False
-                continue
-            h0 = base.heads[i]
-            lam = add(h0, mul(d, OMEGA))
-            key = (b, i, lam)
-            constant = self._ahead.get(key)
-            if constant is None:
-                constant = tape.constant_on(h0, lam) is not None
-                self._ahead[key] = constant
-            if not constant:
-                return False
-        return True
+            if d.is_zero and tape is not end.tapes[i] and tape != end.tapes[i]:
+                return None
+        return strides
 
     def _detect_limit_level(
         self, entries: List[Tuple[Configuration, _SegmentStats]]
@@ -740,7 +750,7 @@ class _Runner:
 
 def run(
     program: Program,
-    input_tape: Tape = Tape(),
+    input_tape: Tape = EMPTY_TAPE,
     budget: RunBudget = RunBudget(),
     *,
     oracle_tape: Optional[Tape] = None,

@@ -21,6 +21,7 @@ else (`0`, `5`, `w`, `w^2*3+w*2+7`, `w^(w+1)`).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Tuple
 
 from .errors import RepresentationOverflow
@@ -349,6 +350,8 @@ def godel_unpair(c: Ordinal) -> Tuple[Ordinal, Ordinal]:
 
 
 def format_ordinal(o: Ordinal) -> str:
+    """The text of o, interned: records that keep the text of the same
+    ordinals, such as the limit events of many runs, share one string."""
     if o.is_zero:
         return "0"
     parts = []
@@ -367,7 +370,7 @@ def format_ordinal(o: Ordinal) -> str:
         if coef > 1:
             s += f"*{coef}"
         parts.append(s)
-    return "+".join(parts)
+    return sys.intern("+".join(parts))
 
 
 class _OrdinalScanner(CharCursor):

@@ -3,14 +3,17 @@
 Everything here is deliberately written on different data structures and by
 different derivations than the package code: ordinals as fixed-length
 coefficient tuples, the CNF order by recursion instead of by order key, tapes
-as dicts, sets as nested frozensets, machines as dict-tape simulators, and
-single-use verdicts by walking every (canonification, instance) case.
+as dicts and as scanned lists of interval pairs, sets as nested frozensets,
+machines as dict-tape simulators, and single-use verdicts by walking every
+(canonification, instance) case.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Tuple
+
+from otmlab.ordinals import ONE, add, compare
 
 # -- ordinals below w^5 as coefficient tuples (c4, c3, c2, c1, c0) ----------------
 
@@ -235,6 +238,113 @@ class ClassicalTM:
 
     def ones(self, i: int):
         return {c for c, v in self.tapes[i].items() if v}
+
+
+# -- tapes as lists of interval pairs -------------------------------------------------
+#
+# The package stores a tape as one sorted boundary tuple read by bisect; this is
+# the tuple of (lo, hi) pairs it replaced, scanned linearly, kept as the
+# reference for read, write, fill, constant_on and intersect.
+
+
+def _pair_normalize(intervals):
+    """Sort, drop empties, merge overlapping and adjacent intervals."""
+    pending = [(lo, hi) for lo, hi in intervals if compare(lo, hi) < 0]
+    pending.sort(key=lambda p: p[0]._key)
+    out = []
+    for lo, hi in pending:
+        if out and compare(lo, out[-1][1]) <= 0:
+            if compare(hi, out[-1][1]) > 0:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+class PairTape:
+    """Immutable sparse 0/1 tape; `ones` is the normalized interval list."""
+
+    __slots__ = ("ones", "_hash")
+
+    def __init__(self, intervals=()):
+        object.__setattr__(self, "ones", _pair_normalize(intervals))
+        object.__setattr__(self, "_hash", hash(self.ones))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairTape is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, PairTape) and self.ones == other.ones
+
+    def __hash__(self):
+        return self._hash
+
+    def read(self, cell):
+        for lo, hi in self.ones:
+            if compare(cell, lo) < 0:
+                return 0
+            if compare(cell, hi) < 0:
+                return 1
+        return 0
+
+    def write(self, cell, bit):
+        if bit not in (0, 1):
+            raise ValueError("bit must be 0 or 1")
+        if self.read(cell) == bit:
+            return self
+        nxt = add(cell, ONE)
+        if bit == 1:
+            return PairTape(self.ones + ((cell, nxt),))
+        out = []
+        for lo, hi in self.ones:
+            if compare(cell, lo) >= 0 and compare(cell, hi) < 0:
+                out.append((lo, cell))
+                out.append((nxt, hi))
+            else:
+                out.append((lo, hi))
+        return PairTape(out)
+
+    def fill(self, lo, hi, bit):
+        """Set every cell in [lo, hi) to bit."""
+        if compare(lo, hi) >= 0:
+            return self
+        if bit == 1:
+            return PairTape(self.ones + ((lo, hi),))
+        out = []
+        for a, b in self.ones:
+            if compare(b, lo) <= 0 or compare(hi, a) <= 0:
+                out.append((a, b))
+                continue
+            if compare(a, lo) < 0:
+                out.append((a, lo))
+            if compare(hi, b) < 0:
+                out.append((hi, b))
+        return PairTape(out)
+
+    def constant_on(self, lo, hi):
+        """The single bit covering [lo, hi), or None if the span is mixed."""
+        if compare(lo, hi) >= 0:
+            return None
+        for a, b in self.ones:
+            if compare(b, lo) <= 0:
+                continue
+            if compare(hi, a) <= 0:
+                break
+            # overlapping interval: constant 1 only if it covers the span
+            if compare(a, lo) <= 0 and compare(hi, b) <= 0:
+                return 1
+            return None
+        return 0
+
+    def intersect(self, other):
+        out = []
+        for a, b in self.ones:
+            for c, d in other.ones:
+                lo = a if compare(a, c) >= 0 else c
+                hi = b if compare(b, d) <= 0 else d
+                if compare(lo, hi) < 0:
+                    out.append((lo, hi))
+        return PairTape(out)
 
 
 # -- naive set-theoretic truth over frozensets ----------------------------------------

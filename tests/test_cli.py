@@ -143,6 +143,18 @@ class TestCheck:
         ("abc", "budget must be STEPS,JUMPS; got 'abc'"),
         ("1,2,3", "budget must be STEPS,JUMPS; got '1,2,3'"),
         ("0,1", "budgets must be positive"),
+        *(
+            (spec, f"budget must be STEPS,JUMPS in ASCII digits only; got {spec!r}")
+            for spec in (
+                "\u0662\u0660\u0660\u0660,\u0662",  # Arabic-Indic digits
+                " 2000 , +2",
+                "2000,+2",
+                "2000,2\n",
+                "2000,-2",
+                "2_000,2",
+                "2000,",
+            )
+        ),
     ],
 )
 def test_bad_budget_is_a_usage_error(command, budget, reason, capsys):
@@ -230,3 +242,21 @@ class TestSetCommands:
         assert main(["decode", code_json]) == 3
         monkeypatch.delenv("OTMLAB_RANK_CAP")
         assert main(["decode", code_json]) == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_not_an_execution_error(unbuffered):
+    """A reader that closes standard output before the command writes (as
+    `| head` does) ends the command quietly with status 141, 128 + SIGPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "otmlab", "run", str(ROOT / "demos" / "right_sweep.otm"),
+             "--budget", "2000,2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")

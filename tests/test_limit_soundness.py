@@ -578,3 +578,61 @@ def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypa
     assert counts["detect"] <= resolved, counts
     assert counts["certified detect"] >= 30 and counts["limit level"] >= 20, counts
     assert counts["window"] and counts["fill"], counts
+
+
+def test_no_sweep_candidate_moves_the_head_of_a_tape_its_base_blocks(monkeypatch):
+    """A base blocks the tapes that are not constant on the w cells from
+    their head.  On the shipped .otm stages, seeded sweep-biased programs and
+    left-moving random_program runs, no candidate that reaches _strides from
+    _detect moves the head of a tape its base blocks: _detect rejects those
+    by head identity before _strides runs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import limits as bench_limits
+    import stages as bench_stages
+
+    strides = machine._strides
+    blocked_tapes = machine._blocked_tapes
+    detect = machine._Runner._detect
+    in_detect = []
+    seen = collections.Counter()
+
+    def checked_strides(base, end):
+        if in_detect:
+            seen["candidates"] += 1
+            for i, (tape, h0) in enumerate(zip(base.tapes, base.heads)):
+                if end.heads[i] is not h0:
+                    assert tape.constant_on(h0, add(h0, OMEGA)) is not None, i
+                    seen["moved"] += 1
+        return strides(base, end)
+
+    def flagged_detect(self, history, index):
+        in_detect.append(True)
+        try:
+            return detect(self, history, index)
+        finally:
+            in_detect.pop()
+
+    def counted_blocked(base):
+        blocked = blocked_tapes(base)
+        seen["bases"] += 1
+        seen["blocking bases"] += bool(blocked)
+        return blocked
+
+    monkeypatch.setattr(machine, "_strides", checked_strides)
+    monkeypatch.setattr(machine, "_blocked_tapes", counted_blocked)
+    monkeypatch.setattr(machine._Runner, "_detect", flagged_detect)
+
+    sets = [x for x in hfsets.universe_rank_le(3) if len(x)]
+    for _, program, x, _ in bench_stages.stage_runs(sets):
+        run(program, codes.code_to_tape(codes.encode(x)))
+    stages_seen = seen.copy()
+    rng = random.Random(bench_limits.POOL_SEED)
+    for _ in range(20):
+        run(sweepish_program(rng), random_input(rng), bench_limits.BUDGET)
+    rng = random.Random(2)
+    for _ in range(40):
+        run(random_program(rng), random_input(rng), RunBudget(60, 4))
+    # every stage base blocks a tape, so few stage candidates reach _strides
+    assert stages_seen["bases"] >= 1000 and stages_seen["candidates"] >= 10, stages_seen
+    assert seen["candidates"] >= 1000 and seen["moved"] >= 2000, seen
+    assert seen["blocking bases"] < seen["bases"], seen
