@@ -78,7 +78,6 @@ from .logic import (
     eval_delta0,
     eval_prenex,
     search_witness,
-    search_witness_set,
 )
 from .programs import Configuration, Program, Transition
 from .machine import (

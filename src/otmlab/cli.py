@@ -58,6 +58,15 @@ def _budget(spec: str) -> machine.RunBudget:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count(spec: str) -> int:
+    """A non-negative integer written in ASCII digits."""
+    if not (spec.isascii() and spec.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer in ASCII digits; got {spec!r}"
+        )
+    return int(spec)
+
+
 def _universe_rank(spec: str) -> int:
     """The N of a `rank:N` universe spec, for the ranks that can be enumerated."""
     top = len(hfsets.RANK_LAYER_BOUNDS) - 1
@@ -320,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--all", action="store_true", help="verify every builtin witness")
     p_check.add_argument("--universe", type=_universe_rank, default="rank:3",
                          help="rank:N, N <= 4 (default rank:3)")
-    p_check.add_argument("--cap", type=int, default=reductions.DEFAULT_CAP,
+    p_check.add_argument("--cap", type=_count, default=reductions.DEFAULT_CAP,
                          help="full canonification product up to this size (default %(default)s)")
-    p_check.add_argument("--samples", type=int, default=100,
+    p_check.add_argument("--samples", type=_count, default=100,
                          help="sample count past the cap (default 100)")
     p_check.add_argument("--seed", type=int, default=None,
                          help="sampling seed (required when sampling occurs)")

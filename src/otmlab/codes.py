@@ -45,7 +45,8 @@ class SetCode:
 
 def _coding_domain(x: HfSet) -> List[HfSet]:
     """{x} | tc(x), sorted ascending by Ackermann order (x comes last)."""
-    return hfsets.ack_sorted(list(tc(x).elements) + [x])
+    # tc(x).elements is sorted and below x: y in x has ack_index(y) < ack_index(x)
+    return list(tc(x).elements) + [x]
 
 
 def encode(x: HfSet) -> SetCode:

@@ -5,9 +5,15 @@ by Ackermann index), so extensional equality is object identity.  HfSet
 therefore keeps the default identity `==` and hash: a set is its own key in
 dicts and sets, and lookups never call back into Python.  The
 Ackermann coding n <-> set of positions of 1-bits gives the canonical
-enumeration used as the desk-scale stand-in for a constructible enumeration;
-comparisons are computed structurally so deep sets never force the
-(potentially astronomical) integer index into existence.
+enumeration used as the desk-scale stand-in for a constructible enumeration.
+The order is an order key: a set's `_key` is the tuple of its elements' keys,
+largest element first, built the first time the set is ordered.  Python's
+lexicographic tuple order is the Ackermann order (the largest element in
+which two sets differ decides; a proper prefix is the key of a set that
+lacks only elements below all of its own, and is smaller), and interning
+makes the key injective, so comparing two sets is one native tuple
+comparison that never forces the (potentially astronomical) integer index
+into existence.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ def rank_cap() -> int:
 class HfSet:
     """Interned hereditarily finite set; `elements` sorted by Ackermann order."""
 
-    __slots__ = ("elements", "_rank", "_index")
+    __slots__ = ("elements", "_rank", "_index", "_key")
 
     _intern: Dict[Tuple["HfSet", ...], "HfSet"] = {}
 
@@ -72,6 +78,7 @@ class HfSet:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_key", None)
         cls._intern[elements] = self
         return self
 
@@ -100,7 +107,7 @@ def hf(elements: Iterable[HfSet]) -> HfSet:
     for e in unique:
         if not isinstance(e, HfSet):
             raise TypeError(f"HfSet elements must be HfSets, got {e!r}")
-    unique.sort(key=_AckKey)
+    unique.sort(key=_ack_key)
     return HfSet(tuple(unique))
 
 
@@ -108,55 +115,23 @@ def singleton(x: HfSet) -> HfSet:
     return hf([x])
 
 
-_ACK_CMP_CACHE: Dict[Tuple[HfSet, HfSet], int] = {}
+def _ack_key(x: HfSet) -> tuple:
+    """x's order key, built on first use: its elements' keys, largest first."""
+    key = x._key
+    if key is None:
+        key = tuple(_ack_key(e) for e in reversed(x.elements))
+        object.__setattr__(x, "_key", key)
+    return key
 
 
 def ack_compare(x: HfSet, y: HfSet) -> int:
-    """Compare by Ackermann index without materializing the index.
-
-    Viewing sets as binary numbers (bit i set iff the set with index i is an
-    element), compares the bit strings from the most significant end.
-    """
-    if x is y:
-        return 0
-    key = (x, y)
-    cached = _ACK_CMP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    xs, ys = x.elements, y.elements
-    i, j = len(xs) - 1, len(ys) - 1
-    result = 0
-    while True:
-        if i < 0 or j < 0:
-            if i < 0 and j < 0:
-                result = 0
-            else:
-                result = -1 if i < 0 else 1
-            break
-        c = ack_compare(xs[i], ys[j])
-        if c != 0:
-            result = c
-            break
-        i -= 1
-        j -= 1
-    _ACK_CMP_CACHE[key] = result
-    _ACK_CMP_CACHE[(y, x)] = -result
-    return result
-
-
-class _AckKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value: HfSet):
-        self.value = value
-
-    def __lt__(self, other):
-        return ack_compare(self.value, other.value) < 0
+    """-1, 0, or 1: the Ackermann order of x and y, read off their keys."""
+    return 0 if x is y else (-1 if _ack_key(x) < _ack_key(y) else 1)
 
 
 def ack_sorted(values: Iterable[HfSet]) -> List[HfSet]:
     """The values in ascending Ackermann order."""
-    return sorted(values, key=_AckKey)
+    return sorted(values, key=_ack_key)
 
 
 def ack_index(x: HfSet) -> int:

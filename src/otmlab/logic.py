@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import Exhausted, RangeEscape, UnboundVariable
 from .formulas import (
@@ -27,13 +27,12 @@ from .formulas import (
     Or,
     PrenexStatement,
 )
-from .hfsets import RANK_LAYER_BOUNDS, HfSet, ack_enumerate, hf, rank
+from .hfsets import HfSet, ack_enumerate
 
 __all__ = [
     "Carrier",
     "eval_delta0",
     "search_witness",
-    "search_witness_set",
     "eval_prenex",
     "check_s_canonification",
     "check_t_canonification",
@@ -117,34 +116,6 @@ def search_witness(
         if eval_delta0(psi, {instance_var: a, witness_var: b}):
             return b
     raise Exhausted(budget)
-
-
-def search_witness_set(
-    psi: Delta0Formula,
-    a: HfSet,
-    budget: int,
-    instance_var: str = "a",
-    witness_var: str = "b",
-) -> HfSet:
-    """All witnesses of minimal rank, as a set.
-
-    The Ackermann enumeration refines the rank layering (sets of rank r occupy
-    a contiguous index block), so the first witness found has minimal rank and
-    its whole layer can be scanned.  Raises Exhausted if the layer does not
-    fit in the budget.
-    """
-    first = search_witness(psi, a, budget, instance_var, witness_var)
-    target = rank(first)
-    if target >= len(RANK_LAYER_BOUNDS) or RANK_LAYER_BOUNDS[target] > budget:
-        raise Exhausted(budget)
-    found: List[HfSet] = []
-    for k in range(RANK_LAYER_BOUNDS[target]):
-        b = ack_enumerate(k)
-        if rank(b) == target and eval_delta0(
-            psi, {instance_var: a, witness_var: b}
-        ):
-            found.append(b)
-    return hf(found)
 
 
 def eval_prenex(statement: PrenexStatement, carrier: Carrier) -> bool:

@@ -53,6 +53,7 @@ from .hfsets import (
 from .machine import RunBudget
 from .programs import Program
 from .relations import (
+    PRINCIPLES,
     Canonification,
     Relation,
     decode_linear_order,
@@ -850,7 +851,21 @@ def load_witness_manifest(path) -> ReductionWitness:
     pre, post, otm} with stages as native:NAME or file:RELATIVE.otm."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a witness manifest must be a JSON object")
+    for key in ("kind", "source_relation", "target_relation"):
+        if key not in data:
+            raise ValueError(f"{path}: witness manifest has no {key!r} field")
+    for key in ("name", "pre", "post", "otm"):
+        if data.get(key) is not None and not isinstance(data[key], str):
+            raise ValueError(f"{path}: {key} {data[key]!r} is not a string")
+    for key in ("source_relation", "target_relation"):
+        if not isinstance(data[key], str) or data[key] not in PRINCIPLES:
+            raise ValueError(f"{path}: {key} {data[key]!r} is not a known relation")
     base = path.parent
     return ReductionWitness(
         name=data.get("name", path.stem),

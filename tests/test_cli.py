@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -110,6 +111,32 @@ class TestCheck:
         assert main(["check", str(manifest), "--universe", "rank:3"]) == 1
         assert "counterexample" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "manifest, problem",
+        [
+            ([1], "a witness manifest must be a JSON object"),
+            ({"kind": "soW"}, "witness manifest has no 'source_relation' field"),
+            ({"kind": "soW", "source_relation": "PPX", "target_relation": "ZL"},
+             "source_relation 'PPX' is not a known relation"),
+            ({"kind": "soW", "source_relation": "PP", "target_relation": ["ZL"]},
+             "target_relation ['ZL'] is not a known relation"),
+            ({"kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+              "pre": 5, "post": "native:const-empty"}, "pre 5 is not a string"),
+            ("{", "not JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+        ],
+        ids=["not-an-object", "missing-field", "unknown-relation", "unhashable-relation",
+             "non-string-stage", "not-json"],
+    )
+    def test_malformed_manifest_is_an_execution_error(self, tmp_path, manifest,
+                                                      problem, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert (captured.out, captured.err) == ("", f"otmlab: {path}: {problem}\n")
+
     def test_rank0_universe_trivially_ok(self, capsys):
         assert main(["check", "pp_le_zl", "--universe", "rank:0"]) == 0
 
@@ -163,6 +190,44 @@ def test_bad_budget_is_a_usage_error(command, budget, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --budget: {reason}" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--cap", "--samples"])
+@pytest.mark.parametrize("value", ["-3", "-0", "+3", " 3", "3.0", "1_0", "\u0663", ""])
+def test_bad_count_is_a_usage_error(option, value, capsys):
+    argv = ["check", "pp_le_wo", "--universe", "rank:3", "--seed", "1", option, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = f"must be a non-negative integer in ASCII digits; got {value!r}"
+    assert f"argument {option}: {reason}" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--cap", "--samples"])
+def test_zero_count_is_accepted(option, capsys):
+    argv = ["check", "pp_le_wo", "--universe", "rank:2", "--seed", "1", option, "0"]
+    assert main(argv) == 0
+    assert "pp_le_wo: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("all", ["check", "--all", "--universe", "rank:3", "--seed", "1", "--json"]),
+        ("pp_le_zl.json", ["check", "pp_le_zl.json", "--universe", "rank:3", "--json"]),
+        ("zero_le_pp2.json",
+         ["check", "zero_le_pp2.json", "--universe", "rank:3", "--json"]),
+    ],
+)
+def test_catalog_reports_match_the_recorded_digests(key, argv, capsys):
+    """The benchmark's accept commands still print the reports it recorded:
+    the digest is perfbench/common.digest of the JSON report list."""
+    assert main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    assert digest == expected["catalog"]["accept"][key]["digest"]
 
 
 class TestSetCommands:

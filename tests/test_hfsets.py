@@ -11,6 +11,7 @@ from otmlab.hfsets import (
     ack_compare,
     ack_enumerate,
     ack_index,
+    ack_sorted,
     format_set,
     hf,
     kpair,
@@ -48,10 +49,27 @@ class TestAckermann:
 
     def test_compare_matches_indices(self):
         xs = universe_rank_le(3)
-        for a in xs:
-            for b in xs:
-                ia, ib = ack_index(a), ack_index(b)
-                assert ack_compare(a, b) == (ia > ib) - (ia < ib)
+        pairs = [(a, b) for a in xs for b in xs]
+        rng = random.Random(13)
+        rank4 = [ack_enumerate(rng.randrange(16, 65536)) for _ in range(4000)]
+        pairs += zip(rank4[::2], rank4[1::2])
+        # rank-5 families that share their largest elements: a base of six
+        # rank-4 sets, the base less each one, and the base plus a small set
+        rank5 = []
+        for _ in range(40):
+            base = rng.sample(rank4, 6)
+            family = [hf(base), hf(base + [rng.choice(xs)])]
+            family += [hf(base[:i] + base[i + 1 :]) for i in range(6)]
+            pairs += [(a, b) for a in family for b in family]
+            rank5 += family
+        assert {rank(x) for x in rank5} == {5}
+        pairs += zip(rank5, reversed(rank5))
+        for a, b in pairs:
+            ia, ib = ack_index(a), ack_index(b)
+            assert ack_compare(a, b) == (ia > ib) - (ia < ib)
+        mixed = xs + rank4 + rank5
+        rng.shuffle(mixed)
+        assert ack_sorted(mixed) == sorted(mixed, key=ack_index)
 
     def test_elements_stored_in_ack_order(self):
         rng = random.Random(9)

@@ -6,8 +6,7 @@ import pytest
 import oracles
 from otmlab.errors import Exhausted, RangeEscape, UnboundVariable
 from otmlab.formulas import Delta0Formula, parse_delta0, parse_formula
-from otmlab.hfsets import EMPTY, ack_enumerate, hf, rank, singleton, universe_rank_le
-from otmlab import logic
+from otmlab.hfsets import EMPTY, ack_enumerate, hf, singleton, universe_rank_le
 from otmlab.logic import (
     Carrier,
     check_s_canonification,
@@ -15,7 +14,6 @@ from otmlab.logic import (
     eval_delta0,
     eval_prenex,
     search_witness,
-    search_witness_set,
 )
 
 SE = singleton(EMPTY)
@@ -88,45 +86,6 @@ class TestSearchWitness:
                     assert found is cand
                     break
                 k += 1
-
-    def test_witness_set_feeds_a_picking_canonification(self):
-        # the search reduction: compute the set Y of minimal-rank witnesses,
-        # then one pick from Y settles the instance
-        psi = parse_delta0("a in b")
-        for a in universe_rank_le(2):
-            y_set = search_witness_set(psi, a, 65536)
-            assert len(y_set) > 0
-            pick = y_set.elements[0]  # any PP canonification choice works
-            for pick in y_set.elements:
-                assert eval_delta0(psi, {"a": a, "b": pick})
-
-    def test_witness_set_collects_minimal_rank(self):
-        psi = parse_delta0("a in b")
-        result = search_witness_set(psi, EMPTY, 65536)
-        # witnesses of minimal rank: all rank-1 sets containing {} - just {{}}
-        assert result is singleton(SE)
-        psi2 = parse_delta0("ex z in b (z = a)")
-        result2 = search_witness_set(psi2, SE, 65536)
-        # minimal-rank supersets of {{}}: rank-2 sets containing {{}}
-        expected = hf(
-            b for b in universe_rank_le(2) if SE in b and rank(b) == 2
-        )
-        assert result2 is expected
-
-    def test_witness_set_scans_only_the_witness_layer(self, monkeypatch):
-        # every superset of {{{}}} has rank 3, the layer of indices 4..15
-        psi = parse_delta0("ex z in b (z = a)")
-        expected = hf(b for b in universe_rank_le(3) if SSE in b)
-        assert search_witness_set(psi, SSE, 16) is expected
-        scanned = []
-
-        def counting(k):
-            scanned.append(k)
-            return ack_enumerate(k)
-
-        monkeypatch.setattr(logic, "ack_enumerate", counting)
-        assert search_witness_set(psi, SSE, 65536) is expected
-        assert max(scanned) < 16
 
 
 class TestEvalPrenex:
