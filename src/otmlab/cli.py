@@ -67,6 +67,16 @@ def _count(spec: str) -> int:
     return int(spec)
 
 
+def _seed(spec: str) -> int:
+    """An integer written in ASCII digits, with an optional leading '-'."""
+    digits = spec.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in ASCII digits; got {spec!r}"
+        )
+    return int(spec)
+
+
 def _universe_rank(spec: str) -> int:
     """The N of a `rank:N` universe spec, for the ranks that can be enumerated."""
     top = len(hfsets.RANK_LAYER_BOUNDS) - 1
@@ -260,10 +270,18 @@ def cmd_eval(args) -> int:
 def _canonification_from_args(args, relation, universe):
     if args.map:
         entries = json.loads(_read_arg_text(args.map))
-        mapping = {
-            hfsets.parse_set_literal(k): hfsets.parse_set_literal(v)
-            for k, v in entries
-        }
+        if not isinstance(entries, list):
+            raise ValueError(f"--map must be a JSON list, got {json.dumps(entries)}")
+        mapping = {}
+        for entry in entries:
+            pair = isinstance(entry, list) and len(entry) == 2
+            if not (pair and all(isinstance(s, str) for s in entry)):
+                raise ValueError(
+                    f"--map entries must be [instance, value] pairs of set "
+                    f"literals, got {json.dumps(entry)}"
+                )
+            x, y = (hfsets.parse_set_literal(s) for s in entry)
+            mapping[x] = y
         return relations.Canonification(mapping, label="map-file")
     rule = args.rule or "ack-min"
     mapping = {}
@@ -333,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="full canonification product up to this size (default %(default)s)")
     p_check.add_argument("--samples", type=_count, default=100,
                          help="sample count past the cap (default 100)")
-    p_check.add_argument("--seed", type=int, default=None,
+    p_check.add_argument("--seed", type=_seed, default=None,
                          help="sampling seed (required when sampling occurs)")
     p_check.add_argument("--budget", type=_budget, default="100000,64",
                          help="STEPS,JUMPS (default 100000,64)")

@@ -192,7 +192,19 @@ def code_to_json(code: SetCode) -> str:
 
 
 def code_from_json(text: str) -> SetCode:
+    """The code of a JSON object {"bound": ORD, "pairs": [ORD, ...]} whose
+    ordinals are strings; a ValueError names what is malformed."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"code must be a JSON object, got {json.dumps(data)}")
+    for key in ("bound", "pairs"):
+        if key not in data:
+            raise ValueError(f"code has no {key!r}")
+    if not isinstance(data["pairs"], list):
+        raise ValueError(f"code 'pairs' must be a list, got {json.dumps(data['pairs'])}")
+    for value in (data["bound"], *data["pairs"]):
+        if not isinstance(value, str):
+            raise ValueError(f"code ordinals must be strings, got {json.dumps(value)}")
     return SetCode(
         bound=ordinals.parse_ordinal(data["bound"]),
         pairs=frozenset(ordinals.parse_ordinal(p) for p in data["pairs"]),

@@ -3,7 +3,8 @@
 eval_delta0 is the native stand-in for a tape-level bounded-truth program:
 it decides any bounded formula over given set values.  search_witness runs
 the enumerate-and-check loop (canonical Ackermann enumeration plus the truth
-evaluator).  eval_prenex and the s-/t-canonification checkers relativize
+evaluator).  eval_prenex and the canonification checker, which checks
+Skolem functions for a prefix of a statement's quantifier blocks, relativize
 unbounded quantifiers to an explicit finite carrier.
 """
 
@@ -34,7 +35,6 @@ __all__ = [
     "eval_delta0",
     "search_witness",
     "eval_prenex",
-    "check_s_canonification",
     "check_t_canonification",
 ]
 
@@ -96,24 +96,17 @@ def _eval(node: Node, env: Dict[str, HfSet]) -> bool:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def search_witness(
-    psi: Delta0Formula,
-    a: HfSet,
-    budget: int,
-    instance_var: str = "a",
-    witness_var: str = "b",
-) -> HfSet:
+def search_witness(psi: Delta0Formula, a: HfSet, budget: int) -> HfSet:
     """Least witness in Ackermann order: the first b among the canonical
     enumeration with psi(a, b).  Raises Exhausted after `budget` candidates."""
-    expected = {instance_var, witness_var}
-    if set(psi.free) != expected:
+    if set(psi.free) != {"a", "b"}:
         raise UnboundVariable(
-            f"witness search needs free variables {sorted(expected)}, "
+            "witness search needs free variables ['a', 'b'], "
             f"formula has {list(psi.free)}"
         )
     for k in range(budget):
         b = ack_enumerate(k)
-        if eval_delta0(psi, {instance_var: a, witness_var: b}):
+        if eval_delta0(psi, {"a": a, "b": b}):
             return b
     raise Exhausted(budget)
 
@@ -144,54 +137,28 @@ def _eval_blocks(
 CheckResult = Tuple[bool, Optional[Tuple[HfSet, ...]]]
 
 
-def check_s_canonification(
-    statement: PrenexStatement,
-    outer: Callable[[HfSet], HfSet],
-    carrier: Carrier,
-) -> CheckResult:
-    """Superficial check: instantiating only the first block with (a, outer(a))
-    must leave a true statement over the carrier.
-
-    Returns (True, None) or (False, (a,)) with the failing first-block value.
-    """
-    blocks = statement.blocks
-    if not blocks:
-        raise ValueError("prenex statement has no quantifier blocks")
-    (avar, evar), rest = blocks[0], blocks[1:]
-    for a in carrier:
-        value = outer(a)
-        if value not in carrier:
-            raise RangeEscape(a, value)
-        env = {avar: a, evar: value}
-        if not _eval_blocks(rest, statement.matrix, carrier, env):
-            return False, (a,)
-    return True, None
-
-
 def check_t_canonification(
     statement: PrenexStatement,
     functions: Sequence[Callable[..., HfSet]],
     carrier: Carrier,
 ) -> CheckResult:
-    """Thorough check: the function tuple must penetrate the whole prefix.
+    """Check functions F_1..F_k against the first k of the statement's n
+    blocks, 1 <= k <= n: k = n is the thorough check, whose functions
+    penetrate the whole prefix, and k = 1 the superficial one.
 
-    For every i and every tuple (a_1, ..., a_i) from the carrier, the
+    For every i <= k and every tuple (a_1, ..., a_i) from the carrier, the
     statement with blocks 1..i instantiated by (a_j, F_j(a_1..a_j)) and the
-    remaining blocks quantified over the carrier must hold; with i = n this
-    is the fully instantiated matrix, which is what makes the n = 1 case
-    coincide with the superficial check.
+    remaining blocks quantified over the carrier must hold.
 
     Returns (True, None) or (False, (a_1, ..., a_i)) for the least failing
-    instantiation depth.
+    instantiation depth; raises RangeEscape when some F_j leaves the carrier.
     """
     blocks = statement.blocks
-    n = len(blocks)
-    if len(functions) != n:
-        raise ValueError(f"need {n} functions, got {len(functions)}")
-    for depth in range(1, n + 1):
+    if not 1 <= len(functions) <= len(blocks):
+        raise ValueError(f"need 1 to {len(blocks)} functions, got {len(functions)}")
+    for depth in range(1, len(functions) + 1):
         for prefix in itertools.product(carrier, repeat=depth):
             env: Dict[str, HfSet] = {}
-            escape = False
             for j in range(depth):
                 avar, evar = blocks[j]
                 value = functions[j](*prefix[: j + 1])

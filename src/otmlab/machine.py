@@ -518,6 +518,12 @@ def initial_configuration(
     return Configuration(program.start_state, heads, tuple(tapes), ZERO)
 
 
+# the longest period _detect tries as a sweep, and how many earlier limits
+# _detect_limit_level tries as the base of a loop of limits
+_SWEEP_MAX_PERIOD = 24
+_LEVEL_LOOKBACK = 16
+
+
 class _Runner:
     def __init__(
         self,
@@ -526,16 +532,12 @@ class _Runner:
         hook: Optional[MiracleHook],
         trace: Optional[Callable[[dict], None]],
         trace_steps: bool,
-        sweep_max_period: int,
-        level_lookback: int,
     ):
         self.program = program
         self.budget = budget
         self.hook = hook
         self.trace = trace
         self.trace_steps = trace_steps
-        self.sweep_max_period = sweep_max_period
-        self.level_lookback = level_lookback
         self.steps = 0
         self.jumps = 0
 
@@ -613,7 +615,7 @@ class _Runner:
         bounds = _HeadBounds(history)
         for b in reversed(self._by_state.get(end.state, ())):
             period = n - b
-            if period > self.sweep_max_period:
+            if period > _SWEEP_MAX_PERIOD:
                 break
             base = history[b]
             strides = self._sweep_prefilter(b, base, end)
@@ -664,7 +666,7 @@ class _Runner:
         that ends in it."""
         j = len(entries) - 1
         end = entries[j][0]
-        lo = max(0, j - self.level_lookback)
+        lo = max(0, j - _LEVEL_LOOKBACK)
         for i in range(j - 1, lo - 1, -1):
             base = entries[i][0]
             unit = _combine_stats([s for _, s in entries[i + 1 : j + 1]])
@@ -757,19 +759,8 @@ def run(
     miracle_hook: Optional[MiracleHook] = None,
     trace: Optional[Callable[[dict], None]] = None,
     trace_steps: bool = False,
-    sweep_max_period: int = 24,
-    level_lookback: int = 16,
 ) -> RunOutcome:
     """Execute from the standard start: start state, heads at 0, given input,
     all other tapes empty."""
     config = initial_configuration(program, input_tape, oracle_tape)
-    runner = _Runner(
-        program,
-        budget,
-        miracle_hook,
-        trace,
-        trace_steps,
-        sweep_max_period,
-        level_lookback,
-    )
-    return runner.run(config)
+    return _Runner(program, budget, miracle_hook, trace, trace_steps).run(config)

@@ -152,23 +152,18 @@ def enumerate_canonifications(
     return "sampled", canons, product_size
 
 
-def relation_from_formula(
-    name: str,
-    psi: Delta0Formula,
-    instance_var: str = "x",
-    witness_var: str = "y",
-    witness_budget: int = 256,
-) -> Relation:
-    """The relation {(x, y) : psi(x, y)} with Ackermann-enumerated witnesses."""
+def relation_from_formula(name: str, psi: Delta0Formula) -> Relation:
+    """The relation {(x, y) : psi(x, y)}, whose candidate witnesses are the
+    first 256 sets in Ackermann order."""
 
     def holds(x, y):
-        return eval_delta0(psi, {instance_var: x, witness_var: y})
+        return eval_delta0(psi, {"x": x, "y": y})
 
     return Relation(
         name=name,
         domain=lambda x: True,
         holds=holds,
-        candidates=lambda x: (ack_enumerate(k) for k in range(witness_budget)),
+        candidates=lambda x: (ack_enumerate(k) for k in range(256)),
         matrix=psi,
     )
 

@@ -407,13 +407,13 @@ def naive_prenex(statement, carrier: List[frozenset], env=None) -> bool:
 
 
 def naive_check_t(statement, functions, carrier_sets) -> bool:
-    """Direct transcription of the thorough-canonification condition over a
-    carrier, evaluated with the frozenset machinery (carrier_sets: HfSets)."""
+    """Direct transcription of the canonification condition for functions
+    F_1..F_k on the first k blocks over a carrier (k = n: the thorough
+    condition), evaluated with the frozenset machinery (carrier_sets: HfSets)."""
     carrier_frozen = [to_frozen(c) for c in carrier_sets]
     frozen_of = {to_frozen(c): c for c in carrier_sets}
     blocks = list(statement.blocks)
-    n = len(blocks)
-    for depth in range(1, n + 1):
+    for depth in range(1, len(functions) + 1):
         for prefix in itertools.product(carrier_sets, repeat=depth):
             env = {}
             ok_prefix = True

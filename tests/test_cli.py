@@ -210,6 +210,23 @@ def test_zero_count_is_accepted(option, capsys):
     assert "pp_le_wo: OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", [" 3", "+3", "3.0", "1_0", "\u0663", "-\u0663", "-", ""])
+def test_bad_seed_is_a_usage_error(value, capsys):
+    argv = ["check", "pp_le_wo", "--universe", "rank:2", "--cap", "0", "--seed", value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = f"must be an integer in ASCII digits; got {value!r}"
+    assert f"argument --seed: {reason}" in captured.err
+
+
+@pytest.mark.parametrize("value", ["3", "-3", "0"])
+def test_signed_seed_is_accepted(value, capsys):
+    argv = ["check", "pp_le_wo", "--universe", "rank:2", "--cap", "0", "--seed", value]
+    assert main(argv) == 0
+    assert "pp_le_wo: OK sampled" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "key, argv",
     [
@@ -307,6 +324,41 @@ class TestSetCommands:
         assert main(["decode", code_json]) == 3
         monkeypatch.delenv("OTMLAB_RANK_CAP")
         assert main(["decode", code_json]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["decode", "[1]"], "code must be a JSON object, got [1]"),
+        (["decode", "{}"], "code has no 'bound'"),
+        (["decode", '{"bound": "2"}'], "code has no 'pairs'"),
+        (["decode", '{"bound": 2, "pairs": []}'], "code ordinals must be strings, got 2"),
+        (["decode", '{"bound": "2", "pairs": 5}'], "code 'pairs' must be a list, got 5"),
+        (["decode", '{"bound": "2", "pairs": ["1", [1]]}'],
+         "code ordinals must be strings, got [1]"),
+        (["run", str(ROOT / "demos" / "right_sweep.otm"), "--input-code", "[1]"],
+         "code must be a JSON object, got [1]"),
+        (["canon", "PP", "--map", '{"a": 1}'], '--map must be a JSON list, got {"a": 1}'),
+        *(
+            (["canon", "PP", "--map", entries],
+             f"--map entries must be [instance, value] pairs of set literals, got {bad}")
+            for entries, bad in [
+                ("[1]", "1"),
+                ("[[1, 2]]", "[1, 2]"),
+                ('[["{}"]]', '["{}"]'),
+                ('[["{}", "{}", "{}"]]', '["{}", "{}", "{}"]'),
+                ('[["{{}}", "{}"], ["{}", null]]', '["{}", null]'),
+            ]
+        ),
+    ],
+)
+def test_malformed_json_argument_is_an_execution_error(argv, problem, capsys):
+    """A code or --map of the wrong JSON shape is reported by name, not as a
+    traceback, and exits 3 like any other malformed input."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert (captured.out, captured.err) == ("", f"otmlab: {problem}\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

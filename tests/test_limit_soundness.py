@@ -70,7 +70,8 @@ def random_input(rng):
     return Tape(intervals)
 
 
-def test_resolved_limits_match_recomputed_liminfs():
+def test_resolved_limits_match_recomputed_liminfs(monkeypatch):
+    monkeypatch.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
     rng = random.Random(20260809)
     resolved = 0
     for trial in range(TRIALS):
@@ -83,7 +84,6 @@ def test_resolved_limits_match_recomputed_liminfs():
             input_tape,
             RunBudget(400, 1),
             trace=lambda r: limits.append(r) if r["event"] == "limit" else None,
-            sweep_max_period=8,
         )
         if not limits or limits[0]["time"] != "w":
             continue
@@ -213,12 +213,14 @@ def _segment_minima(program, config, cells):
     return state, heads, lows
 
 
-def test_limit_level_jumps_match_liminfs_of_level0_segments():
+def test_limit_level_jumps_match_liminfs_of_level0_segments(monkeypatch):
     """The configuration at w^2 is the inferior limit of the run below it.
-    Rebuild it without limit-level detection: rerun with level_lookback=0,
-    so every limit w*k comes from the level-0 resolver, and take the minima
-    over late segments w*k..w*(k+1) of the state, each head and cells the
-    run has left behind (naturals and cells below w*3)."""
+    Rebuild it without limit-level detection: rerun with a
+    _detect_limit_level that finds no loop of limits, so every limit w*k
+    comes from the level-0 resolver, and take the minima over late segments
+    w*k..w*(k+1) of the state, each head and cells the run has left behind
+    (naturals and cells below w*3)."""
+    monkeypatch.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
     rng = random.Random(20261018)
     cases = [(f"seeded {i}", sweepish_program(rng), random_input(rng)) for i in range(30)]
     cases.append(("park-sweep-restart", PARK_SWEEP_RESTART, Tape()))
@@ -229,19 +231,14 @@ def test_limit_level_jumps_match_liminfs_of_level0_segments():
     for name, program, input_tape in cases:
         limits = []
         keep = lambda r: limits.append(r) if r["event"] == "limit" else None
-        run(program, input_tape, RunBudget(400, 5), trace=keep, sweep_max_period=8)
+        run(program, input_tape, RunBudget(400, 5), trace=keep)
         jump = next((r for r in limits if r["time"] == "w^2"), None)
         if jump is None:
             continue
         limits.clear()
-        run(
-            program,
-            input_tape,
-            RunBudget(4000, LATE_SEGMENTS.stop),
-            trace=keep,
-            sweep_max_period=8,
-            level_lookback=0,
-        )
+        with monkeypatch.context() as m:
+            m.setattr(machine._Runner, "_detect_limit_level", lambda self, entries: None)
+            run(program, input_tape, RunBudget(4000, LATE_SEGMENTS.stop), trace=keep)
         times = [parse_ordinal(r["time"]) for r in limits]
         assert times == [mul(OMEGA, from_int(k)) for k in range(1, LATE_SEGMENTS.stop + 1)]
         segments = [
@@ -270,16 +267,17 @@ def test_limit_level_jumps_match_liminfs_of_level0_segments():
     assert len(checked) >= 15, f"only {len(checked)} programs reached w^2"
 
 
-def test_multi_jump_runs_are_deterministic_and_robust():
+def test_multi_jump_runs_are_deterministic_and_robust(monkeypatch):
     """Random machines driven through several limit levels: no crashes, and
     identical reruns."""
+    monkeypatch.setattr(machine, "_SWEEP_MAX_PERIOD", 6)
     rng = random.Random(7)
     seen_multi = 0
     for _ in range(12):
         program = sweepish_program(rng)
         input_tape = random_input(rng)
-        first = run(program, input_tape, RunBudget(200, 3), sweep_max_period=6)
-        second = run(program, input_tape, RunBudget(200, 3), sweep_max_period=6)
+        first = run(program, input_tape, RunBudget(200, 3))
+        second = run(program, input_tape, RunBudget(200, 3))
         assert first == second
         last = getattr(first, "final", None) or getattr(first, "last", None) \
             or first.limit_behavior
@@ -320,30 +318,31 @@ def test_recorded_periods_match_replays(monkeypatch):
         i = index.get(history[-1].key())
         if i is not None:
             check_period(self, history, len(history) - 1 - i, "cycle")
-        for period in range(1, min(self.sweep_max_period, len(history) - 1) + 1):
+        for period in range(1, min(machine._SWEEP_MAX_PERIOD, len(history) - 1) + 1):
             check_period(self, history, period, "sweep")
         return detect(self, history, index)
 
     monkeypatch.setattr(machine._Runner, "_detect", checked_detect)
+    monkeypatch.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
 
     rng = random.Random(20261017)
     for _ in range(12):
         program = sweepish_program(rng)
-        run(program, random_input(rng), RunBudget(120, 3), sweep_max_period=8)
+        run(program, random_input(rng), RunBudget(120, 3))
     run(
         parse_program(REWRITTEN_MIRACLE),
         budget=RunBudget(60, 2),
         miracle_hook=lambda tape: Tape(),
-        sweep_max_period=8,
     )
     assert checked["sweep"] > 1000
     assert checked["cycle"] > 0
 
 
-def test_divergence_certificates_replay_or_name_the_recurring_limit():
+def test_divergence_certificates_replay_or_name_the_recurring_limit(monkeypatch):
     """Every Diverges either carries a certificate that resolve_limit replays
     to its limit behaviour, or one of a loop of limits, whose base is the
     recurring limit itself."""
+    monkeypatch.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
     rng = random.Random(7)
     cases = [
         (sweepish_program(rng), random_input(rng), RunBudget(200, 3))
@@ -354,7 +353,7 @@ def test_divergence_certificates_replay_or_name_the_recurring_limit():
     )
     seen = {"replays": 0, "limit level": 0}
     for program, input_tape, budget in cases:
-        out = run(program, input_tape, budget, sweep_max_period=8)
+        out = run(program, input_tape, budget)
         if not isinstance(out, Diverges):
             continue
         cert = out.certificate
@@ -423,7 +422,7 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
         every = machine._HeadBounds(history)
         lazy = machine._HeadBounds(history)
         last = 0
-        for period in range(1, min(self.sweep_max_period, len(history) - 1) + 1):
+        for period in range(1, min(machine._SWEEP_MAX_PERIOD, len(history) - 1) + 1):
             base = history[-1 - period]
             units = [machine._Period(history[-1 - period :], *every.upto(period))]
             if machine._strides(base, end) is not None:
@@ -447,15 +446,16 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
     monkeypatch.setattr(machine, "_combine_stats", checked_combine)
 
     rng = random.Random(20261018)
-    for _ in range(12):
-        program = sweepish_program(rng)
-        run(program, random_input(rng), RunBudget(200, 3), sweep_max_period=8)
-    run(
-        parse_program(REWRITTEN_MIRACLE),
-        budget=RunBudget(60, 2),
-        miracle_hook=lambda tape: Tape(),
-        sweep_max_period=8,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
+        for _ in range(12):
+            program = sweepish_program(rng)
+            run(program, random_input(rng), RunBudget(200, 3))
+        run(
+            parse_program(REWRITTEN_MIRACLE),
+            budget=RunBudget(60, 2),
+            miracle_hook=lambda tape: Tape(),
+        )
     run(parse_program(RESTARTING_RUN), Tape([(ZERO, OMEGA)]), RunBudget(300, 6))
     assert checked["steps"] > 1200
     assert checked["jumps"] > 10
@@ -486,7 +486,7 @@ def test_detection_matches_the_unfiltered_scan(monkeypatch):
 
     def compared(self, history, index):
         found = detect(self, history, index)
-        want = oracles.reference_detect(history, index, self.sweep_max_period)
+        want = oracles.reference_detect(history, index, machine._SWEEP_MAX_PERIOD)
         assert _decision(found) == _decision(want)
         seen[found[0] if found else "none"] += 1
         return found
@@ -510,13 +510,14 @@ def test_detection_matches_the_unfiltered_scan(monkeypatch):
     full_input = Tape([(ZERO, OMEGA)])
     run(parse_program(EVERY_CELL_DIPS), full_input, RunBudget(400, 8))
     run(parse_program(RESTARTING_RUN), full_input, RunBudget(300, 6))
-    run(PARK_SWEEP_RESTART, Tape(), RunBudget(400, 5), sweep_max_period=8)
-    run(
-        parse_program(REWRITTEN_MIRACLE),
-        budget=RunBudget(60, 2),
-        miracle_hook=lambda tape: Tape(),
-        sweep_max_period=8,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
+        run(PARK_SWEEP_RESTART, Tape(), RunBudget(400, 5))
+        run(
+            parse_program(REWRITTEN_MIRACLE),
+            budget=RunBudget(60, 2),
+            miracle_hook=lambda tape: Tape(),
+        )
     assert seeded["sweep"] >= 5 and seeded["none"] >= 1000, seeded
     assert left["sweep"] >= 20 and left["cycle"] >= 10, left
     assert seen["sweep"] >= seeded["sweep"] + left["sweep"] + 6, seen

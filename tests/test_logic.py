@@ -9,7 +9,6 @@ from otmlab.formulas import Delta0Formula, parse_delta0, parse_formula
 from otmlab.hfsets import EMPTY, ack_enumerate, hf, singleton, universe_rank_le
 from otmlab.logic import (
     Carrier,
-    check_s_canonification,
     check_t_canonification,
     eval_delta0,
     eval_prenex,
@@ -122,17 +121,19 @@ class TestEvalPrenex:
 
 
 class TestSCanonification:
+    """The superficial check: one function, for the first block."""
+
     def test_pi2_collapse_to_plain_canonification(self):
         s = parse_formula("ALL x EX y (y = x)")
         carrier = Carrier(tuple(universe_rank_le(2)))
-        ok, cex = check_s_canonification(s, lambda a: a, carrier)
+        ok, cex = check_t_canonification(s, [lambda a: a], carrier)
         assert ok and cex is None
 
     def test_counterexample_reported(self):
         s = parse_formula("ALL x EX y (x in y)")
         carrier = Carrier((EMPTY, SE))
-        ok, cex = check_s_canonification(
-            s, lambda a: SE if a is EMPTY else EMPTY, carrier
+        ok, cex = check_t_canonification(
+            s, [lambda a: SE if a is EMPTY else EMPTY], carrier
         )
         assert not ok
         assert cex == (SE,)
@@ -140,20 +141,32 @@ class TestSCanonification:
     def test_range_escape(self):
         s = parse_formula("ALL x EX y (y = x)")
         carrier = Carrier((EMPTY, SE))
-        with pytest.raises(RangeEscape):
-            check_s_canonification(s, lambda a: SSE, carrier)
+        with pytest.raises(RangeEscape) as info:
+            check_t_canonification(s, [lambda a: SSE], carrier)
+        assert (info.value.argument, info.value.value) == ((EMPTY,), SSE)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_function_count_outside_one_to_n_is_rejected(self, count):
+        s = parse_formula("ALL x1 EX y1 ALL x2 EX y2 (y1 = x1 & y2 = x2)")
+        functions = [lambda *args: args[-1]] * count
+        with pytest.raises(ValueError, match=f"need 1 to 2 functions, got {count}"):
+            check_t_canonification(s, functions, Carrier((EMPTY, SE)))
 
 
 class TestTCanonification:
     def test_n1_equals_s_check(self):
+        # with n = 1 the one function is checked on the fully instantiated
+        # matrix, the superficial condition: every a has a, F(a) satisfy it
         carrier = Carrier(tuple(universe_rank_le(2)))
         statements = ["ALL x EX y (y = x)", "ALL x EX y (x in y | y = x)"]
         for text in statements:
             s = parse_formula(text)
             for target in carrier:
                 func = lambda a, _t=target: a if a is not EMPTY else _t
-                s_ok, _ = check_s_canonification(s, func, carrier)
                 t_ok, _ = check_t_canonification(s, [func], carrier)
+                s_ok = all(
+                    eval_delta0(s.matrix, {"x": a, "y": func(a)}) for a in carrier
+                )
                 assert s_ok == t_ok
 
     def test_pi4_diagonal_tuple(self):
@@ -202,6 +215,10 @@ class TestTCanonification:
                     mine, _ = check_t_canonification(s, [f1, f2], carrier)
                     naive = oracles.naive_check_t(s, [f1, f2], list(carrier_sets))
                     assert mine == naive
+                # one function checks only the first block
+                mine, _ = check_t_canonification(s, [f1], carrier)
+                naive = oracles.naive_check_t(s, [f1], list(carrier_sets))
+                assert mine == naive
 
     def test_existence_equivalences(self):
         # eval_prenex true <=> some t-canonification exists <=> some
@@ -226,8 +243,8 @@ class TestTCanonification:
             # the superficial side of the equivalence: some outer witness
             # function passes the s-check iff the statement holds
             s_exists = any(
-                check_s_canonification(
-                    s, lambda a, _t=table: _t[carrier_sets.index(a)], carrier
+                check_t_canonification(
+                    s, [lambda a, _t=table: _t[carrier_sets.index(a)]], carrier
                 )[0]
                 for table in itertools.product(
                     carrier_sets, repeat=len(carrier_sets)

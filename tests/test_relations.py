@@ -229,8 +229,7 @@ class TestEnumeration:
 
     def test_empty_witness_set_raises(self):
         never = relation_from_formula(
-            "never", __import__("otmlab").parse_delta0("y in x & x in y"),
-            witness_budget=64,
+            "never", __import__("otmlab").parse_delta0("y in x & x in y")
         )
         with pytest.raises(EmptyWitnessSet):
             enumerate_canonifications(never, [SE], cap=10)
