@@ -281,6 +281,8 @@ def _canonification_from_args(args, relation, universe):
                     f"literals, got {json.dumps(entry)}"
                 )
             x, y = (hfsets.parse_set_literal(s) for s in entry)
+            if x in mapping:
+                raise ValueError(f"--map names instance {hfsets.format_set(x)} twice")
             mapping[x] = y
         return relations.Canonification(mapping, label="map-file")
     rule = args.rule or "ack-min"
@@ -376,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_canon = sub.add_parser("canon", help="check a canonification against a relation")
     p_canon.add_argument("relation", choices=sorted(relations.PRINCIPLES))
-    p_canon.add_argument("--map", help="JSON list of [instance, value] set-literal pairs")
+    p_canon.add_argument("--map", help="JSON list of [instance, value] set-literal "
+                         "pairs, each instance once; a domain instance it leaves out fails")
     p_canon.add_argument("--rule", choices=("ack-min", "ack-max"),
                          help="use the Ackermann-least/-greatest witness everywhere")
     p_canon.add_argument("--universe", type=_universe_rank, default="rank:3",

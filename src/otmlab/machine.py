@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .errors import MalformedCertificate
 from .ordinals import (
     OMEGA,
-    ONE,
     ZERO,
     Ordinal,
     add,
@@ -48,6 +47,7 @@ from .ordinals import (
     format_ordinal,
     mul,
     sub_left,
+    succ,
 )
 from .programs import Configuration, Program
 from .tapes import EMPTY_TAPE, Tape
@@ -83,10 +83,9 @@ class RunBudget:
 
 
 def _move_head(head: Ordinal, direction: str) -> Ordinal:
-    if direction == "S":
-        return head
+    """The head after an R or an L move; step leaves an S head in place."""
     if direction == "R":
-        return add(head, ONE)
+        return succ(head)
     if head.is_zero:
         return head
     if head.is_limit:
@@ -95,16 +94,27 @@ def _move_head(head: Ordinal, direction: str) -> Ordinal:
 
 
 def step(program: Program, config: Configuration) -> Configuration:
-    """One successor step.  The state must not be a halt state."""
+    """One successor step.  The state must not be a halt state.
+
+    Only a write that flips its cell calls Tape.write: a tape whose head cell
+    already holds the written bit keeps its Tape object, as does a head that
+    stays (S).  The next time and each rightward move are the cached
+    successors of ordinals.succ."""
     if config.state in program.halt_states:
         raise ValueError(f"cannot step from halt state {config.state}")
-    reads = tuple(t.read(h) for t, h in zip(config.tapes, config.heads))
+    heads, tapes = config.heads, config.tapes
+    reads = tuple([t.read(h) for t, h in zip(tapes, heads)])
     tr = program.transitions[(config.state, reads)]
     tapes = tuple(
-        t.write(h, w) for t, h, w in zip(config.tapes, config.heads, tr.writes)
+        [
+            t if w == r else t.write(h, w)
+            for t, h, w, r in zip(tapes, heads, tr.writes, reads)
+        ]
     )
-    heads = tuple(_move_head(h, m) for h, m in zip(config.heads, tr.moves))
-    return Configuration(tr.next_state, heads, tapes, add(config.time, ONE))
+    heads = tuple(
+        [h if m == "S" else _move_head(h, m) for h, m in zip(heads, tr.moves)]
+    )
+    return Configuration(tr.next_state, heads, tapes, succ(config.time))
 
 
 def _apply_hook(
@@ -182,7 +192,7 @@ def _widen(lo: List[Ordinal], hi: List[Ordinal], heads: Sequence[Ordinal]):
         if compare(h, lo[i]) < 0:
             lo[i] = h
         elif compare(h, hi[i]) >= 0:
-            hi[i] = add(h, ONE)
+            hi[i] = succ(h)
 
 
 class _Window:
@@ -237,7 +247,7 @@ class _HeadBounds:
         if self._k == 0:
             heads = history[-2].heads
             self._lo = list(heads)
-            self._hi = [add(h, ONE) for h in heads]
+            self._hi = [succ(h) for h in heads]
             self._k = 1
         while self._k < k:
             self._k += 1

@@ -12,6 +12,11 @@ terms with every exponent replaced by that exponent's key.  Python's
 lexicographic tuple order is CNF order (the first differing (exponent,
 coefficient) term decides; a proper prefix is smaller), and interning makes
 the key injective, so comparing two ordinals is one native tuple comparison.
+Each instance also caches its successor: `succ(a)` computes a + 1 once per
+interned ordinal, so the successor steps of a run (its time, each rightward
+move, each written cell's end) build it only the first time.  `add` absorbs
+at once, after one key comparison, every a whose leading exponent lies below
+b's (n + w = w).
 
 Also provides the Goedel pairing (the order isomorphism of pairs ordered by
 (max, left, right) onto the ordinals) and the text syntax used everywhere
@@ -36,6 +41,7 @@ __all__ = [
     "omega_power",
     "compare",
     "add",
+    "succ",
     "mul",
     "sub_left",
     "godel_pair",
@@ -49,7 +55,7 @@ __all__ = [
 class Ordinal:
     """Immutable CNF ordinal.  Use from_int/omega_power/parse_ordinal to build."""
 
-    __slots__ = ("terms", "_hash", "_key")
+    __slots__ = ("terms", "_hash", "_key", "_succ")
 
     _intern: dict = {}
 
@@ -68,6 +74,7 @@ class Ordinal:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", hash(terms))
         object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
+        object.__setattr__(self, "_succ", None)
         cls._intern[terms] = self
         return self
 
@@ -179,6 +186,8 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if a.is_zero:
         return b
     eb = b.terms[0][0]
+    if eb._key > a.terms[0][0]._key:
+        return b  # every term of a lies below b's leading term
     kept = []
     merged = None
     for exp, coef in a.terms:
@@ -194,6 +203,15 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
         return Ordinal(tuple(kept) + b.terms)
     head = (eb, merged + b.terms[0][1])
     return Ordinal(tuple(kept) + (head,) + b.terms[1:])
+
+
+def succ(a: Ordinal) -> Ordinal:
+    """a + 1, computed once per interned ordinal and cached on it."""
+    s = a._succ
+    if s is None:
+        s = add(a, ONE)
+        object.__setattr__(a, "_succ", s)
+    return s
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -92,9 +92,13 @@ class Canonification:
 def check_canonification(
     canon: Canonification, relation: Relation, universe: Sequence[HfSet]
 ) -> Tuple[bool, Optional[HfSet]]:
-    """True iff every domain instance in the universe gets a real witness."""
+    """(True, None) iff the canonification defines every domain instance in
+    the universe and maps each to a real witness; otherwise (False, the first
+    domain instance where it does not)."""
     for x in universe:
-        if relation.domain(x) and not relation.holds(x, canon(x)):
+        if relation.domain(x) and not (
+            canon.defined_at(x) and relation.holds(x, canon(x))
+        ):
             return False, x
     return True, None
 

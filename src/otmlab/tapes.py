@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Iterable, Optional, Tuple
 
-from .ordinals import ONE, Ordinal, add, format_ordinal
+from .ordinals import Ordinal, format_ordinal, succ
 
 __all__ = ["Tape", "EMPTY_TAPE"]
 
@@ -89,7 +89,7 @@ class Tape:
             return self
         # flipping the one cell [cell, cell+1) toggles both ends as boundaries;
         # b[k-1] <= cell < cell+1 <= b[k], so each end cancels only its neighbour
-        nxt = add(cell, ONE)
+        nxt = succ(cell)
         left = b[: k - 1] if k and b[k - 1] is cell else b[:k] + (cell,)
         right = b[k + 1 :] if k < len(b) and b[k] is nxt else (nxt,) + b[k:]
         return _tape(left + right)

@@ -4,7 +4,8 @@ Everything here is deliberately written on different data structures and by
 different derivations than the package code: ordinals as fixed-length
 coefficient tuples, the CNF order by recursion instead of by order key, tapes
 as dicts and as scanned lists of interval pairs, sets as nested frozensets,
-machines as dict-tape simulators, and single-use verdicts by walking every
+machines as dict-tape simulators, the successor step as one that writes
+every tape and moves every head, and single-use verdicts by walking every
 (canonification, instance) case.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
-from otmlab.ordinals import ONE, add, compare
+from otmlab.ordinals import ONE, ZERO, add, compare
+from otmlab.programs import Configuration
 
 # -- ordinals below w^5 as coefficient tuples (c4, c3, c2, c1, c0) ----------------
 
@@ -607,3 +609,35 @@ def reference_detect(history, index, sweep_max_period):
         cert = machine.SweepLoopCertificate(base=base, period=period, strides=strides)
         return "sweep", cert, limit, tail
     return None
+
+
+# -- the successor step that writes every tape and moves every head -------------------
+#
+# The executor's step calls Tape.write only for a bit that differs from the one
+# read, leaves S heads alone and reads cached successors; this is the step it
+# shortcuts, which writes and moves on every tape and adds 1 afresh.
+
+
+def _reference_move_head(head, direction):
+    if direction == "S":
+        return head
+    if direction == "R":
+        return add(head, ONE)
+    if head.is_zero:
+        return head
+    if head.is_limit:
+        return ZERO  # leftward off a limit cell resets to the tape start
+    return head.predecessor()
+
+
+def reference_step(program, config):
+    """One successor step.  The state must not be a halt state."""
+    if config.state in program.halt_states:
+        raise ValueError(f"cannot step from halt state {config.state}")
+    reads = tuple(t.read(h) for t, h in zip(config.tapes, config.heads))
+    tr = program.transitions[(config.state, reads)]
+    tapes = tuple(
+        t.write(h, w) for t, h, w in zip(config.tapes, config.heads, tr.writes)
+    )
+    heads = tuple(_reference_move_head(h, m) for h, m in zip(config.heads, tr.moves))
+    return Configuration(tr.next_state, heads, tapes, add(config.time, ONE))

@@ -287,6 +287,14 @@ class TestSetCommands:
         bad = json.dumps([["{{}}", "{}"], ["{{{}}}", "{}"]])
         assert main(["canon", "PP", "--map", bad, "--universe", "rank:2"]) == 1
 
+    @pytest.mark.parametrize("entries", ["[]", '[["{{{}}}", "{}"]]'])
+    def test_canon_map_must_define_every_domain_instance(self, entries, capsys):
+        """A map that leaves a domain instance of the universe out (here the
+        only one of rank:1, {{}}) fails there; it is not read as {}."""
+        capsys.readouterr()
+        assert main(["canon", "PP", "--map", entries, "--universe", "rank:1"]) == 1
+        assert capsys.readouterr().out == "FAIL at x={{}}\n"
+
     def test_eval_formula_file(self, tmp_path, capsys):
         fml = tmp_path / "subset.fml"
         fml.write_text("# z ranges over x\nall z in x (z in y)\n")
@@ -350,6 +358,8 @@ class TestSetCommands:
                 ('[["{{}}", "{}"], ["{}", null]]', '["{}", null]'),
             ]
         ),
+        (["canon", "PP", "--map", '[["{{}}", "{{}}"], ["{ {} }", "{}"]]'],
+         "--map names instance {{}} twice"),
     ],
 )
 def test_malformed_json_argument_is_an_execution_error(argv, problem, capsys):

@@ -5,10 +5,11 @@ directly from a long recorded prefix of the run."""
 import collections
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import oracles
-from otmlab import codes, hfsets, machine
+from otmlab import codes, hfsets, machine, ordinals
 from otmlab.asm import parse_program
 from otmlab.errors import MalformedCertificate
 from otmlab.machine import (
@@ -637,3 +638,89 @@ def test_no_sweep_candidate_moves_the_head_of_a_tape_its_base_blocks(monkeypatch
     assert stages_seen["bases"] >= 1000 and stages_seen["candidates"] >= 10, stages_seen
     assert seen["candidates"] >= 1000 and seen["moved"] >= 2000, seen
     assert seen["blocking bases"] < seen["bases"], seen
+
+
+def test_step_matches_the_reference_step(monkeypatch):
+    """At every successor step of left-moving random_program runs and of the
+    shipped .otm stages on every nonempty set of rank <= 2, step builds the
+    configuration of oracles.reference_step, which writes every tape, moves
+    every head and adds 1 afresh."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import stages as bench_stages
+
+    fast = machine.step
+    seen = collections.Counter()
+
+    def compared(program, config):
+        got = fast(program, config)
+        assert got == oracles.reference_step(program, config)
+        seen["steps"] += 1
+        seen["kept tapes"] += sum(t is u for t, u in zip(got.tapes, config.tapes))
+        seen["resets"] += any(
+            h.is_limit and g.is_zero for h, g in zip(config.heads, got.heads)
+        )
+        return got
+
+    monkeypatch.setattr(machine, "step", compared)
+    rng = random.Random(2)
+    for _ in range(40):
+        run(random_program(rng), random_input(rng), RunBudget(200, 8))
+    left = seen.copy()
+    full_input = Tape([(ZERO, OMEGA)])
+    run(parse_program(EVERY_CELL_DIPS), full_input, RunBudget(400, 8))
+    run(parse_program(RESTARTING_RUN), full_input, RunBudget(300, 6))
+    hand = seen.copy()
+    sets = [x for x in hfsets.universe_rank_le(2) if len(x)]
+    for _, program, x, _ in bench_stages.stage_runs(sets):
+        run(program, codes.code_to_tape(codes.encode(x)))
+    assert left["steps"] >= 5000 and left["resets"] >= 5, left
+    assert hand["resets"] - left["resets"] >= 2, hand
+    assert seen["steps"] - hand["steps"] >= 400, seen
+    assert seen["kept tapes"] >= seen["steps"], seen
+
+
+def test_step_writes_only_flipping_cells_and_computes_each_successor_once(
+    monkeypatch,
+):
+    """On the shipped .otm stages over every nonempty set of rank <= 3, every
+    Tape.write call flips its cell (step keeps a tape whose head cell already
+    holds the written bit), and ordinals.succ computes each distinct
+    ordinal's successor at most once; every later call reads the cache."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import stages as bench_stages
+
+    sets = [x for x in hfsets.universe_rank_le(3) if len(x)]
+    runs = [
+        (program, codes.code_to_tape(codes.encode(x)))
+        for _, program, x, _ in bench_stages.stage_runs(sets)
+    ]
+    write, add, succ_code = Tape.write, ordinals.add, ordinals.succ.__code__
+    counts = collections.Counter()
+    computed = collections.Counter()
+
+    def counted_write(self, cell, bit):
+        out = write(self, cell, bit)
+        assert out is not self and out.read(cell) == bit, (self, cell, bit)
+        counts["writes"] += 1
+        return out
+
+    def counted_add(a, b):
+        if sys._getframe(1).f_code is succ_code:
+            computed[a] += 1
+        return add(a, b)
+
+    def counted_step(program, config):
+        counts["steps"] += 1
+        return step(program, config)
+
+    # start from empty caches, so every successor the runs need is computed
+    for a in ordinals.Ordinal._intern.values():
+        object.__setattr__(a, "_succ", None)
+    monkeypatch.setattr(Tape, "write", counted_write)
+    monkeypatch.setattr(ordinals, "add", counted_add)
+    monkeypatch.setattr(machine, "step", counted_step)
+    for program, tape in runs:
+        run(program, tape)
+    assert counts["steps"] >= 3000 and counts["writes"] >= 1000, counts
+    assert computed and max(computed.values()) == 1, computed.most_common(3)
+    assert sum(computed.values()) < counts["steps"], (len(computed), counts)

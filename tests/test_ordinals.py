@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -23,6 +24,7 @@ from otmlab.ordinals import (
     pair_rank,
     parse_ordinal,
     sub_left,
+    succ,
 )
 
 W = OMEGA
@@ -138,8 +140,12 @@ class TestNestedOracle:
             assert to_nested(from_nested(t)) == t
 
     def test_arithmetic_agrees_on_seeded_pairs(self):
+        """compare, add (which absorbs a whose leading exponent lies below
+        b's), succ and sub_left, on pairs where b's leading exponent is
+        larger than, equal to and smaller than a's."""
         rng = random.Random(20261018)
-        kinds = {"equal": 0, "shared exponent": 0}
+        kinds = collections.Counter()
+        one = (((0, 0), 1),)
         for _ in range(self.PAIRS):
             ta, tb = oracles.n_random_pair(rng)
             a, b = from_nested(ta), from_nested(tb)
@@ -147,10 +153,16 @@ class TestNestedOracle:
             assert compare(a, b) == want
             assert compare(b, a) == -want
             assert to_nested(add(a, b)) == oracles.n_add(ta, tb)
+            assert to_nested(succ(a)) == oracles.n_add(ta, one)
+            assert succ(a) is add(a, ONE)
             if want == 0:
                 kinds["equal"] += 1
             elif ta and tb and ta[0][0] == tb[0][0]:
                 kinds["shared exponent"] += 1
+            if ta and tb:
+                lead = oracles.n_compare(tb[0][0], ta[0][0])
+                kinds[("smaller", "equal", "larger")[lead + 1] + " lead"] += 1
+            kinds["limit"] += a.is_limit
             # sub_left: r is right iff b + r = a (left cancellation)
             big, small = (ta, tb) if want >= 0 else (tb, ta)
             r = sub_left(from_nested(big), from_nested(small))
@@ -158,7 +170,9 @@ class TestNestedOracle:
             if want != 0:
                 with pytest.raises(ValueError):
                     sub_left(from_nested(small), from_nested(big))
-        assert kinds["equal"] > 300 and kinds["shared exponent"] > 300
+        assert kinds["equal"] > 300 and kinds["shared exponent"] > 300, kinds
+        assert kinds["larger lead"] > 300 and kinds["smaller lead"] > 250, kinds
+        assert kinds["equal lead"] > 300 and kinds["limit"] > 300, kinds
 
 
 class TestCnfOracle:

@@ -76,6 +76,10 @@ class TestCatalog:
         bad = Canonification({x: EMPTY for x in U3 if PP.domain(x)})
         ok, cex = check_canonification(bad, PP, U3)
         assert not ok and cex is SSE  # {} is not a member of {{{}}}
+        # a domain instance the mapping leaves out fails, even where {} would
+        # be a witness
+        partial = Canonification({x: y for x, y in good.mapping.items() if x is not SE})
+        assert check_canonification(partial, PP, U3) == (False, SE)
 
     def test_pp_matrix_matches_predicate(self):
         from otmlab.logic import eval_delta0
