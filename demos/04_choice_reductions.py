@@ -21,7 +21,7 @@ from otmlab import (
 )
 
 U = universe_rank_le(3)
-PP, ZL, WO = PRINCIPLES["PP"], PRINCIPLES["ZL"], PRINCIPLES["WO"]
+PP, WO = PRINCIPLES["PP"], PRINCIPLES["WO"]
 
 print("== Canonifications: uniform witness choices ==")
 ack_min = Canonification({x: x.elements[0] for x in U if PP.domain(x)}, "ack-min")
@@ -36,15 +36,13 @@ print("== Verifying a reduction against every canonification ==")
 witnesses = builtin_witnesses()
 for name in ("pp_le_zl", "zl_le_pp", "ac_le_acprime", "wo_otm_pp"):
     w = witnesses[name]
-    report = verify_reduction(
-        w, PRINCIPLES[w.source], PRINCIPLES[w.target], U, cap=30_000, seed=1
-    )
+    report = verify_reduction(w, U, cap=30_000, seed=1)
     print(f"  {report.summary()}")
 
 print()
 print("== The same reduction as raw tape programs ==")
 w = load_witness_manifest(witness_path("pp_le_zl.json"))
-report = verify_reduction(w, PP, ZL, U, cap=30_000, seed=1)
+report = verify_reduction(w, U, cap=30_000, seed=1)
 print(f"  {report.summary()}")
 print("  (the pre-stage walks the code's pair shells with a unary odometer;")
 print("   the post-stage copies a whole tape and halts at time w+2)")

@@ -25,6 +25,7 @@ from .errors import (
     UnboundVariable,
 )
 from .formulas import PrenexStatement, parse_formula
+from .programs import Program
 from .tapes import Tape
 
 EXIT_OK = 0
@@ -32,6 +33,9 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_EXECUTION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+
+# the default --budget: machine.RunBudget() written as STEPS,JUMPS
+_DEFAULT_BUDGET = "{0.max_successor_steps},{0.max_limit_jumps}".format(machine.RunBudget())
 
 _USAGE_ERRORS = (ParseError, TotalityError, ConflictingRules, NotDelta0, UnboundVariable)
 
@@ -184,23 +188,17 @@ def _load_witness(spec: str) -> reductions.ReductionWitness:
 
 
 def cmd_check(args) -> int:
-    if args.all:
-        names = sorted(reductions.builtin_witnesses())
-    else:
-        names = [args.witness]
-        if args.witness is None:
-            print("check: provide a witness (name or manifest) or --all", file=sys.stderr)
-            return EXIT_USAGE
+    if args.all == (args.witness is not None):
+        print("check: provide a witness (name or manifest) or --all, not both",
+              file=sys.stderr)
+        return EXIT_USAGE
+    names = sorted(reductions.builtin_witnesses()) if args.all else [args.witness]
     universe = hfsets.universe_rank_le(args.universe)
-    reports = []
+    checked = []
     for name in names:
         witness = _load_witness(name)
-        source = relations.PRINCIPLES[witness.source]
-        target = relations.PRINCIPLES[witness.target]
         report = reductions.verify_reduction(
             witness,
-            source,
-            target,
             universe,
             cap=args.cap,
             seed=args.seed if args.seed is not None else 0,
@@ -214,16 +212,18 @@ def cmd_check(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        reports.append(report)
+        checked.append((witness, report))
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], sort_keys=True))
+        print(json.dumps([r.to_json() for _, r in checked], sort_keys=True))
     else:
-        for r in reports:
+        for witness, r in checked:
             print(r.summary())
             for f in r.failures[:10]:
                 print(f"  counterexample: x={hfsets.format_set(f.instance)} "
                       f"F'={f.canonification}: {f.reason}")
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_COUNTEREXAMPLE
+            if any(isinstance(s, Program) for s in (witness.pre, witness.post, witness.otm)):
+                print("  note: .otm stages ran on the canonical code of each input only")
+    return EXIT_OK if all(r.ok for _, r in checked) else EXIT_COUNTEREXAMPLE
 
 
 def cmd_encode(args) -> int:
@@ -286,12 +286,8 @@ def _canonification_from_args(args, relation, universe):
             mapping[x] = y
         return relations.Canonification(mapping, label="map-file")
     rule = args.rule or "ack-min"
-    mapping = {}
-    for x in universe:
-        if relation.domain(x):
-            ws = hfsets.ack_sorted(relation.witness_set(x))
-            if ws:
-                mapping[x] = ws[0] if rule == "ack-min" else ws[-1]
+    end = 0 if rule == "ack-min" else -1
+    mapping = {x: relation.answers(x)[end] for x in universe if relation.domain(x)}
     return relations.Canonification(mapping, label=f"rule:{rule}")
 
 
@@ -335,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("program", help=".otm program file")
     p_run.add_argument("--input", help="input as a set literal (encoded onto the input tape)")
     p_run.add_argument("--input-code", help="input as SetCode JSON (text or @file)")
-    p_run.add_argument("--budget", type=_budget, default="100000,64",
-                       help="STEPS,JUMPS (default 100000,64)")
+    p_run.add_argument("--budget", type=_budget, default=_DEFAULT_BUDGET,
+                       help="STEPS,JUMPS (default %(default)s)")
     p_run.add_argument("--trace", help="write a JSONL trace to this path")
     p_run.add_argument("--trace-steps", action="store_true",
                        help="trace every successor step, not just limit events")
@@ -351,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rank:N, N <= 4 (default rank:3)")
     p_check.add_argument("--cap", type=_count, default=reductions.DEFAULT_CAP,
                          help="full canonification product up to this size (default %(default)s)")
-    p_check.add_argument("--samples", type=_count, default=100,
-                         help="sample count past the cap (default 100)")
+    p_check.add_argument("--samples", type=_count, default=reductions.DEFAULT_SAMPLES,
+                         help="sample count past the cap (default %(default)s)")
     p_check.add_argument("--seed", type=_seed, default=None,
                          help="sampling seed (required when sampling occurs)")
-    p_check.add_argument("--budget", type=_budget, default="100000,64",
-                         help="STEPS,JUMPS (default 100000,64)")
+    p_check.add_argument("--budget", type=_budget, default=_DEFAULT_BUDGET,
+                         help="STEPS,JUMPS (default %(default)s)")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -73,7 +74,7 @@ def _digraph(code: SetCode) -> Tuple[int, Dict[int, List[int]]]:
     if not code.bound.is_natural:
         raise InvalidCode("non-finite-bound", f"bound {code.bound}")
     bound = code.bound.to_int()
-    members: Dict[int, List[int]] = {j: [] for j in range(bound)}
+    members: Dict[int, List[int]] = defaultdict(list)
     for p in code.pairs:
         i, j = godel_unpair(p)
         if not (i.is_natural and j.is_natural):
@@ -84,6 +85,9 @@ def _digraph(code: SetCode) -> Tuple[int, Dict[int, List[int]]]:
                 "pair-out-of-bound", f"p({iv},{jv}) exceeds bound {bound}"
             )
         members[jv].append(iv)
+    if bound > len(code.pairs) + 1:
+        # at most one node per pair has members, and the others all collapse to {}
+        raise InvalidCode("not-extensional", f"bound {bound}, {len(code.pairs)} pairs")
     return bound, members
 
 

@@ -21,7 +21,6 @@ case by case.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -39,7 +38,6 @@ from .errors import (
 from .hfsets import (
     EMPTY,
     HfSet,
-    ack_sorted,
     format_set,
     hf,
     kpair,
@@ -55,7 +53,7 @@ from .programs import Program
 from .relations import (
     PRINCIPLES,
     Canonification,
-    Relation,
+    choice_rules,
     decode_linear_order,
     decode_poset,
     encode_order,
@@ -89,9 +87,10 @@ PRIMITIVES = (
     "miracle",
 )
 
-# default size of the canonification product (or OTM choice tree) that a
-# verification sweeps in full before it falls back to sampling
+# a verification sweeps a canonification product (or OTM choice tree) in full
+# up to DEFAULT_CAP; past it, it checks DEFAULT_SAMPLES seeded samples
 DEFAULT_CAP = 30_000
+DEFAULT_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -308,10 +307,10 @@ class VerificationReport:
     target: str
     universe_size: int
     instance_count: int
-    mode: str
-    canonification_count: int
-    product_size: int
-    cases: int
+    mode: str = "exhaustive"
+    canonification_count: int = 0
+    product_size: int = 0
+    cases: int = 0
     failures: List[CaseFailure] = field(default_factory=list)
     miracle_calls: Dict[str, int] = field(default_factory=dict)
 
@@ -352,16 +351,15 @@ class _NeedInstance(Exception):
 
 def verify_reduction(
     witness: ReductionWitness,
-    source: Relation,
-    target: Relation,
     universe: Sequence[HfSet],
+    *,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
     budget: RunBudget = RunBudget(),
-    sample_size: int = 100,
+    sample_size: int = DEFAULT_SAMPLES,
 ) -> VerificationReport:
-    """Check the witness against every (or cap-sampled) canonification of the
-    target over the instances the pre-stage actually produces.
+    """Check the witness against every (or cap-sampled) canonification of
+    PRINCIPLES[witness.target] over the instances the pre-stage produces.
 
     An oW/soW sweep decides pointwise: it checks post once per instance x and
     answer y' that a canonification gives at pre(x), and when all pass it
@@ -370,33 +368,22 @@ def verify_reduction(
     order.  Execution errors are recorded as failures for their case.  The
     sweep is deterministic for a fixed (witness, universe, cap, seed).
     """
-    instances = [x for x in universe if source.domain(x)]
+    instances = [x for x in universe if PRINCIPLES[witness.source].domain(x)]
     report = VerificationReport(
         witness=witness.name,
         kind=witness.kind,
-        source=source.name,
-        target=target.name,
+        source=witness.source,
+        target=witness.target,
         universe_size=len(universe),
         instance_count=len(instances),
-        mode="exhaustive",
-        canonification_count=0,
-        product_size=0,
-        cases=0,
     )
-    if witness.kind in ("oW", "soW"):
-        _verify_single_use(
-            witness, source, target, instances, cap, seed, budget, report, sample_size
-        )
-    else:
-        _verify_otm(
-            witness, source, target, instances, cap, seed, budget, report, sample_size
-        )
+    verify = _verify_otm if witness.kind == "OTM" else _verify_single_use
+    verify(witness, instances, cap, seed, budget, report, sample_size)
     return report
 
 
-def _verify_single_use(
-    witness, source, target, instances, cap, seed, budget, report, sample_size=100
-):
+def _verify_single_use(witness, instances, cap, seed, budget, report, sample_size):
+    source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
     runner = _StageRunner(budget)
     pre_images = []
     for x in instances:
@@ -473,11 +460,10 @@ def _every_answer_solves(witness, source, instances, pre_images, canons, runner)
     return True
 
 
-def _verify_otm(
-    witness, source, target, instances, cap, seed, budget, report, sample_size=100
-):
+def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
     """Adaptive sweep: oracle instances appear dynamically, so enumerate the
     tree of witness choices per run (full tree when it fits the cap)."""
+    source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
     total_leaves = 0
     exhaustive = True
     for x in instances:
@@ -491,19 +477,23 @@ def _verify_otm(
         report.canonification_count = total_leaves
         report.product_size = total_leaves
         return
-    # fall back to deterministic choice rules: extremal plus seeded samples.
+    # fall back to the choice rules of a sampled sweep, each fixing its
+    # answer at an oracle instance the first time it is asked there.
     # Counterexamples the exhaustive phase already found stay: a report must
     # not say OK after one has been seen.
     report.mode = "sampled"
     report.cases = 0
     report.miracle_calls.clear()
-    rules = _choice_rules(target, samples=sample_size, seed=seed)
+    rules = choice_rules(sample_size, seed)
     report.canonification_count = len(rules)
     report.product_size = -1
-    for label, rule in rules:
+    for label, choose in rules:
+        chosen: Dict[HfSet, HfSet] = {}
         # off-domain oracle instances take the conventional empty value
-        def oracle(s, _rule=rule):
-            return _rule(s) if target.domain(s) else EMPTY
+        def oracle(s):
+            if target.domain(s) and s not in chosen:
+                chosen[s] = choose(target.answers(s))
+            return chosen.get(s, EMPTY)
 
         for x in instances:
             report.cases += 1
@@ -537,8 +527,9 @@ def _otm_tree(witness, source, target, x, cap, budget, report):
         try:
             y, stats = run_with_miracle(witness, oracle, x, budget)
         except _NeedInstance as need:
-            options = ack_sorted(target.witness_set(need.instance))
-            if not options:
+            try:
+                options = target.answers(need.instance)
+            except EmptyWitnessSet:
                 report.failures.append(
                     CaseFailure(x, "-", f"no witness for oracle instance {need.instance}")
                 )
@@ -559,12 +550,12 @@ def _otm_tree(witness, source, target, x, cap, budget, report):
         leaves += 1
         report.cases += 1
         _record_calls(report, x, stats)
-        if leaves > cap:
-            return leaves, False
         if not source.holds(x, y):
             report.failures.append(
                 CaseFailure(x, _label(partial), f"result {y} fails {source.name}")
             )
+        if leaves > cap:
+            return leaves, False
     return leaves, True
 
 
@@ -581,28 +572,6 @@ def _record_calls(report: VerificationReport, x: HfSet, stats: MiracleStats):
     prev = report.miracle_calls.get(key)
     if prev is None or stats.calls > prev:
         report.miracle_calls[key] = stats.calls
-
-
-def _choice_rules(target: Relation, samples: int, seed: int):
-    """Deterministic oracle rules standing in for sampled canonifications."""
-
-    def min_rule(s):
-        return ack_sorted(target.witness_set(s))[0]
-
-    def max_rule(s):
-        return ack_sorted(target.witness_set(s))[-1]
-
-    rules = [("rule:ack-min", min_rule), ("rule:ack-max", max_rule)]
-    for i in range(samples):
-        rng = random.Random(seed * 1_000_003 + i)
-
-        def sample_rule(s, _rng=rng, _memo={}):
-            if s not in _memo:
-                _memo[s] = _rng.choice(ack_sorted(target.witness_set(s)))
-            return _memo[s]
-
-        rules.append((f"rule:sample[{i}]", sample_rule))
-    return rules
 
 
 # -- native procedure registry -------------------------------------------------------

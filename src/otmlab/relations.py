@@ -36,6 +36,7 @@ __all__ = [
     "Relation",
     "Canonification",
     "check_canonification",
+    "choice_rules",
     "enumerate_canonifications",
     "relation_from_formula",
     "PRINCIPLES",
@@ -63,6 +64,14 @@ class Relation:
         Exact as long as `candidates(x)` includes every y with holds(x, y).
         """
         return [y for y in self.candidates(x) if self.holds(x, y)]
+
+    def answers(self, x: HfSet) -> List[HfSet]:
+        """The witness set of x in ascending Ackermann order: the answers a
+        sweep quantifies over.  Raises EmptyWitnessSet when there are none."""
+        ws = ack_sorted(self.witness_set(x))
+        if not ws:
+            raise EmptyWitnessSet(x)
+        return ws
 
     def satisfied(self, x: HfSet, y: HfSet) -> bool:
         """Implication form: off-domain instances accept anything."""
@@ -103,31 +112,38 @@ def check_canonification(
     return True, None
 
 
+def choice_rules(
+    samples: int, seed: int
+) -> List[Tuple[str, Callable[[List[HfSet]], HfSet]]]:
+    """The rules a sampled sweep picks answers by, as (label, choose) pairs,
+    where choose maps an answer list to one answer: the Ackermann-least and
+    -greatest answer, then `samples` random ones.  The samples all draw from
+    one random.Random(seed), so they depend on the order of the calls.
+    """
+    rng = random.Random(seed)
+    extremal = [("extremal-min", lambda ws: ws[0]), ("extremal-max", lambda ws: ws[-1])]
+    return extremal + [(f"sample[{i}]", rng.choice) for i in range(samples)]
+
+
 def enumerate_canonifications(
     relation: Relation,
     instances: Sequence[HfSet],
     cap: int,
-    seed: int = 0,
-    sample_size: int = 100,
+    seed: int,
+    sample_size: int,
 ) -> Tuple[str, List[Canonification], int]:
     """Canonifications of the relation over the given instances.
 
     Returns (mode, canonifications, product_size): the full product of
-    witness choices when it fits in `cap`, otherwise the two extremal
-    choices (Ackermann-least and -greatest everywhere) plus a seeded sample
-    of `sample_size` random choices.
+    answer choices when it fits in `cap`, otherwise one canonification per
+    choice rule (`choice_rules(sample_size, seed)`), applied rule by rule in
+    instance order.
     """
     domain_instances = [x for x in instances if relation.domain(x)]
-    witness_sets: List[List[HfSet]] = []
-    for x in domain_instances:
-        ws = relation.witness_set(x)
-        ws = ack_sorted(ws)
-        if not ws:
-            raise EmptyWitnessSet(x)
-        witness_sets.append(ws)
+    answer_lists = [relation.answers(x) for x in domain_instances]
 
     product_size = 1
-    for ws in witness_sets:
+    for ws in answer_lists:
         product_size *= len(ws)
         if product_size > cap:
             break
@@ -140,19 +156,14 @@ def enumerate_canonifications(
     if product_size <= cap:
         canons = [
             build(choice, f"product[{i}]")
-            for i, choice in enumerate(itertools.product(*witness_sets))
+            for i, choice in enumerate(itertools.product(*answer_lists))
         ]
         return "exhaustive", canons, product_size
 
     canons = [
-        build([ws[0] for ws in witness_sets], "extremal-min"),
-        build([ws[-1] for ws in witness_sets], "extremal-max"),
+        build([choose(ws) for ws in answer_lists], label)
+        for label, choose in choice_rules(sample_size, seed)
     ]
-    rng = random.Random(seed)
-    for i in range(sample_size):
-        canons.append(
-            build([rng.choice(ws) for ws in witness_sets], f"sample[{i}]")
-        )
     return "sampled", canons, product_size
 
 

@@ -513,21 +513,24 @@ def random_formula(rng, size, scope=("x", "y"), depth=0):
 # loop it shortcuts, kept as the reference report.
 
 
-def product_sweep(witness, source, target, universe, cap, seed=0,
-                  budget=None, sample_size=100):
+def product_sweep(witness, universe, cap, seed=0, budget=None,
+                  sample_size=None):
     """The VerificationReport of an oW/soW witness from one unmemoized
     apply_oW per (canonification, instance) case."""
     from otmlab.errors import EmptyWitnessSet
     from otmlab.machine import RunBudget
     from otmlab.reductions import (
+        DEFAULT_SAMPLES,
         CaseFailure,
         VerificationReport,
         _StageRunner,
         apply_oW,
     )
-    from otmlab.relations import enumerate_canonifications
+    from otmlab.relations import PRINCIPLES, enumerate_canonifications
 
     budget = budget or RunBudget()
+    sample_size = DEFAULT_SAMPLES if sample_size is None else sample_size
+    source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
     instances = [x for x in universe if source.domain(x)]
     report = VerificationReport(
         witness=witness.name, kind=witness.kind, source=source.name,

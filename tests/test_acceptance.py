@@ -305,11 +305,8 @@ def test_criterion_7_reduction_suite():
         witnesses.append(load_witness_manifest(witness_path("pp_le_zl.json")))
         assert len(witnesses) == 25
         for witness in witnesses:
-            source = PRINCIPLES[witness.source]
-            target = PRINCIPLES[witness.target]
             report = verify_reduction(
-                witness, source, target, universe,
-                cap=10_000, seed=2026, sample_size=100,
+                witness, universe, cap=10_000, seed=2026, sample_size=100
             )
             assert report.ok, f"{witness.name}: {report.to_json()}"
             assert report.cases > 0
@@ -411,14 +408,10 @@ def test_criterion_9_negative_controls():
         universe = universe_rank_le(3)
         assert len(BROKEN) == 5
         for witness in BROKEN:
-            source = PRINCIPLES[witness.source]
-            target = PRINCIPLES[witness.target]
-            report = verify_reduction(
-                witness, source, target, universe, cap=2_000, seed=9
-            )
+            report = verify_reduction(witness, universe, cap=2_000, seed=9)
             assert not report.ok
             cex = report.failures[0]
-            assert source.domain(cex.instance)
+            assert PRINCIPLES[witness.source].domain(cex.instance)
 
         se, sse, pair01 = singleton(EMPTY), singleton(singleton(EMPTY)), hf(
             [EMPTY, singleton(EMPTY)]

@@ -10,6 +10,13 @@ import pytest
 from otmlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import catalog  # noqa: E402
+from common import digest  # noqa: E402
+
+RECORDED = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+PROGRAM_NOTE = "  note: .otm stages ran on the canonical code of each input only"
 
 HALT_NOW = "tapes in work out;\nstate q0 halt;\n"
 
@@ -87,6 +94,24 @@ class TestCheck:
     def test_shipped_assembly_manifest(self, capsys):
         assert main(["check", "pp_le_zl.json", "--universe", "rank:3"]) == 0
         assert "pp_le_zl_otm" in capsys.readouterr().out
+
+    def test_program_stages_carry_a_note_in_human_output_only(self, capsys):
+        assert main(["check", "pp_le_zl.json", "--universe", "rank:2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [PROGRAM_NOTE]
+        assert main(["check", "pp_le_zl", "--universe", "rank:2"]) == 0
+        assert "note:" not in capsys.readouterr().out
+        assert main(["check", "pp_le_zl.json", "--universe", "rank:2", "--json"]) == 0
+        assert "note" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["check"], ["check", "pp_le_zl", "--all"]],
+                             ids=["neither", "both"])
+    def test_witness_xor_all_else_usage_error(self, argv, capsys):
+        assert main(argv + ["--universe", "rank:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "check: provide a witness (name or manifest) or --all, not both\n"
+        )
 
     def test_sampling_requires_seed(self, capsys):
         code = main(["check", "pp_le_wo", "--universe", "rank:3", "--cap", "10"])
@@ -241,10 +266,35 @@ def test_catalog_reports_match_the_recorded_digests(key, argv, capsys):
     the digest is perfbench/common.digest of the JSON report list."""
     assert main(argv) == 0
     reports = json.loads(capsys.readouterr().out)
-    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
-    assert digest == expected["catalog"]["accept"][key]["digest"]
+    assert digest(reports) == RECORDED["catalog"]["accept"][key]["digest"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["broken_ac_le_wo", "broken_mpp_le_muc", "broken_pp_le_ac", "broken_pp_otm_wo",
+     "broken_zl_le_pp"],
+)
+def test_catalog_reject_reports_match_the_recorded_digests(name, monkeypatch, capsys):
+    """The benchmark's sub-second reject commands still print the reports it
+    recorded: the digest is of perfbench/catalog.reject_summary, the report's
+    parts that do not depend on the sampling seed."""
+    monkeypatch.chdir(ROOT)
+    status = main(catalog.reject_commands(seed=1, tiny=False)[name])
+    (report,) = json.loads(capsys.readouterr().out)
+    summary = catalog.reject_summary(status, report)
+    assert digest(summary) == RECORDED["catalog"]["reject"][name]
+
+
+def test_sampled_single_use_report_is_pinned(monkeypatch, capsys):
+    """The full report of a sampled single-use sweep, with the labels and
+    answers of its 1,293 failures, which the reject digest leaves out: a
+    change in the stream of the seeded sampler changes it."""
+    monkeypatch.chdir(ROOT)
+    assert main(catalog.reject_commands(seed=1, tiny=False)["broken_mpp_le_muc"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "616eac81eff4d7f1f89e251a1355ddd5fcdf11371e39a38a04f6d701ffa47814"
+    )
 
 
 class TestSetCommands:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -79,6 +80,16 @@ class TestDecode:
         with pytest.raises(InvalidCode) as err:
             decode(SetCode(bound=OMEGA, pairs=frozenset()))
         assert err.value.reason == "non-finite-bound"
+
+    def test_sparse_code_rejected_without_building_its_nodes(self):
+        # with at most len(pairs) nodes holding members, the other nodes all
+        # collapse to {}: a huge bound with few pairs is rejected at once
+        start = time.perf_counter()
+        assert is_valid(c(10**12)) == (False, "not-extensional")
+        assert is_valid(c(10**12, 1)) == (False, "not-extensional")
+        assert time.perf_counter() - start < 1.0
+        # one memberless node more than the pairs allow, at the smallest bound
+        assert is_valid(c(3, 1)) == (False, "not-extensional")
 
     def test_is_valid_mirrors_decode(self):
         ok, reason = is_valid(c(2, 1))

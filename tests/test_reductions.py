@@ -49,10 +49,6 @@ WITNESSES = builtin_witnesses()
 SINGLE_USE = [w for w in WITNESSES.values() if w.kind == "soW"]
 
 
-def relations_of(witness):
-    return PRINCIPLES[witness.source], PRINCIPLES[witness.target]
-
-
 def as_oW(witness):
     """The soW witness declared as oW: its post stage ignores the instance."""
     return ReductionWitness(
@@ -103,29 +99,25 @@ class TestVerify:
     @pytest.mark.parametrize("name", sorted(WITNESSES))
     def test_every_shipped_witness_passes_rank3(self, name):
         w = WITNESSES[name]
-        source, target = relations_of(w)
-        report = verify_reduction(w, source, target, U3, cap=10_000, seed=7)
+        report = verify_reduction(w, U3, cap=10_000, seed=7)
         assert report.ok, report.to_json()
         assert report.cases > 0
 
     def test_strong_witnesses_also_pass_as_oW(self):
         # the side channel is simply unused
         for w in SINGLE_USE:
-            source, target = relations_of(w)
-            report = verify_reduction(as_oW(w), source, target, U3, cap=2_000, seed=7)
+            report = verify_reduction(as_oW(w), U3, cap=2_000, seed=7)
             assert report.ok, report.to_json()
 
     def test_deterministic_given_seed(self):
         w = WITNESSES["pp_le_wo"]
-        source, target = relations_of(w)
-        a = verify_reduction(w, source, target, U3, cap=50, seed=11)
-        b = verify_reduction(w, source, target, U3, cap=50, seed=11)
+        a = verify_reduction(w, U3, cap=50, seed=11)
+        b = verify_reduction(w, U3, cap=50, seed=11)
         assert a.to_json() == b.to_json()
 
     def test_wo_otm_pp_uses_exactly_size_of_x_calls(self):
         w = WITNESSES["wo_otm_pp"]
-        source, target = relations_of(w)
-        report = verify_reduction(w, source, target, U3, cap=10_000, seed=0)
+        report = verify_reduction(w, U3, cap=10_000, seed=0)
         assert report.ok and report.mode == "exhaustive"
         for x in U3:
             assert report.miracle_calls[format_set(x)] == len(x)
@@ -153,7 +145,7 @@ class TestVerify:
             post=NativeProcedure("counted-post", 1, counted_post, ("set-algebra",)),
         )
         pp = PRINCIPLES["PP"]
-        report = verify_reduction(witness, pp, pp, U3, cap=10_000, seed=1)
+        report = verify_reduction(witness, U3, cap=10_000, seed=1)
         assert report.canonification_count > 1
         assert set(pre_calls) == {x for x in U3 if pp.domain(x)}
         assert set(pre_calls.values()) == {1}
@@ -186,17 +178,15 @@ _broken("broken_mpp_le_muc", "soW", "MPP", "MuC", "singleton-family", "untag-sub
 class TestNegativeControls:
     @pytest.mark.parametrize("witness", BROKEN, ids=lambda w: w.name)
     def test_broken_witnesses_rejected_with_counterexamples(self, witness):
-        source, target = relations_of(witness)
-        report = verify_reduction(witness, source, target, U3, cap=2_000, seed=5)
+        source = PRINCIPLES[witness.source]
+        report = verify_reduction(witness, U3, cap=2_000, seed=5)
         assert not report.ok
         assert report.failures
         cex = report.failures[0]
         assert source.domain(cex.instance)
 
     def test_const_empty_canonification_of_pp_fails_concretely(self):
-        report = verify_reduction(
-            BROKEN[0], PRINCIPLES["PP"], PRINCIPLES["ZL"], U3, cap=2_000, seed=5
-        )
+        report = verify_reduction(BROKEN[0], U3, cap=2_000, seed=5)
         bad_instances = {format_set(f.instance) for f in report.failures}
         assert format_set(SSE) in bad_instances  # {} fails to be in {{{}}}
 
@@ -231,9 +221,8 @@ class TestNegativeControls:
 def matches_product_sweep(witness, universe, **sweep):
     """verify_reduction's report, after checking it equals the reference
     report of the full product walk."""
-    source, target = relations_of(witness)
-    got = verify_reduction(witness, source, target, universe, **sweep)
-    want = oracles.product_sweep(witness, source, target, universe, **sweep)
+    got = verify_reduction(witness, universe, **sweep)
+    want = oracles.product_sweep(witness, universe, **sweep)
     assert got.to_json() == want.to_json()
     return got
 
@@ -420,10 +409,7 @@ class TestMiracleProtocol:
                                 ("miracle", "set-algebra")),
         )
         # cap 0 forces the sampled fallback path
-        report = verify_reduction(
-            witness, PRINCIPLES["ZERO"], PRINCIPLES["PP"], U3[:4],
-            cap=0, seed=1, sample_size=3,
-        )
+        report = verify_reduction(witness, U3[:4], cap=0, seed=1, sample_size=3)
         assert report.mode == "sampled"
         assert report.ok, report.to_json()
 
@@ -451,13 +437,36 @@ class TestMiracleProtocol:
             otm=NativeProcedure("wrong-on-second-choice", 2,
                                 wrong_on_second_choice, ("miracle",)),
         )
-        pp = PRINCIPLES["PP"]
-        full = verify_reduction(witness, pp, pp, U3, cap=10_000)
+        full = verify_reduction(witness, U3, cap=10_000)
         assert full.mode == "exhaustive" and not full.ok
-        capped = verify_reduction(witness, pp, pp, U3, cap=6, seed=1, sample_size=0)
+        capped = verify_reduction(witness, U3, cap=6, seed=1, sample_size=0)
         assert capped.mode == "sampled"
         assert not capped.ok, capped.to_json()
         assert {f.instance for f in capped.failures} == {four}
+
+
+    def test_the_leaf_that_outgrows_the_cap_is_still_judged(self):
+        # two oracle instances with 2 and 3 answers: under cap=4 the fifth
+        # leaf of the choice tree is run before the tree is abandoned, and it
+        # is the only wrong one; neither extremal rule of the fallback makes
+        # its choices
+        pp = PRINCIPLES["PP"]
+        three = hf([EMPTY, SE, SSE])
+
+        def wrong_on_one_leaf(x, miracle):
+            a, b = miracle(PAIR01), miracle(three)
+            if a is pp.answers(PAIR01)[-1] and b is pp.answers(three)[1]:
+                return x  # not an element of x
+            return x.elements[0]
+
+        witness = ReductionWitness(
+            name="wrong_on_one_leaf", kind="OTM", source="PP", target="PP",
+            otm=NativeProcedure("wrong-on-one-leaf", 2, wrong_on_one_leaf,
+                                ("miracle",)),
+        )
+        capped = verify_reduction(witness, [PAIR01], cap=4, seed=1, sample_size=0)
+        assert capped.mode == "sampled"
+        assert not capped.ok, capped.to_json()
 
 
 class TestNativeRegistry:
@@ -476,8 +485,7 @@ class TestManifests:
     def test_shipped_assembly_manifests_load_and_pass(self):
         for name in ("zero_le_pp2.json", "pp_le_zl.json"):
             w = load_witness_manifest(witness_path(name))
-            source, target = relations_of(w)
-            report = verify_reduction(w, source, target, U3, cap=2_000, seed=3)
+            report = verify_reduction(w, U3, cap=2_000, seed=3)
             assert report.ok, report.to_json()
 
     def test_manifest_roundtrip_via_file(self, tmp_path):

@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from otmlab.errors import EmptyWitnessSet
-from otmlab.hfsets import EMPTY, hf, kpair, set_union, singleton, universe_rank_le
+from otmlab.hfsets import EMPTY, ack_index, hf, kpair, set_union, singleton, universe_rank_le
 from otmlab.reductions import builtin_witnesses
 from otmlab.relations import (
     PRINCIPLES,
     Canonification,
     ack_order_on,
     check_canonification,
+    choice_rules,
     decode_linear_order,
     decode_poset,
     encode_order,
@@ -124,7 +126,7 @@ class TestCatalog:
     def test_zl_two_antichain_has_two_canonifications(self):
         inst = kpair(PAIR01, EMPTY)  # discrete 2-antichain
         mode, canons, size = enumerate_canonifications(
-            PRINCIPLES["ZL"], [inst], cap=100
+            PRINCIPLES["ZL"], [inst], cap=100, seed=0, sample_size=0
         )
         assert mode == "exhaustive" and size == 2 and len(canons) == 2
 
@@ -201,18 +203,20 @@ class TestEnumeration:
     def test_product_counts(self):
         PP = PRINCIPLES["PP"]
         mode, canons, size = enumerate_canonifications(
-            PP, [SE, PAIR01], cap=100
+            PP, [SE, PAIR01], cap=100, seed=0, sample_size=0
         )
         assert mode == "exhaustive" and size == 2 and len(canons) == 2
 
     def test_empty_instance_set(self):
-        mode, canons, size = enumerate_canonifications(PRINCIPLES["PP"], [], cap=10)
+        mode, canons, size = enumerate_canonifications(
+            PRINCIPLES["PP"], [], cap=10, seed=0, sample_size=0
+        )
         assert mode == "exhaustive" and len(canons) == 1 and size == 1
         assert canons[0](SE) is EMPTY  # off-domain default
 
     def test_off_domain_instances_skipped(self):
         mode, canons, _ = enumerate_canonifications(
-            PRINCIPLES["PP"], [EMPTY, SE], cap=10
+            PRINCIPLES["PP"], [EMPTY, SE], cap=10, seed=0, sample_size=0
         )
         assert len(canons) == 1
         assert canons[0](EMPTY) is EMPTY
@@ -236,7 +240,46 @@ class TestEnumeration:
             "never", __import__("otmlab").parse_delta0("y in x & x in y")
         )
         with pytest.raises(EmptyWitnessSet):
-            enumerate_canonifications(never, [SE], cap=10)
+            enumerate_canonifications(never, [SE], cap=10, seed=0, sample_size=0)
+
+
+class TestAnswers:
+    def test_answers_are_the_witness_set_in_ackermann_order(self):
+        for relation in PRINCIPLES.values():
+            for x in (x for x in U3 if relation.domain(x)):
+                ws = relation.witness_set(x)
+                assert relation.answers(x) == sorted(set(ws), key=ack_index)
+
+    def test_no_answer_raises(self):
+        never = relation_from_formula(
+            "never", __import__("otmlab").parse_delta0("y in x & x in y")
+        )
+        with pytest.raises(EmptyWitnessSet) as err:
+            never.answers(SE)
+        assert err.value.instance is SE
+
+    def test_choice_rules(self):
+        ws = [EMPTY, SE, SSE]
+        rules = choice_rules(3, seed=5)
+        assert [label for label, _ in rules] == [
+            "extremal-min", "extremal-max", "sample[0]", "sample[1]", "sample[2]"
+        ]
+        assert [choose(ws) for _, choose in rules[:2]] == [EMPTY, SSE]
+        # the samples draw from one random.Random(seed), in call order
+        rng = random.Random(5)
+        assert [choose(ws) for _, choose in rules[2:]] == [rng.choice(ws) for _ in range(3)]
+
+    def test_sampled_canonifications_draw_sample_major_in_instance_order(self):
+        PP = PRINCIPLES["PP"]
+        instances = [x for x in U3 if PP.domain(x)]
+        _, canons, _ = enumerate_canonifications(
+            PP, instances, cap=10, seed=3, sample_size=4
+        )
+        rng = random.Random(3)
+        for canon in canons[2:]:
+            assert [canon(x) for x in instances] == [
+                rng.choice(PP.answers(x)) for x in instances
+            ]
 
 
 class TestFormulaRelations:
