@@ -257,11 +257,15 @@ def cmd_eval(args) -> int:
     else:
         env = {}
         for binding in args.env or ():
-            name, _, literal = binding.partition("=")
-            if not _:
+            name, sep, literal = binding.partition("=")
+            name = name.strip()
+            if not sep:
                 print(f"eval: bad --env {binding!r} (want VAR=SET)", file=sys.stderr)
                 return EXIT_USAGE
-            env[name.strip()] = hfsets.parse_set_literal(literal.strip())
+            if name in env:
+                print(f"eval: --env names variable {name} twice", file=sys.stderr)
+                return EXIT_USAGE
+            env[name] = hfsets.parse_set_literal(literal.strip())
         result = logic.eval_delta0(formula, env)
     _emit({"value": result}, args.json, "true" if result else "false")
     return EXIT_OK
@@ -329,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="assemble and execute a program")
     p_run.add_argument("program", help=".otm program file")
-    p_run.add_argument("--input", help="input as a set literal (encoded onto the input tape)")
-    p_run.add_argument("--input-code", help="input as SetCode JSON (text or @file)")
+    p_input = p_run.add_mutually_exclusive_group()
+    p_input.add_argument("--input", help="input as a set literal (encoded onto the input tape)")
+    p_input.add_argument("--input-code", help="input as SetCode JSON (text or @file)")
     p_run.add_argument("--budget", type=_budget, default=_DEFAULT_BUDGET,
                        help="STEPS,JUMPS (default %(default)s)")
     p_run.add_argument("--trace", help="write a JSONL trace to this path")

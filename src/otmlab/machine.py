@@ -5,23 +5,24 @@ rule at limit-indexed cells).  At a limit time the configuration is the
 inferior limit of the run before it, taken separately for the state, each
 head position and each cell.  The executor reaches a limit by certifying that
 a segment base..end of the run repeats, and jumps to the time
-base.time + (end.time - base.time)*w.  One function resolves each loop shape:
+base.time + (end.time - base.time)*w.  One rule resolves every loop: end
+shares base's state and moves each tape's head right by a stride d >= 0.
+The limit takes the least state of the segment and, per tape:
 
-  * exact repetition - end equals base, so every cell/head/state history is
-    periodic and the limit takes the minima over one segment (tape
-    intersection, least head, least state).
-  * monotone sweep - end equals base up to a rightward head translation, with
-    all activity confined to the swept window and constant virgin tape
-    ahead; swept cells stabilize to the translated window pattern, heads go
-    to the window supremum.
+  * stride 0 - the content recurs, so the cell and head histories are
+    periodic: minima over one segment (tape intersection, least head).
+  * stride d > 0 - a sweep: all activity stays in the swept window and the
+    tape ahead is constant; swept cells stabilize to the translated window
+    pattern, the head goes to the window supremum.
 
-After each successor step the executor tries an exact recurrence first, then
-the earlier configurations in the current state as sweep bases by increasing
+All-zero strides are an exact repetition: the configuration recurs.  After
+each successor step the executor tries an exact recurrence first, then the
+earlier configurations in the current state as sweep bases by increasing
 period.  A base blocks the tapes that are not constant on the w cells from
 their head, found once per base, and a candidate that moves the head of a
 blocked tape is rejected by identity tests alone, since every sweep limit
-lies at least w cells beyond the base's head.  Both shapes read the segment
-through a summary, so the same rule serves every level:
+lies at least w cells beyond the base's head.  The rule reads the segment
+through a summary, so it serves every level:
 a period of successor steps the run already recorded (never re-executed), a
 run of earlier limits (which yields w*2, w^2, w^3, ...), or, in resolve_limit,
 which is given a certificate without the run behind it, a replay from the
@@ -56,8 +57,7 @@ __all__ = [
     "RunBudget",
     "MiracleHook",
     "step",
-    "ExactLoopCertificate",
-    "SweepLoopCertificate",
+    "LoopCertificate",
     "resolve_limit",
     "Halted",
     "Diverges",
@@ -146,19 +146,11 @@ def _estep(
 
 
 @dataclass(frozen=True, slots=True)
-class ExactLoopCertificate:
+class LoopCertificate:
     base: Configuration
     period: int
-
-
-@dataclass(frozen=True, slots=True)
-class SweepLoopCertificate:
-    base: Configuration
-    period: int
-    strides: Tuple[Ordinal, ...]  # per-tape head translation over one period
-
-
-LoopCertificate = Union[ExactLoopCertificate, SweepLoopCertificate]
+    # per-tape head translation over one period; all zero when base recurs
+    strides: Tuple[Ordinal, ...]
 
 
 def _replay_period(
@@ -178,7 +170,7 @@ def _replay_period(
 
 # -- segment summaries -------------------------------------------------------------
 #
-# A loop shape is resolved from its base and end configurations and a summary of
+# A loop is resolved from its base and end configurations and a summary of
 # the segment between them, both ends included: the least state, per tape the
 # least head and the bounds [visited_lo, visited_hi) of the positions a head
 # was stepped from, and acc, the per-cell minima as a tape (acc_ok False where
@@ -325,17 +317,17 @@ def _combine_stats(parts: Sequence[_Summary]) -> _SegmentStats:
     return out
 
 
-# -- the two loop shapes -----------------------------------------------------------
+# -- the loop rule -----------------------------------------------------------------
 #
-# Each resolver checks that the segment base..end, summarised by unit, repeats
-# with its shape, raising MalformedCertificate otherwise, and returns the
+# _resolve_loop checks that the segment base..end, summarised by unit, repeats
+# with its strides, raising MalformedCertificate otherwise, and returns the
 # configuration at the limit of the repetitions together with the summary of
 # the run from end up to that limit.
 
 
 def _strides(base: Configuration, end: Configuration) -> Optional[Tuple[Ordinal, ...]]:
     """The per-tape head translations from base to end when both share their
-    state, no head moves left and some head moves right; otherwise None."""
+    state and no head moves left; otherwise None."""
     if base.state != end.state:
         return None
     strides = []
@@ -344,7 +336,7 @@ def _strides(base: Configuration, end: Configuration) -> Optional[Tuple[Ordinal,
         if c > 0:
             return None
         strides.append(ZERO if c == 0 else sub_left(he, hb))
-    return None if all(d.is_zero for d in strides) else tuple(strides)
+    return tuple(strides)
 
 
 def _blocked_tapes(base: Configuration) -> Tuple[int, ...]:
@@ -362,30 +354,16 @@ def _limit_time(base: Configuration, end: Configuration) -> Ordinal:
     return add(base.time, mul(sub_left(end.time, base.time), OMEGA))
 
 
-def _resolve_exact(
-    base: Configuration, end: Configuration, unit: _Summary
-) -> Tuple[Configuration, _Summary]:
-    if end.key() != base.key():
-        raise MalformedCertificate("configuration does not recur at the period")
-    if not all(unit.acc_ok):
-        raise MalformedCertificate("loop minima would need infinitely many intervals")
-    limit = Configuration(
-        unit.min_state, tuple(unit.min_heads), tuple(unit.acc), _limit_time(base, end)
-    )
-    # every later period repeats this one
-    return limit, unit
-
-
-def _resolve_sweep(
+def _resolve_loop(
     base: Configuration,
     end: Configuration,
     strides: Sequence[Ordinal],
     unit: _Summary,
 ) -> Tuple[Configuration, _SegmentStats]:
+    if all(d.is_zero for d in strides) and end.key() != base.key():
+        raise MalformedCertificate("configuration does not recur at the period")
     if end.state != base.state:
         raise MalformedCertificate("sweep period changes the state")
-    if all(d.is_zero for d in strides):
-        raise MalformedCertificate("sweep must move at least one head")
     # every check runs before any part of the limit is built, so a rejected
     # candidate costs no tape intersections
     sweeps: List[Optional[Tuple[Ordinal, Ordinal, Ordinal, int]]] = []
@@ -452,22 +430,20 @@ def resolve_limit(
 
     Only successor-level certificates are validated: the period counts
     successor steps from the base.  A certificate of a loop of limits (see
-    Diverges) counts limit jumps instead, and its replay is rejected."""
+    Diverges) counts limit jumps instead, so no replay checks that loop."""
     if certificate.period < 1:
         raise MalformedCertificate("period must be positive")
     configs = _replay_period(
         program, certificate.base, certificate.period, miracle_hook
     )
-    base, end, unit = configs[0], configs[-1], _Period.of(configs)
-    if isinstance(certificate, ExactLoopCertificate):
-        limit, _ = _resolve_exact(base, end, unit)
-    else:
-        if len(certificate.strides) != program.n_tapes:
-            raise MalformedCertificate(
-                f"certificate has {len(certificate.strides)} strides for "
-                f"{program.n_tapes} tapes"
-            )
-        limit, _ = _resolve_sweep(base, end, certificate.strides, unit)
+    if len(certificate.strides) != program.n_tapes:
+        raise MalformedCertificate(
+            f"certificate has {len(certificate.strides)} strides for "
+            f"{program.n_tapes} tapes"
+        )
+    limit, _ = _resolve_loop(
+        configs[0], configs[-1], certificate.strides, _Period.of(configs)
+    )
     return limit
 
 
@@ -487,9 +463,10 @@ class Diverges:
     base of the certified loop (time aside), so it repeats that loop forever.
 
     A loop of successor steps has a certificate resolve_limit replays to
-    limit_behavior.  A loop of limits has ExactLoopCertificate(base, 1): base
-    is the recurring limit and the period counts limit jumps, not successor
-    steps, so it names the loop without a replay resolve_limit accepts."""
+    limit_behavior.  A loop of limits has LoopCertificate(base, 1, strides):
+    base is the recurring limit and the period counts limit jumps, not
+    successor steps, so it names the loop without a replay resolve_limit
+    accepts.  Every stride is 0: a sweep's limit never equals its base."""
 
     certificate: LoopCertificate
     limit_behavior: Configuration
@@ -618,8 +595,9 @@ class _Runner:
         i = index.get(end.key())
         if i is not None:
             base = history[i]
-            limit, tail = _resolve_exact(base, end, _Period.of(history[i:]))
-            cert = ExactLoopCertificate(base=base, period=len(history) - 1 - i)
+            strides = (ZERO,) * len(end.heads)
+            limit, tail = _resolve_loop(base, end, strides, _Period.of(history[i:]))
+            cert = LoopCertificate(base, len(history) - 1 - i, strides)
             return "cycle", cert, limit, tail
         n = len(history) - 1
         bounds = _HeadBounds(history)
@@ -635,10 +613,10 @@ class _Runner:
             # folds in the positions the previous one did not cover
             unit = _Period(history[b:], *bounds.upto(period))
             try:
-                limit, tail = _resolve_sweep(base, end, strides, unit)
+                limit, tail = _resolve_loop(base, end, strides, unit)
             except MalformedCertificate:
                 continue
-            cert = SweepLoopCertificate(base=base, period=period, strides=strides)
+            cert = LoopCertificate(base, period, strides)
             return "sweep", cert, limit, tail
         return None
 
@@ -646,9 +624,9 @@ class _Runner:
         self, b: int, base: Configuration, end: Configuration
     ) -> Optional[Tuple[Ordinal, ...]]:
         """The strides of the sweep from base = history[b] to end, or None
-        when it fails a check of _resolve_sweep that reads no segment
-        summary: _strides finds no sweep, a swept tape is not constant ahead
-        of its sweep, or a stationary tape changed content.  A head moves right
+        when it fails a check of _resolve_loop that reads no segment summary:
+        _strides finds no translation, a swept tape is not constant ahead of
+        its sweep, or a stationary tape changed content.  A head moves right
         at most one cell a step, so every stride here is finite and every sweep
         limit is h0 + w: a swept tape is constant ahead of its sweep exactly
         when base does not block it."""
@@ -679,20 +657,16 @@ class _Runner:
         lo = max(0, j - _LEVEL_LOOKBACK)
         for i in range(j - 1, lo - 1, -1):
             base = entries[i][0]
+            strides = _strides(base, end)
+            if strides is None:
+                continue
             unit = _combine_stats([s for _, s in entries[i + 1 : j + 1]])
             try:
-                if base.key() == end.key():
-                    kind = "limit-cycle"
-                    limit, tail = _resolve_exact(base, end, unit)
-                else:
-                    strides = _strides(base, end)
-                    if strides is None:
-                        continue
-                    kind = "limit-sweep"
-                    limit, tail = _resolve_sweep(base, end, strides, unit)
+                limit, tail = _resolve_loop(base, end, strides, unit)
             except MalformedCertificate:
                 continue
-            return kind, ExactLoopCertificate(base=base, period=1), limit, tail
+            kind = "limit-cycle" if all(d.is_zero for d in strides) else "limit-sweep"
+            return kind, LoopCertificate(base, 1, strides), limit, tail
         return None
 
     # .. main loop ..

@@ -585,32 +585,26 @@ def product_sweep(witness, universe, cap, seed=0, budget=None,
 def reference_detect(history, index, sweep_max_period):
     """The first loop a recorded run certifies, as (kind, certificate, limit,
     tail): an exact recurrence first, then every period 1..sweep_max_period
-    in increasing order through _strides, a fresh _Period and
-    _resolve_sweep."""
+    in increasing order, each through _strides, a fresh _Period and
+    _resolve_loop."""
     from otmlab import machine
     from otmlab.errors import MalformedCertificate
 
     end = history[-1]
     i = index.get(end.key())
-    if i is not None:
-        base = history[i]
-        limit, tail = machine._resolve_exact(
-            base, end, machine._Period.of(history[i:])
-        )
-        cert = machine.ExactLoopCertificate(base=base, period=len(history) - 1 - i)
-        return "cycle", cert, limit, tail
-    for period in range(1, min(sweep_max_period, len(history) - 1) + 1):
+    periods = range(1, min(sweep_max_period, len(history) - 1) + 1)
+    for period in periods if i is None else [len(history) - 1 - i]:
         base = history[-1 - period]
         strides = machine._strides(base, end)
         if strides is None:
             continue
         unit = machine._Period.of(history[-1 - period :])
         try:
-            limit, tail = machine._resolve_sweep(base, end, strides, unit)
+            limit, tail = machine._resolve_loop(base, end, strides, unit)
         except MalformedCertificate:
             continue
-        cert = machine.SweepLoopCertificate(base=base, period=period, strides=strides)
-        return "sweep", cert, limit, tail
+        kind = "sweep" if i is None else "cycle"
+        return kind, machine.LoopCertificate(base, period, strides), limit, tail
     return None
 
 

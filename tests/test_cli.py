@@ -63,6 +63,15 @@ class TestRun:
         assert any(r["event"] == "limit" and r["time"] == "w" for r in records)
         assert any(r["event"] == "step" for r in records)
 
+    def test_input_and_input_code_together_are_a_usage_error(self, sweep_path, capsys):
+        """run reads one input: given both a set and a code it refuses,
+        rather than silently running on the set alone."""
+        code = json.dumps({"bound": "1", "pairs": []})
+        assert main(["run", sweep_path, "--input", "{}", "--input-code", code]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --input" in captured.err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.otm"
         p.write_text("tapes in work out; state q0;\nrule q0 work=0 -> goto q0;\n")
@@ -323,6 +332,15 @@ class TestSetCommands:
                      "--env", "x={{}}", "--env", "y={{},{{}}}"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
+
+    def test_eval_env_naming_a_variable_twice_is_a_usage_error(self, capsys):
+        """A second binding of x is not read as replacing the first."""
+        argv = ["eval", "x in y", "--env", "x={}", "--env", " x ={{}}",
+                "--env", "y={{}}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--env names variable x twice" in captured.err
 
     def test_eval_prenex_needs_carrier(self, capsys):
         assert main(["eval", "ALL x EX y (x in y)"]) == 2

@@ -14,7 +14,7 @@ from otmlab.asm import parse_program
 from otmlab.errors import MalformedCertificate
 from otmlab.machine import (
     Diverges,
-    ExactLoopCertificate,
+    LoopCertificate,
     RunBudget,
     initial_configuration,
     resolve_limit,
@@ -71,61 +71,76 @@ def random_input(rng):
     return Tape(intervals)
 
 
+def _first_limit_matches_liminfs(program, input_tape):
+    """Run to the first limit; when it lies at w, check it against inferior
+    limits recomputed from a recorded prefix of plain successor steps and
+    return its kind (None when the run reaches no limit at w)."""
+    limits = []
+    run(
+        program,
+        input_tape,
+        RunBudget(400, 1),
+        trace=lambda r: limits.append(r) if r["event"] == "limit" else None,
+    )
+    if not limits or limits[0]["time"] != "w":
+        return None
+
+    # record the genuine prefix with plain successor steps; tapes are
+    # immutable so snapshots are free
+    config = initial_configuration(program, input_tape)
+    snapshots, state_hist, head_hist = [], [], []
+    wi = program.tape_index("work")
+    for _ in range(PREFIX_STEPS):
+        config = step(program, config)
+        snapshots.append(config.tapes[wi])
+        state_hist.append(config.state)
+        head_hist.append(config.heads[wi])
+
+    record = limits[0]
+    # state: least state occurring cofinally
+    tail_states = state_hist[-TAIL:]
+    assert record["state"] == program.state_name(min(set(tail_states)))
+    # sampled work cells: min over the recurring tail values
+    limit_work = Tape(tuple(_parse_interval(s) for s in record["tapes"]["work"]))
+    tail_snaps = snapshots[-TAIL:]
+    for c in range(SAMPLE_CELLS):
+        cell = from_int(c)
+        want = min(snap.read(cell) for snap in tail_snaps)
+        assert limit_work.read(cell) == want, f"cell {c}"
+    # work head: the supremum for escaping heads, the least recurring
+    # position for periodic ones
+    tail_heads = head_hist[-TAIL:]
+    if record["heads"][wi] == "w":
+        assert tail_heads[-1].to_int() > 100
+        assert tail_heads[-1] > tail_heads[0]
+    else:
+        low = tail_heads[0]
+        for h in tail_heads:
+            if h < low:
+                low = h
+        assert parse_ordinal(record["heads"][wi]) == low
+    return record["kind"]
+
+
 def test_resolved_limits_match_recomputed_liminfs(monkeypatch):
+    """The limit at w agrees with the inferior limits of the run below it, on
+    sweep-biased programs, whose heads never move left, and on random_program
+    runs, which move them both ways and so also reach w by exact repetition:
+    the rule with all strides zero."""
     monkeypatch.setattr(machine, "_SWEEP_MAX_PERIOD", 8)
     rng = random.Random(20260809)
-    resolved = 0
-    for trial in range(TRIALS):
-        program = sweepish_program(rng)
-        input_tape = random_input(rng)
-
-        limits = []
-        run(
-            program,
-            input_tape,
-            RunBudget(400, 1),
-            trace=lambda r: limits.append(r) if r["event"] == "limit" else None,
-        )
-        if not limits or limits[0]["time"] != "w":
-            continue
-        resolved += 1
-
-        # record the genuine prefix with plain successor steps; tapes are
-        # immutable so snapshots are free
-        config = initial_configuration(program, input_tape)
-        snapshots, state_hist, head_hist = [], [], []
-        wi = program.tape_index("work")
-        for _ in range(PREFIX_STEPS):
-            config = step(program, config)
-            snapshots.append(config.tapes[wi])
-            state_hist.append(config.state)
-            head_hist.append(config.heads[wi])
-
-        record = limits[0]
-        # state: least state occurring cofinally
-        tail_states = state_hist[-TAIL:]
-        assert record["state"] == program.state_name(min(set(tail_states)))
-        # sampled work cells: min over the recurring tail values
-        limit_work = Tape(tuple(_parse_interval(s) for s in record["tapes"]["work"]))
-        tail_snaps = snapshots[-TAIL:]
-        for c in range(SAMPLE_CELLS):
-            cell = from_int(c)
-            want = min(snap.read(cell) for snap in tail_snaps)
-            assert limit_work.read(cell) == want, f"trial {trial}: cell {c}"
-        # work head: the supremum for escaping heads, the least recurring
-        # position for periodic ones
-        tail_heads = head_hist[-TAIL:]
-        if record["heads"][wi] == "w":
-            assert tail_heads[-1].to_int() > 100
-            assert tail_heads[-1] > tail_heads[0]
-        else:
-            low = tail_heads[0]
-            for h in tail_heads:
-                if h < low:
-                    low = h
-            assert parse_ordinal(record["heads"][wi]) == low
-    # the generator must actually exercise the limit machinery
-    assert resolved >= 10, f"only {resolved} of {TRIALS} trials resolved a limit"
+    sweepish = collections.Counter(
+        _first_limit_matches_liminfs(sweepish_program(rng), random_input(rng))
+        for _ in range(TRIALS)
+    )
+    rng = random.Random(2)
+    left = collections.Counter(
+        _first_limit_matches_liminfs(random_program(rng), random_input(rng))
+        for _ in range(40)
+    )
+    # the generators must actually exercise the limit machinery
+    assert TRIALS - sweepish[None] >= 10, sweepish
+    assert 40 - left[None] >= 15 and left["cycle"] >= 1, left
 
 
 def _parse_interval(text):
@@ -303,8 +318,8 @@ rule qm -> goto a;
 
 def test_recorded_periods_match_replays(monkeypatch):
     """At every step, every candidate period read off the recorded run must
-    equal a re-execution of that period from its base.  The loop resolvers
-    read a period only through this list of configurations."""
+    equal a re-execution of that period from its base.  The loop rule reads
+    a period only through this list of configurations."""
     checked = {"sweep": 0, "cycle": 0}
     detect = machine._Runner._detect
 
@@ -358,10 +373,12 @@ def test_divergence_certificates_replay_or_name_the_recurring_limit(monkeypatch)
         if not isinstance(out, Diverges):
             continue
         cert = out.certificate
+        # a sweep's limit moves a head, so only a recurrence returns to base
+        assert all(d.is_zero for d in cert.strides)
         try:
             replayed = resolve_limit(program, cert)
         except MalformedCertificate:
-            assert isinstance(cert, ExactLoopCertificate) and cert.period == 1
+            assert isinstance(cert, LoopCertificate) and cert.period == 1
             assert cert.base.time.is_limit
             assert cert.base.key() == out.limit_behavior.key()
             seen["limit level"] += 1
@@ -526,16 +543,16 @@ def test_detection_matches_the_unfiltered_scan(monkeypatch):
 
 def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypatch):
     """On the shipped .otm stages, the benchmark's limit fixtures and seeded
-    sweep-biased programs, every sweep candidate that reaches _resolve_sweep
-    shares the end's state, and none fails the stationary-tape or the
-    ahead-of-sweep check: _detect decides those before it builds a segment
-    summary.  So each call from _detect certifies a sweep or fails the window
-    or fill check."""
+    sweep-biased programs, every candidate that reaches _resolve_loop shares
+    the end's state, and none fails the stationary-tape or the ahead-of-sweep
+    check: _detect decides those before it builds a segment summary.  So each
+    call from _detect certifies an exact recurrence or a sweep, or fails the
+    window or fill check."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import limits as bench_limits
     import stages as bench_stages
 
-    resolve = machine._resolve_sweep
+    resolve = machine._resolve_loop
     detect = machine._Runner._detect
     prefiltered = ("changed content", "ahead of the sweep")
     counts = collections.Counter()
@@ -565,7 +582,7 @@ def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypa
         finally:
             in_detect.pop()
 
-    monkeypatch.setattr(machine, "_resolve_sweep", counted_resolve)
+    monkeypatch.setattr(machine, "_resolve_loop", counted_resolve)
     monkeypatch.setattr(machine._Runner, "_detect", flagged_detect)
 
     sets = [x for x in hfsets.universe_rank_le(3) if len(x)]

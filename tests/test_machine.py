@@ -9,10 +9,9 @@ from otmlab.asm import format_program, parse_program
 from otmlab.errors import ConflictingRules, MalformedCertificate, ParseError, TotalityError
 from otmlab.machine import (
     Diverges,
-    ExactLoopCertificate,
     Halted,
+    LoopCertificate,
     RunBudget,
-    SweepLoopCertificate,
     Unresolved,
     initial_configuration,
     resolve_limit,
@@ -282,7 +281,8 @@ class TestLimits:
         assert isinstance(out, Diverges)
         assert out.limit_behavior.time == parse_ordinal("w^4")
         cert = out.certificate
-        assert isinstance(cert, ExactLoopCertificate) and cert.period == 1
+        assert isinstance(cert, LoopCertificate) and cert.period == 1
+        assert cert.strides == (ZERO,) * p.n_tapes
         assert cert.base.time == parse_ordinal("w^2")
         assert cert.base.key() == out.limit_behavior.key()
         with pytest.raises(MalformedCertificate, match="does not recur"):
@@ -386,7 +386,7 @@ class TestResolveLimit:
         base = initial_configuration(p)
         c2 = step(p, step(p, base))
         assert c2.key() == base.key()
-        cert = ExactLoopCertificate(base=base, period=2)
+        cert = LoopCertificate(base=base, period=2, strides=(ZERO,) * p.n_tapes)
         limit = resolve_limit(p, cert)
         assert limit.state == base.state
         assert limit.time == W
@@ -395,13 +395,14 @@ class TestResolveLimit:
     def test_certificate_replay_is_validated(self):
         p = parse_program(TOGGLE)
         base = initial_configuration(p)
-        with pytest.raises(MalformedCertificate):
-            resolve_limit(p, ExactLoopCertificate(base=base, period=3))
+        cert = LoopCertificate(base=base, period=3, strides=(ZERO,) * p.n_tapes)
+        with pytest.raises(MalformedCertificate, match="does not recur"):
+            resolve_limit(p, cert)
 
     def test_sweep_certificate(self):
         p = parse_program(PURE_SWEEP)
         base = initial_configuration(p)
-        cert = SweepLoopCertificate(
+        cert = LoopCertificate(
             base=base, period=1, strides=(ZERO, from_int(1), ZERO)
         )
         limit = resolve_limit(p, cert)
@@ -418,7 +419,7 @@ class TestResolveLimit:
         tapes = list(start.tapes)
         tapes[wi] = Tape([beyond])
         base = start.replace(tapes=tuple(tapes))
-        cert = SweepLoopCertificate(
+        cert = LoopCertificate(
             base=base, period=1, strides=(ZERO, from_int(1), ZERO)
         )
         limit = resolve_limit(p, cert)
@@ -428,7 +429,7 @@ class TestResolveLimit:
     def test_mixed_sweep_pattern_is_rejected(self):
         p = parse_program(ALTERNATING_SWEEP)
         base = initial_configuration(p)
-        cert = SweepLoopCertificate(
+        cert = LoopCertificate(
             base=base, period=2, strides=(ZERO, from_int(2), ZERO)
         )
         with pytest.raises(MalformedCertificate, match="pattern is not constant"):
@@ -479,7 +480,7 @@ class TestResolveLimit:
         self, text, period, stride, reason
     ):
         p = parse_program(text)
-        cert = SweepLoopCertificate(
+        cert = LoopCertificate(
             base=self._base_with_work_cell(p, 5),
             period=period,
             strides=(ZERO, from_int(stride), ZERO),
@@ -494,7 +495,7 @@ class TestResolveLimit:
         with pytest.raises(MalformedCertificate):
             resolve_limit(
                 p,
-                SweepLoopCertificate(
+                LoopCertificate(
                     base=base, period=1, strides=(ZERO, from_int(2), ZERO)
                 ),
             )
@@ -504,7 +505,7 @@ class TestResolveLimit:
         base = initial_configuration(p)
         with pytest.raises(MalformedCertificate):
             resolve_limit(
-                p, SweepLoopCertificate(base=base, period=1, strides=(from_int(1),))
+                p, LoopCertificate(base=base, period=1, strides=(from_int(1),))
             )
 
 
