@@ -245,6 +245,10 @@ def cmd_decode(args) -> int:
 def cmd_eval(args) -> int:
     formula = parse_formula(_read_arg_text(args.formula))
     if isinstance(formula, PrenexStatement):
+        if args.env:
+            print("eval: prenex statements bind every variable; drop --env",
+                  file=sys.stderr)
+            return EXIT_USAGE
         if not args.carrier:
             print("eval: prenex statements need --carrier", file=sys.stderr)
             return EXIT_USAGE
@@ -255,6 +259,9 @@ def cmd_eval(args) -> int:
         ]
         result = logic.eval_prenex(formula, logic.Carrier(tuple(members)))
     else:
+        if args.carrier is not None:
+            print("eval: --carrier is for prenex statements only", file=sys.stderr)
+            return EXIT_USAGE
         env = {}
         for binding in args.env or ():
             name, sep, literal = binding.partition("=")
@@ -379,10 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_canon = sub.add_parser("canon", help="check a canonification against a relation")
     p_canon.add_argument("relation", choices=sorted(relations.PRINCIPLES))
-    p_canon.add_argument("--map", help="JSON list of [instance, value] set-literal "
-                         "pairs, each instance once; a domain instance it leaves out fails")
-    p_canon.add_argument("--rule", choices=("ack-min", "ack-max"),
-                         help="use the Ackermann-least/-greatest witness everywhere")
+    p_canonification = p_canon.add_mutually_exclusive_group()
+    p_canonification.add_argument(
+        "--map", help="JSON list of [instance, value] set-literal pairs, each "
+        "instance once; a domain instance it leaves out fails")
+    p_canonification.add_argument(
+        "--rule", choices=("ack-min", "ack-max"),
+        help="use the Ackermann-least/-greatest witness everywhere")
     p_canon.add_argument("--universe", type=_universe_rank, default="rank:3",
                          help="rank:N, N <= 4 (default rank:3)")
     p_canon.add_argument("--json", action="store_true")

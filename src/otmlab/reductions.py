@@ -13,15 +13,18 @@ verify_reduction sweeps every canonification of the target relation over the
 relevant instances (full product when small, extremal plus seeded samples
 otherwise) and reports counterexamples.  A single-use case depends on its
 canonification only through the answer at pre(x), so the sweep decides
-pointwise: one verdict per (instance, answer).  It walks the product of
-canonifications only when some verdict fails, to list the counterexamples
-case by case.
+pointwise, one verdict per (instance, answer), and walks the product only to
+list counterexamples.  An OTM run meets its oracle instances as it goes, so
+one walker judges every leaf of an instance's choice tree, giving a lone
+answer inline and running again once per answer where there are several: all
+answers while the tree fits the cap, past it the one each choice rule picks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -127,12 +130,11 @@ class ReductionWitness:
     def __post_init__(self):
         if self.kind not in ("oW", "soW", "OTM"):
             raise ValueError(f"unknown witness kind {self.kind}")
-        if self.kind == "OTM":
-            if self.otm is None:
-                raise ValueError("OTM witnesses need their procedure")
-        else:
-            if self.pre is None or self.post is None:
-                raise ValueError(f"{self.kind} witnesses need pre and post stages")
+        runs = ("otm",) if self.kind == "OTM" else ("pre", "post")
+        for stage in ("pre", "post", "otm"):
+            if (getattr(self, stage) is None) == (stage in runs):
+                need = "need" if stage in runs else "take no"
+                raise ValueError(f"{self.kind} witnesses {need} stage {stage!r}")
 
 
 # -- stage execution ---------------------------------------------------------------
@@ -345,8 +347,11 @@ class VerificationReport:
 
 
 class _NeedInstance(Exception):
-    def __init__(self, instance):
+    """A run asked an oracle instance with several answers to try."""
+
+    def __init__(self, instance, options):
         self.instance = instance
+        self.options = options
 
 
 def verify_reduction(
@@ -461,24 +466,68 @@ def _every_answer_solves(witness, source, instances, pre_images, canons, runner)
 
 
 def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
-    """Adaptive sweep: oracle instances appear dynamically, so enumerate the
-    tree of witness choices per run (full tree when it fits the cap)."""
+    """Adaptive sweep: one walker judges each instance's choice tree in full
+    while it fits the cap, and past the cap once per choice rule."""
     source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
-    total_leaves = 0
-    exhaustive = True
+    answers = lru_cache(maxsize=None)(target.answers)
+    names = {x: format_set(x) for x in instances}
+
+    def walk(x, chosen, pick, label, cap):
+        """Judge every leaf of x's choice tree below the partial choice
+        `chosen`, where pick(s) lists the answers to try at a new in-domain
+        oracle instance s.  Returns (leaves, stayed within cap)."""
+
+        def oracle(s):
+            if s in partial:
+                return partial[s]
+            # off-domain oracle instances take the conventional empty value
+            if not target.domain(s):
+                return EMPTY
+            options = pick(s)
+            if len(options) > 1:
+                raise _NeedInstance(s, options)
+            partial[s] = options[0]
+            return options[0]
+
+        stack = [chosen]
+        leaves = 0
+        while stack:
+            partial = stack.pop()
+            try:
+                y, stats = run_with_miracle(witness, oracle, x, budget)
+            except _NeedInstance as need:
+                if len(stack) + len(need.options) > cap:
+                    return leaves, False
+                for opt in reversed(need.options):
+                    stack.append({**partial, need.instance: opt})
+                continue
+            except EmptyWitnessSet as exc:
+                report.failures.append(CaseFailure(
+                    x, "-", f"no witness for oracle instance {exc.instance}"))
+            except Exception as exc:
+                report.cases += 1
+                report.failures.append(CaseFailure(x, label or _label(partial), str(exc)))
+            else:
+                report.cases += 1
+                _record_calls(report, names[x], stats)
+                if not source.holds(x, y):
+                    report.failures.append(CaseFailure(
+                        x, label or _label(partial), f"result {y} fails {source.name}"))
+            leaves += 1
+            if leaves > cap:
+                return leaves, False
+        return leaves, True
+
     for x in instances:
-        leaves, exh = _otm_tree(witness, source, target, x, cap, budget, report)
-        total_leaves += leaves
-        exhaustive = exhaustive and exh
-        if not exh:
+        leaves, exhaustive = walk(x, {}, answers, None, cap)
+        report.canonification_count += leaves
+        if not exhaustive:
             break
-    if exhaustive:
-        report.mode = "exhaustive"
-        report.canonification_count = total_leaves
-        report.product_size = total_leaves
+    else:
+        report.product_size = report.canonification_count
         return
     # fall back to the choice rules of a sampled sweep, each fixing its
-    # answer at an oracle instance the first time it is asked there.
+    # answer at an oracle instance the first time any run asks there.
     # Counterexamples the exhaustive phase already found stay: a report must
     # not say OK after one has been seen.
     report.mode = "sampled"
@@ -489,74 +538,9 @@ def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
     report.product_size = -1
     for label, choose in rules:
         chosen: Dict[HfSet, HfSet] = {}
-        # off-domain oracle instances take the conventional empty value
-        def oracle(s):
-            if target.domain(s) and s not in chosen:
-                chosen[s] = choose(target.answers(s))
-            return chosen.get(s, EMPTY)
-
+        pick = lambda s: [choose(answers(s))]
         for x in instances:
-            report.cases += 1
-            try:
-                y, stats = run_with_miracle(witness, oracle, x, budget)
-            except Exception as exc:
-                report.failures.append(CaseFailure(x, label, str(exc)))
-                continue
-            _record_calls(report, x, stats)
-            if not source.holds(x, y):
-                report.failures.append(
-                    CaseFailure(x, label, f"result {y} fails {source.name}")
-                )
-
-
-def _otm_tree(witness, source, target, x, cap, budget, report):
-    """DFS over oracle-choice branches for one instance.  Returns
-    (completed_leaf_count, stayed_exhaustive)."""
-    stack: List[Dict[HfSet, HfSet]] = [{}]
-    leaves = 0
-    while stack:
-        partial = dict(stack.pop())
-
-        def oracle(s: HfSet) -> HfSet:
-            if not target.domain(s):
-                return EMPTY
-            if s in partial:
-                return partial[s]
-            raise _NeedInstance(s)
-
-        try:
-            y, stats = run_with_miracle(witness, oracle, x, budget)
-        except _NeedInstance as need:
-            try:
-                options = target.answers(need.instance)
-            except EmptyWitnessSet:
-                report.failures.append(
-                    CaseFailure(x, "-", f"no witness for oracle instance {need.instance}")
-                )
-                leaves += 1
-                continue
-            if len(stack) + len(options) > cap:
-                return leaves, False
-            for opt in reversed(options):
-                branch = dict(partial)
-                branch[need.instance] = opt
-                stack.append(branch)
-            continue
-        except Exception as exc:
-            leaves += 1
-            report.cases += 1
-            report.failures.append(CaseFailure(x, _label(partial), str(exc)))
-            continue
-        leaves += 1
-        report.cases += 1
-        _record_calls(report, x, stats)
-        if not source.holds(x, y):
-            report.failures.append(
-                CaseFailure(x, _label(partial), f"result {y} fails {source.name}")
-            )
-        if leaves > cap:
-            return leaves, False
-    return leaves, True
+            walk(x, chosen, pick, label, cap)
 
 
 def _label(partial: Dict[HfSet, HfSet]) -> str:
@@ -567,11 +551,9 @@ def _label(partial: Dict[HfSet, HfSet]) -> str:
     )
 
 
-def _record_calls(report: VerificationReport, x: HfSet, stats: MiracleStats):
-    key = format_set(x)
-    prev = report.miracle_calls.get(key)
-    if prev is None or stats.calls > prev:
-        report.miracle_calls[key] = stats.calls
+def _record_calls(report: VerificationReport, key: str, stats: MiracleStats):
+    """Keep the most oracle calls any run of the instance named key made."""
+    report.miracle_calls[key] = max(stats.calls, report.miracle_calls.get(key, 0))
 
 
 # -- native procedure registry -------------------------------------------------------
@@ -815,6 +797,9 @@ def _resolve_stage(spec: Optional[str], base: Path) -> Optional[Stage]:
     raise ValueError(f"stage spec must be native:NAME or file:PATH, got {spec!r}")
 
 
+_MANIFEST_KEYS = ("name", "kind", "source_relation", "target_relation", "pre", "post", "otm")
+
+
 def load_witness_manifest(path) -> ReductionWitness:
     """Witness manifest JSON: {name, kind, source_relation, target_relation,
     pre, post, otm} with stages as native:NAME or file:RELATIVE.otm."""
@@ -826,6 +811,9 @@ def load_witness_manifest(path) -> ReductionWitness:
             raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a witness manifest must be a JSON object")
+    for key in data:
+        if key not in _MANIFEST_KEYS:
+            raise ValueError(f"{path}: witness manifest has unknown key {key!r}")
     for key in ("kind", "source_relation", "target_relation"):
         if key not in data:
             raise ValueError(f"{path}: witness manifest has no {key!r} field")

@@ -5,8 +5,8 @@ different derivations than the package code: ordinals as fixed-length
 coefficient tuples, the CNF order by recursion instead of by order key, tapes
 as dicts and as scanned lists of interval pairs, sets as nested frozensets,
 machines as dict-tape simulators, the successor step as one that writes
-every tape and moves every head, and single-use verdicts by walking every
-(canonification, instance) case.
+every tape and moves every head, single-use verdicts by walking every
+(canonification, instance) case, and OTM choice trees by recursion.
 """
 
 from __future__ import annotations
@@ -573,6 +573,65 @@ def product_sweep(witness, universe, cap, seed=0, budget=None,
                     CaseFailure(x, canon.label, f"result {y} fails {source.name}")
                 )
     return report
+
+
+# -- exhaustive OTM sweep by recursion on answer assignments -------------------------
+#
+# The package walks an OTM witness's choice tree with one explicit stack shared
+# with its choice-rule fallback; this enumerates the same leaves by recursion,
+# restarting the run whenever it asks an oracle instance the assignment lacks.
+
+
+def otm_tree_sweep(witness, universe):
+    """(leaves, cases, failing (instance, reason) pairs) of the exhaustive
+    sweep of an OTM witness.  Each run answers from a partial assignment; at
+    the first in-domain oracle instance it lacks the run is abandoned and the
+    assignment extended there by each witness in turn.  An instance without
+    witnesses ends its branch as a leaf that is no case."""
+    from otmlab.hfsets import EMPTY
+    from otmlab.reductions import run_with_miracle
+    from otmlab.relations import PRINCIPLES
+
+    source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
+    tally = {"leaves": 0, "cases": 0}
+    failures = set()
+
+    def explore(x, assignment):
+        missing = []
+
+        def oracle(s):
+            if not target.domain(s):
+                return EMPTY
+            if s not in assignment:
+                missing.append(s)
+                raise LookupError(f"no answer assigned at {s}")
+            return assignment[s]
+
+        try:
+            y, _ = run_with_miracle(witness, oracle, x)
+        except Exception as exc:
+            if missing:
+                s = missing[0]
+                solutions = target.witness_set(s)
+                for answer in solutions:
+                    explore(x, {**assignment, s: answer})
+                if not solutions:
+                    tally["leaves"] += 1
+                    failures.add((x, f"no witness for oracle instance {s}"))
+                return
+            tally["leaves"] += 1
+            tally["cases"] += 1
+            failures.add((x, str(exc)))
+            return
+        tally["leaves"] += 1
+        tally["cases"] += 1
+        if not source.holds(x, y):
+            failures.add((x, f"result {y} fails {source.name}"))
+
+    for x in universe:
+        if source.domain(x):
+            explore(x, {})
+    return tally["leaves"], tally["cases"], failures
 
 
 # -- loop detection by an unfiltered scan ---------------------------------------------

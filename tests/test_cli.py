@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -158,9 +159,12 @@ class TestCheck:
               "pre": 5, "post": "native:const-empty"}, "pre 5 is not a string"),
             ("{", "not JSON: Expecting property name enclosed in double quotes: "
                   "line 1 column 2 (char 1)"),
+            ({"kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+              "pre": "native:discrete-poset", "psot": "native:identity"},
+             "witness manifest has unknown key 'psot'"),
         ],
         ids=["not-an-object", "missing-field", "unknown-relation", "unhashable-relation",
-             "non-string-stage", "not-json"],
+             "non-string-stage", "not-json", "unknown-key"],
     )
     def test_malformed_manifest_is_an_execution_error(self, tmp_path, manifest,
                                                       problem, capsys):
@@ -170,6 +174,19 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert (captured.out, captured.err) == ("", f"otmlab: {path}: {problem}\n")
+
+    def test_stage_the_kind_never_runs_is_an_execution_error(self, tmp_path, capsys):
+        """A soW manifest with an otm stage is refused, not verified without it."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+            "pre": "native:discrete-poset", "post": "native:identity",
+            "otm": "native:pp-from-wo-otm",
+        }))
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "otmlab: soW witnesses take no stage 'otm'\n")
 
     def test_rank0_universe_trivially_ok(self, capsys):
         assert main(["check", "pp_le_zl", "--universe", "rank:0"]) == 0
@@ -349,6 +366,24 @@ class TestSetCommands:
         ) == 0
         assert capsys.readouterr().out.strip().endswith("false")
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["canon", "PP", "--map", '[["{{}}","{}"]]', "--rule", "ack-max"], "--rule"),
+            (["eval", "x in y", "--env", "x={}", "--env", "y={{}}", "--carrier", "{}"],
+             "--carrier"),
+            (["eval", "ALL x EX y (x in y)", "--carrier", "{} ; {{}}", "--env", "x={}"],
+             "--env"),
+        ],
+        ids=["canon-map-and-rule", "eval-delta0-carrier", "eval-prenex-env"],
+    )
+    def test_an_option_the_command_would_ignore_is_a_usage_error(self, argv, option,
+                                                                capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+
     def test_canon_ok_and_fail(self, capsys):
         assert main(["canon", "PP", "--rule", "ack-min", "--universe", "rank:3"]) == 0
         assert main(["canon", "WO", "--rule", "ack-min", "--universe", "rank:2"]) == 0
@@ -455,3 +490,25 @@ def test_closed_stdout_is_not_an_execution_error(unbuffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, "")
+
+
+def readme_commands():
+    """The argument lists of the README's "Command line" block, except the
+    `run PROGRAM.otm` template."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("otmlab ") and not line.startswith("otmlab run PROGRAM")]
+
+
+def test_readme_lists_nine_commands():
+    assert len(readme_commands()) == 9
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv):
+    """Each README command exits 0 from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "otmlab", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

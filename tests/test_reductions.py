@@ -1,5 +1,6 @@
 import json
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from otmlab.hfsets import (
 )
 from otmlab.machine import RunBudget, run
 from otmlab.ordinals import from_int
-from otmlab.relations import PRINCIPLES, Canonification
+from otmlab.relations import PRINCIPLES, Canonification, Relation
 from otmlab.reductions import (
     DEFAULT_CAP,
     NATIVE_REGISTRY,
@@ -294,6 +295,113 @@ class TestPointwiseVerdicts:
                    for f in report.failures)
 
 
+def otm_probe(name, source, target, procedure):
+    """An OTM witness whose procedure is the native procedure(x, miracle)."""
+    return ReductionWitness(
+        name=name, kind="OTM", source=source, target=target,
+        otm=NativeProcedure(name.replace("_", "-"), 2, procedure, ("miracle",)),
+    )
+
+
+def _off_domain_probe(x, miracle):
+    # {} is outside PP's domain, so the oracle gives the conventional value
+    assert miracle(EMPTY) is EMPTY
+    return EMPTY
+
+
+THREE = hf([EMPTY, SE, SSE])
+
+
+def _wrong_on_second_choice(x, miracle):
+    # wrong only on the second Ackermann choice at the 4-element instance; the
+    # later choices there consult the oracle again
+    y = miracle(x)
+    if len(x) == 4:
+        options = sorted(PRINCIPLES["PP"].witness_set(x), key=cmp_to_key(ack_compare))
+        if y is options[1]:
+            return x  # not an element of x
+        if y in options[2:]:
+            miracle(THREE)
+    return y
+
+
+def _wrong_on_one_leaf(x, miracle):
+    # two oracle instances with 2 and 3 answers; one leaf of six is wrong
+    pp = PRINCIPLES["PP"]
+    a, b = miracle(PAIR01), miracle(THREE)
+    if a is pp.answers(PAIR01)[-1] and b is pp.answers(THREE)[1]:
+        return x  # not an element of x
+    return x.elements[0]
+
+
+def wrong_on_every_leaf(fault):
+    """A PP <= PP probe whose choice tree at PAIR01 has three leaves, every one
+    wrong: the first answer there, or the last one followed by either answer
+    at {{{}},{{{}}}}.  fault: "raises" or "fails PP"."""
+    two = hf([SE, SSE])
+
+    def procedure(x, miracle):
+        if miracle(PAIR01) is PRINCIPLES["PP"].answers(PAIR01)[-1]:
+            miracle(two)
+        if fault == "raises":
+            raise WitnessExecutionError("refuses every leaf")
+        return x  # not an element of x
+
+    return otm_probe(f"wrong_on_every_leaf_{fault.replace(' ', '_')}", "PP", "PP",
+                     procedure)
+
+
+# .otm probes of the miracle protocol, each a ZERO <= PP witness
+MIRACLE_PROBES = {
+    # write the code of {{}} (cell 1) on the miracle tape, enter the miracle
+    # state, and halt; the oracle image should replace it
+    "probe": """
+        tapes in work out miracle;
+        state m0;
+        state m1;
+        state qm miracle;
+        state done halt;
+        rule m0 -> move miracle=R goto m1;
+        rule m1 -> write miracle=1 goto qm;
+        rule qm -> goto done;
+        """,
+    # cell 0 = p(0,0) makes node 0 a member of itself: not a set code
+    "probe2": """
+        tapes in work out miracle;
+        state m0;
+        state qm miracle;
+        state done halt;
+        rule m0 -> write miracle=1 goto qm;
+        rule qm -> goto done;
+        """,
+    # halts without entering the miracle state
+    "probe3": """
+        tapes in work out miracle;
+        state m0;
+        state qm miracle;
+        state done halt;
+        rule m0 -> write work=1 goto done;
+        rule qm -> goto done;
+        """,
+}
+
+
+def program_probe(name):
+    return ReductionWitness(name=name, kind="OTM", source="ZERO", target="PP",
+                            otm=parse_program(MIRACLE_PROBES[name]))
+
+
+# (witness, universe) of every OTM probe
+OTM_PROBES = [
+    (otm_probe("offdomain_probe", "ZERO", "PP", _off_domain_probe), U3[:4]),
+    (otm_probe("wrong_on_second_choice", "PP", "PP", _wrong_on_second_choice), U3),
+    (otm_probe("wrong_on_one_leaf", "PP", "PP", _wrong_on_one_leaf), [PAIR01]),
+    (wrong_on_every_leaf("raises"), [PAIR01]),
+    (wrong_on_every_leaf("fails PP"), [PAIR01]),
+] + [(program_probe(name), U2) for name in MIRACLE_PROBES]
+PROBES = {witness.name: witness for witness, _ in OTM_PROBES}
+
+
 class TestMiracleProtocol:
     def test_native_iterative_well_ordering(self):
         from otmlab.relations import encode_order
@@ -307,23 +415,7 @@ class TestMiracleProtocol:
         assert stats.calls == 2
 
     def test_program_miracle_replaces_valid_code(self):
-        # write the code of {{}} (cell 1) on the miracle tape, enter the
-        # miracle state, and halt; the oracle image should replace it
-        src = """
-        tapes in work out miracle;
-        state m0;
-        state m1;
-        state qm miracle;
-        state done halt;
-        rule m0 -> move miracle=R goto m1;
-        rule m1 -> write miracle=1 goto qm;
-        rule qm -> goto done;
-        """
-        program = parse_program(src)
-        witness = ReductionWitness(
-            name="probe", kind="OTM", source="ZERO", target="PP",
-            otm=program,
-        )
+        witness = program_probe("probe")
         seen = []
 
         def oracle(s):
@@ -337,19 +429,8 @@ class TestMiracleProtocol:
         assert y is EMPTY  # output tape untouched
 
     def test_program_miracle_ignores_invalid_code(self):
-        # cell 0 = p(0,0) makes node 0 a member of itself: not a set code
-        src = """
-        tapes in work out miracle;
-        state m0;
-        state qm miracle;
-        state done halt;
-        rule m0 -> write miracle=1 goto qm;
-        rule qm -> goto done;
-        """
-        program = parse_program(src)
-        witness = ReductionWitness(
-            name="probe2", kind="OTM", source="ZERO", target="PP", otm=program
-        )
+        witness = program_probe("probe2")
+        program = witness.otm
         calls = []
 
         def oracle(s):
@@ -363,18 +444,8 @@ class TestMiracleProtocol:
         assert stats.entries == 1
 
     def test_miracle_never_entered_matches_plain_run(self):
-        src = """
-        tapes in work out miracle;
-        state m0;
-        state qm miracle;
-        state done halt;
-        rule m0 -> write work=1 goto done;
-        rule qm -> goto done;
-        """
-        program = parse_program(src)
-        witness = ReductionWitness(
-            name="probe3", kind="OTM", source="ZERO", target="PP", otm=program
-        )
+        witness = program_probe("probe3")
+        program = witness.otm
         y, stats = run_with_miracle(witness, lambda s: s, EMPTY, RunBudget(100, 2))
         plain = run(program, code_to_tape(encode(EMPTY)), RunBudget(100, 2))
         assert stats.entries == 0
@@ -396,77 +467,98 @@ class TestMiracleProtocol:
 
     def test_off_domain_oracle_instances_yield_empty_in_sampled_mode(self):
         # a witness that consults the oracle on an off-domain instance (the
-        # empty set is outside PP's domain) must see the conventional value
-        probe = NATIVE_REGISTRY["identity"]
-
-        def off_domain_probe(x, miracle):
-            assert miracle(EMPTY) is EMPTY
-            return EMPTY
-
-        witness = ReductionWitness(
-            name="offdomain_probe", kind="OTM", source="ZERO", target="PP",
-            otm=NativeProcedure("offdomain-probe", 2, off_domain_probe,
-                                ("miracle", "set-algebra")),
-        )
+        # empty set is outside PP's domain) must see the conventional value;
         # cap 0 forces the sampled fallback path
+        witness = PROBES["offdomain_probe"]
         report = verify_reduction(witness, U3[:4], cap=0, seed=1, sample_size=3)
         assert report.mode == "sampled"
         assert report.ok, report.to_json()
 
     def test_sampled_fallback_keeps_exhaustive_counterexamples(self):
-        # wrong only on the second Ackermann choice at the 4-element instance;
-        # the later choices consult the oracle again, so that instance's
-        # choice tree outgrows cap=6 after the counterexample is recorded,
-        # and neither extremal rule of the fallback makes the wrong choice
-        four = U3[-1]
-        three = next(x for x in U3 if len(x) == 3)
-
-        def wrong_on_second_choice(x, miracle):
-            y = miracle(x)
-            if len(x) == 4:
-                options = sorted(PRINCIPLES["PP"].witness_set(x),
-                                 key=cmp_to_key(ack_compare))
-                if y is options[1]:
-                    return x  # not an element of x
-                if y in options[2:]:
-                    miracle(three)
-            return y
-
-        witness = ReductionWitness(
-            name="wrong_on_second_choice", kind="OTM", source="PP", target="PP",
-            otm=NativeProcedure("wrong-on-second-choice", 2,
-                                wrong_on_second_choice, ("miracle",)),
-        )
+        # the 4-element instance's choice tree outgrows cap=6 after the
+        # counterexample is recorded, and neither extremal rule of the
+        # fallback makes the wrong choice
+        witness = PROBES["wrong_on_second_choice"]
         full = verify_reduction(witness, U3, cap=10_000)
         assert full.mode == "exhaustive" and not full.ok
         capped = verify_reduction(witness, U3, cap=6, seed=1, sample_size=0)
         assert capped.mode == "sampled"
         assert not capped.ok, capped.to_json()
-        assert {f.instance for f in capped.failures} == {four}
-
+        assert {f.instance for f in capped.failures} == {U3[-1]}
 
     def test_the_leaf_that_outgrows_the_cap_is_still_judged(self):
-        # two oracle instances with 2 and 3 answers: under cap=4 the fifth
-        # leaf of the choice tree is run before the tree is abandoned, and it
-        # is the only wrong one; neither extremal rule of the fallback makes
-        # its choices
-        pp = PRINCIPLES["PP"]
-        three = hf([EMPTY, SE, SSE])
-
-        def wrong_on_one_leaf(x, miracle):
-            a, b = miracle(PAIR01), miracle(three)
-            if a is pp.answers(PAIR01)[-1] and b is pp.answers(three)[1]:
-                return x  # not an element of x
-            return x.elements[0]
-
-        witness = ReductionWitness(
-            name="wrong_on_one_leaf", kind="OTM", source="PP", target="PP",
-            otm=NativeProcedure("wrong-on-one-leaf", 2, wrong_on_one_leaf,
-                                ("miracle",)),
-        )
+        # under cap=4 the fifth leaf of the choice tree is run before the tree
+        # is abandoned, and it is the only wrong one; neither extremal rule of
+        # the fallback makes its choices
+        witness = PROBES["wrong_on_one_leaf"]
         capped = verify_reduction(witness, [PAIR01], cap=4, seed=1, sample_size=0)
         assert capped.mode == "sampled"
         assert not capped.ok, capped.to_json()
+
+    @pytest.mark.parametrize("fault", ["raises", "fails PP"])
+    def test_every_judged_leaf_counts_against_the_cap(self, fault):
+        # the stack never holds more than two branches of this tree, so under
+        # cap=2 only its third leaf outgrows the cap, whether that leaf's run
+        # raised or returned a wrong result
+        witness = wrong_on_every_leaf(fault)
+        full = verify_reduction(witness, [PAIR01], cap=3)
+        assert (full.mode, full.canonification_count, full.cases) == ("exhaustive", 3, 3)
+        capped = verify_reduction(witness, [PAIR01], cap=2, seed=1, sample_size=0)
+        assert (capped.mode, capped.canonification_count, capped.cases) == (
+            "sampled", 2, 2)
+        assert len(capped.failures) == 3 + 2  # both phases' leaves are wrong
+
+    def test_an_answerless_oracle_instance_is_reported_alike_in_both_phases(
+            self, monkeypatch):
+        # PP_HOLE is PP without witnesses at `hole`, which the probe asks at
+        # every instance; at PAIR01 it first asks PAIR01, whose two answers
+        # outgrow cap=1 and send the sweep to its fallback
+        pp, hole = PRINCIPLES["PP"], THREE
+        monkeypatch.setitem(PRINCIPLES, "PP_HOLE", Relation(
+            name="PP_HOLE", domain=pp.domain, candidates=pp.candidates,
+            holds=lambda x, y: x is not hole and pp.holds(x, y)))
+
+        def asks_the_hole(x, miracle):
+            if x is PAIR01:
+                miracle(PAIR01)
+            miracle(hole)
+            return x.elements[0]
+
+        witness = otm_probe("asks_the_hole", "PP", "PP_HOLE", asks_the_hole)
+        instances = [x for x in U2 if pp.domain(x)]
+        reason = f"no witness for oracle instance {hole}"
+        full = verify_reduction(witness, U2, cap=DEFAULT_CAP)
+        sampled = verify_reduction(witness, U2, cap=1, seed=1, sample_size=1)
+        assert (full.mode, sampled.mode) == ("exhaustive", "sampled")
+        assert full.canonification_count == len(instances) + 1  # 2 leaves at PAIR01
+        for report in (full, sampled):
+            assert report.cases == 0
+            assert {(f.instance, f.canonification, f.reason)
+                    for f in report.failures} == {(x, "-", reason) for x in instances}
+        assert oracles.otm_tree_sweep(witness, U2) == (
+            len(instances) + 1, 0, {(x, reason) for x in instances})
+
+
+CATALOG_OTM = [
+    WITNESSES["wo_otm_pp"],
+    WITNESSES["pp_otm_wo"],
+    load_witness_manifest(Path(__file__).resolve().parent.parent
+                          / "perfbench" / "reject" / "broken_pp_otm_wo.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "witness, universe",
+    [pytest.param(w, u, id=w.name) for w, u in [(w, U3) for w in CATALOG_OTM] + OTM_PROBES],
+)
+def test_exhaustive_otm_sweep_equals_recursive_reference(witness, universe):
+    """The walker's leaves, cases and failing (instance, reason) pairs are
+    those of the recursion on answer assignments."""
+    report = verify_reduction(witness, universe, cap=DEFAULT_CAP)
+    assert report.mode == "exhaustive"
+    leaves, cases, failures = oracles.otm_tree_sweep(witness, universe)
+    assert (report.canonification_count, report.cases) == (leaves, cases)
+    assert {(f.instance, f.reason) for f in report.failures} == failures
 
 
 class TestNativeRegistry:
@@ -501,6 +593,30 @@ class TestManifests:
         path.write_text(json.dumps(manifest))
         w = load_witness_manifest(path)
         assert w.kind == "soW" and w.pre.name == "discrete-poset"
+
+    @pytest.mark.parametrize("kind, stages, problem", [
+        ("soW", {"pre": "identity", "post": "identity", "otm": "pp-from-wo-otm"},
+         "soW witnesses take no stage 'otm'"),
+        ("oW", {"pre": "identity"}, "oW witnesses need stage 'post'"),
+        ("OTM", {"pre": "identity", "otm": "pp-from-wo-otm"},
+         "OTM witnesses take no stage 'pre'"),
+        ("OTM", {}, "OTM witnesses need stage 'otm'"),
+    ])
+    def test_a_witness_holds_exactly_the_stages_its_kind_runs(self, kind, stages,
+                                                              problem):
+        stages = {key: NATIVE_REGISTRY[name] for key, name in stages.items()}
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            ReductionWitness(name="w", kind=kind, source="PP", target="PP", **stages)
+
+    def test_unknown_manifest_key_rejected_by_name(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "name": "misspelt", "kind": "soW", "source_relation": "PP",
+            "target_relation": "ZL", "pre": "native:discrete-poset",
+            "psot": "native:identity",
+        }))
+        with pytest.raises(ValueError, match="unknown key 'psot'"):
+            load_witness_manifest(path)
 
     def test_unknown_native_rejected(self, tmp_path):
         path = tmp_path / "w.json"
