@@ -68,7 +68,10 @@ __all__ = [
 ]
 
 # a hook receives the miracle-tape content on every arrival in the miracle
-# state and returns the replacement content (None: leave the tape alone)
+# state and returns the replacement content (None: leave the tape alone).  It
+# must be a function of that content: the loop rule extrapolates a certified
+# period without calling the hook again, so a stateful hook (one that counts
+# its calls, say) is silently treated as periodic
 MiracleHook = Callable[[Tape], Optional[Tape]]
 
 

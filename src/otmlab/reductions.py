@@ -3,12 +3,14 @@
 A witness reduces a relation R to a relation R' in one of three senses:
 
   soW   post(F'(pre(x)))            single oracle use, no side channel
-  oW    post(F'(pre(x)), x)         single oracle use, original instance kept
+  oW    post(kpair(F'(pre(x)), x))  single oracle use, original instance kept
   OTM   a procedure that may consult F' any number of times (miracle tape)
 
 Stages are either whitelisted native procedures (compositions of
-OTM-effective primitives) or machine programs executed on set codes.  Both
-are pure, so a sweep memoizes every stage by (stage, input).
+OTM-effective primitives) or machine programs executed on set codes.  A pre
+or post stage reads one set, an oW post stage kpair(y, x); a native takes the
+oracle too exactly when it uses the miracle.  Stages are pure, so a sweep
+memoizes every stage by (stage, input).
 verify_reduction sweeps every canonification of the target relation over the
 relevant instances (full product when small, extremal plus seeded samples
 otherwise) and reports counterexamples.  A single-use case depends on its
@@ -101,7 +103,6 @@ class NativeProcedure:
     """A named composition of whitelisted OTM-effective primitives."""
 
     name: str
-    arity: int
     func: Callable
     uses: Tuple[str, ...]
 
@@ -135,6 +136,10 @@ class ReductionWitness:
             if (getattr(self, stage) is None) == (stage in runs):
                 need = "need" if stage in runs else "take no"
                 raise ValueError(f"{self.kind} witnesses {need} stage {stage!r}")
+
+    def post_input(self, y: HfSet, x: HfSet) -> HfSet:
+        """The post stage's input for answer y: kpair(y, x) for oW, y for soW."""
+        return kpair(y, x) if self.kind == "oW" else y
 
 
 # -- stage execution ---------------------------------------------------------------
@@ -175,30 +180,24 @@ class _StageRunner:
         self.budget = budget
         self._memo: Dict[tuple, Tuple[bool, object]] = {}
 
-    def apply(
-        self, stage: Stage, value: HfSet, instance: Optional[HfSet] = None
-    ) -> HfSet:
-        """stage(value).  Given the instance (an oW post stage), a binary
-        native procedure gets it as its second argument and a program reads
-        kpair(value, instance)."""
+    def apply(self, stage: Stage, value: HfSet) -> HfSet:
+        """stage(value).  A pre or post stage reads one set (an oW post stage
+        reads kpair(y, x)); a native that uses the miracle takes the oracle
+        too, so it cannot run here."""
         if isinstance(stage, NativeProcedure):
-            args = (value,)
-            if instance is not None and stage.arity == 2:
-                args = (value, instance)
-            if len(args) != stage.arity:
+            if "miracle" in stage.uses:
                 raise WitnessExecutionError(
-                    f"{stage.name} expects {stage.arity} arguments"
+                    f"{stage.name} uses the miracle, which only an OTM stage may"
                 )
-            execute = stage
+            execute = stage.func
         else:
-            args = (value if instance is None else kpair(value, instance),)
             execute = lambda v: _run_program(stage, v, self.budget)
         # keyed on id: a Program holds a dict, so it cannot be hashed
-        key = (id(stage),) + args
+        key = (id(stage), value)
         hit = self._memo.get(key)
         if hit is None:
             try:
-                hit = (True, execute(*args))
+                hit = (True, execute(value))
             except Exception as exc:
                 hit = (False, exc)
             self._memo[key] = hit
@@ -218,8 +217,8 @@ def apply_oW(
 ) -> HfSet:
     """One round trip through a single-use witness.
 
-    oW: post(F'(q), x) with q = pre(x); soW: post(F'(q)).  The canonification
-    must be defined at q (OracleDomainError otherwise).
+    oW: post(kpair(F'(q), x)) with q = pre(x); soW: post(F'(q)).  The
+    canonification must be defined at q (OracleDomainError otherwise).
     """
     if witness.kind not in ("oW", "soW"):
         raise ValueError("apply_oW is for oW/soW witnesses")
@@ -228,7 +227,7 @@ def apply_oW(
     if not canon.defined_at(q):
         raise OracleDomainError(f"canonification undefined at {q}")
     answer = canon(q)
-    return runner.apply(witness.post, answer, x if witness.kind == "oW" else None)
+    return runner.apply(witness.post, witness.post_input(answer, x))
 
 
 @dataclass
@@ -397,12 +396,7 @@ def _verify_single_use(witness, instances, cap, seed, budget, report, sample_siz
         except Exception as exc:
             report.failures.append(CaseFailure(x, "-", f"pre stage failed: {exc}"))
             pre_images.append(None)
-    targets = []
-    seen = set()
-    for q in pre_images:
-        if q is not None and q not in seen:
-            seen.add(q)
-            targets.append(q)
+    targets = list(dict.fromkeys(q for q in pre_images if q is not None))
     try:
         mode, canons, product = enumerate_canonifications(
             target, targets, cap, seed, sample_size
@@ -455,9 +449,7 @@ def _every_answer_solves(witness, source, instances, pre_images, canons, runner)
                 return False
         for y in answers[q]:
             try:
-                result = runner.apply(
-                    witness.post, y, x if witness.kind == "oW" else None
-                )
+                result = runner.apply(witness.post, witness.post_input(y, x))
             except Exception:
                 return False
             if not source.holds(x, result):
@@ -703,34 +695,32 @@ _PP2_CONSTANT = hf([EMPTY, singleton(EMPTY)])
 NATIVE_REGISTRY: Dict[str, NativeProcedure] = {}
 
 
-def _register(name: str, arity: int, func: Callable, uses: Tuple[str, ...]):
-    proc = NativeProcedure(name=name, arity=arity, func=func, uses=uses)
-    NATIVE_REGISTRY[name] = proc
-    return proc
+def _register(name: str, func: Callable, uses: Tuple[str, ...]):
+    NATIVE_REGISTRY[name] = NativeProcedure(name=name, func=func, uses=uses)
 
-_register("identity", 1, lambda x: x, ("set-algebra",))
-_register("const-empty", 1, lambda x: EMPTY, ("set-algebra",))
-_register("pp2-instance", 1, lambda x: _PP2_CONSTANT, ("set-algebra",))
-_register("singleton-family", 1, singleton, ("set-algebra",))
-_register("discrete-poset", 1, lambda x: kpair(x, EMPTY), ("kuratowski",))
-_register("maximal-elements", 1, _maximal_elements_stage, ("kuratowski", "set-algebra"))
-_register("unique-element", 1, _unique_element, ("set-algebra",))
-_register("tag-family", 1,
+_register("identity", lambda x: x, ("set-algebra",))
+_register("const-empty", lambda x: EMPTY, ("set-algebra",))
+_register("pp2-instance", lambda x: _PP2_CONSTANT, ("set-algebra",))
+_register("singleton-family", singleton, ("set-algebra",))
+_register("discrete-poset", lambda x: kpair(x, EMPTY), ("kuratowski",))
+_register("maximal-elements", _maximal_elements_stage, ("kuratowski", "set-algebra"))
+_register("unique-element", _unique_element, ("set-algebra",))
+_register("tag-family",
           lambda x: singleton(hf(kpair(x, z) for z in x.elements)),
           ("kuratowski", "set-algebra"))
-_register("untag-subset", 1, _untag_subset, ("kuratowski", "set-algebra"))
-_register("kpair-range", 1, _kpair_range, ("kuratowski", "set-algebra"))
-_register("disjointify", 1, _disjointify, ("kuratowski", "set-algebra"))
-_register("downclose", 1, lambda x: hf(list(tc(x).elements) + [x]), ("tc", "set-algebra"))
-_register("pp-from-wo", 1, _pp_from_wo, ("kuratowski", "set-algebra", "ack-min"))
-_register("mpp-from-wo", 1, _mpp_from_wo, ("kuratowski", "set-algebra"))
-_register("ac-from-wo", 1, _ac_from_wo, ("kuratowski", "set-algebra"))
-_register("acp-from-wo", 1, _acp_from_wo, ("kuratowski", "set-algebra"))
-_register("zl-from-wo", 1, _zl_from_wo, ("kuratowski", "set-algebra"))
-_register("hmp-from-wo", 1, _hmp_from_wo, ("kuratowski", "set-algebra"))
-_register("wo-from-pp-iterative", 2, _wo_from_pp_iterative,
+_register("untag-subset", _untag_subset, ("kuratowski", "set-algebra"))
+_register("kpair-range", _kpair_range, ("kuratowski", "set-algebra"))
+_register("disjointify", _disjointify, ("kuratowski", "set-algebra"))
+_register("downclose", lambda x: hf(list(tc(x).elements) + [x]), ("tc", "set-algebra"))
+_register("pp-from-wo", _pp_from_wo, ("kuratowski", "set-algebra", "ack-min"))
+_register("mpp-from-wo", _mpp_from_wo, ("kuratowski", "set-algebra"))
+_register("ac-from-wo", _ac_from_wo, ("kuratowski", "set-algebra"))
+_register("acp-from-wo", _acp_from_wo, ("kuratowski", "set-algebra"))
+_register("zl-from-wo", _zl_from_wo, ("kuratowski", "set-algebra"))
+_register("hmp-from-wo", _hmp_from_wo, ("kuratowski", "set-algebra"))
+_register("wo-from-pp-iterative", _wo_from_pp_iterative,
           ("miracle", "set-algebra", "kuratowski"))
-_register("pp-from-wo-otm", 2, _pp_from_wo_otm, ("miracle", "kuratowski", "set-algebra"))
+_register("pp-from-wo-otm", _pp_from_wo_otm, ("miracle", "kuratowski", "set-algebra"))
 
 
 def builtin_witnesses() -> Dict[str, ReductionWitness]:
@@ -824,12 +814,15 @@ def load_witness_manifest(path) -> ReductionWitness:
         if not isinstance(data[key], str) or data[key] not in PRINCIPLES:
             raise ValueError(f"{path}: {key} {data[key]!r} is not a known relation")
     base = path.parent
-    return ReductionWitness(
-        name=data.get("name", path.stem),
-        kind=data["kind"],
-        source=data["source_relation"],
-        target=data["target_relation"],
-        pre=_resolve_stage(data.get("pre"), base),
-        post=_resolve_stage(data.get("post"), base),
-        otm=_resolve_stage(data.get("otm"), base),
-    )
+    try:
+        return ReductionWitness(
+            name=data.get("name", path.stem),
+            kind=data["kind"],
+            source=data["source_relation"],
+            target=data["target_relation"],
+            pre=_resolve_stage(data.get("pre"), base),
+            post=_resolve_stage(data.get("post"), base),
+            otm=_resolve_stage(data.get("otm"), base),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -73,6 +73,27 @@ class TestRun:
         assert captured.out == ""
         assert "not allowed with argument --input" in captured.err
 
+    def test_input_code_from_file(self, sweep_path, tmp_path, capsys):
+        assert main(["encode", "{{}}"]) == 0
+        code = tmp_path / "code.json"
+        code.write_text(capsys.readouterr().out)
+        assert main(["run", sweep_path, "--input-code", f"@{code}"]) == 0
+        assert capsys.readouterr().out.startswith("HALTED time=w+2\n")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_provable_loop_diverges_and_exits_0(self, tmp_path, as_json, capsys):
+        p = tmp_path / "loop.otm"
+        p.write_text("tapes in work out; state q0; rule q0 -> goto q0;\n")
+        assert main(["run", str(p)] + ["--json"] * as_json) == 0
+        out = capsys.readouterr().out
+        if not as_json:
+            assert out == "DIVERGES (provable loop) at time=w\n"
+            return
+        assert json.loads(out) == {
+            "outcome": "diverges", "state": "q0", "time": "w",
+            "tapes": {"in": [], "work": [], "out": []},
+        }
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.otm"
         p.write_text("tapes in work out; state q0;\nrule q0 work=0 -> goto q0;\n")
@@ -162,9 +183,16 @@ class TestCheck:
             ({"kind": "soW", "source_relation": "PP", "target_relation": "ZL",
               "pre": "native:discrete-poset", "psot": "native:identity"},
              "witness manifest has unknown key 'psot'"),
+            ({"kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+              "pre": "native:nope", "post": "native:identity"},
+             "unknown native procedure 'nope'"),
+            ({"kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+              "pre": "native:discrete-poset", "post": "identity"},
+             "stage spec must be native:NAME or file:PATH, got 'identity'"),
         ],
         ids=["not-an-object", "missing-field", "unknown-relation", "unhashable-relation",
-             "non-string-stage", "not-json", "unknown-key"],
+             "non-string-stage", "not-json", "unknown-key", "unknown-native",
+             "bad-stage-spec"],
     )
     def test_malformed_manifest_is_an_execution_error(self, tmp_path, manifest,
                                                       problem, capsys):
@@ -186,7 +214,20 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", "otmlab: soW witnesses take no stage 'otm'\n")
+            "", f"otmlab: {path}: soW witnesses take no stage 'otm'\n")
+
+    def test_stage_file_parse_error_stays_a_usage_error(self, tmp_path, capsys):
+        """A malformed .otm stage keeps its parse error and exit status 2."""
+        (tmp_path / "post.otm").write_text("tapes in work out;\nrule q9 -> goto q9;\n")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+            "pre": "native:discrete-poset", "post": "file:post.otm",
+        }))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("otmlab: 2:6: ")
 
     def test_rank0_universe_trivially_ok(self, capsys):
         assert main(["check", "pp_le_zl", "--universe", "rank:0"]) == 0

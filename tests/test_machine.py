@@ -18,7 +18,7 @@ from otmlab.machine import (
     run,
     step,
 )
-from otmlab.ordinals import OMEGA, ZERO, from_int, parse_ordinal
+from otmlab.ordinals import OMEGA, ZERO, format_ordinal, from_int, parse_ordinal
 from otmlab.programs import Program, Transition
 from otmlab.tapes import Tape
 
@@ -63,6 +63,40 @@ rule a work=0 -> write work=1 goto b;
 rule b -> goto a;
 rule a work=1 -> write work=0 move work=R goto qm;
 rule qm -> goto a;
+"""
+
+# each pass writes miracle=1 and enters m, which clears it and steps the work
+# head right; at w the liminf of the miracle cell is 0, so m sees an empty
+# miracle tape there and nowhere else
+MIRACLE_AT_W = """
+tapes in work out miracle;
+state s;
+state m miracle;
+state a;
+state done halt;
+rule s -> write miracle=1 goto m;
+rule m miracle=1 -> write miracle=0 move work=R goto a;
+rule m miracle=0 -> goto done;
+rule a -> write miracle=1 goto m;
+"""
+
+# the same until w; after it the out cell 0 is a limit detector (held at 1
+# when b reads it, dipped to 0 by b in between), so b reads 0 first at w*2
+MIRACLE_AT_W_THEN_CYCLE = """
+tapes in work out miracle;
+state s;
+state m miracle;
+state a;
+state b;
+state c;
+state done halt;
+rule s -> write miracle=1 goto m;
+rule m miracle=1 -> write miracle=0 move work=R goto a;
+rule m miracle=0 -> write out=1 goto b;
+rule a -> write miracle=1 goto m;
+rule b out=1 -> write out=0 goto c;
+rule b out=0 -> goto done;
+rule c -> write out=1 goto b;
 """
 
 # on an input of w ones, each 4-step period zeroes an even cell, puts its 1
@@ -346,6 +380,35 @@ class TestLimits:
         assert any(r["event"] == "limit" for r in records)
         assert len(arrivals) == 4
         assert len(calls) == len(arrivals)
+
+    @pytest.mark.parametrize("program, halt_time, limits", [
+        (MIRACLE_AT_W, "w+1", [("w", "sweep", "m")]),
+        (MIRACLE_AT_W_THEN_CYCLE, "w*2+1", [("w", "sweep", "m"), ("w*2", "cycle", "b")]),
+    ], ids=["halts-after-w", "resolves-w*2"])
+    def test_miracle_hook_rewrites_a_limit(self, program, halt_time, limits):
+        # the hook turns the empty miracle tape at w into [1,2); m then reads
+        # cell 0, which stays 0, and leaves the loop
+        p = parse_program(program)
+        cell_one = Tape([(from_int(1), from_int(2))])
+        calls, records = [], []
+
+        def hook(tape):
+            calls.append(tape)
+            return cell_one if tape == Tape() else None
+
+        outcome = run(p, budget=RunBudget(1000, 8), miracle_hook=hook,
+                      trace=records.append)
+        assert outcome.kind == "halted"
+        final = outcome.final
+        assert (format_ordinal(final.time), p.state_name(final.state)) == (
+            halt_time, "done")
+        assert final.tapes == (Tape(), Tape(), Tape(), cell_one)
+        assert final.heads == (ZERO, OMEGA, ZERO, ZERO)
+        # two successor arrivals see [0,1), the arrival at w the empty tape
+        assert calls == [Tape([(ZERO, from_int(1))])] * 2 + [Tape()]
+        seen = [(r["time"], r["kind"], r["state"], r["tapes"]["miracle"])
+                for r in records if r["event"] == "limit"]
+        assert seen == [(t, k, s, ["[1,2)"]) for t, k, s in limits]
 
 
     def _limit_records(self, text):

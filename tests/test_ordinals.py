@@ -284,6 +284,26 @@ class TestGodelPairing:
         assert pair_rank(o("w*2")) == W2
         assert pair_rank(W2) == o("w^3")
 
+    # up to w^(w^w): exponents that are limits reach pair_rank's limit branch
+    TOWER = [o(t) for t in (
+        "0", "1", "5", "w", "w+3", "w*2", "w^2", "w^3+w", "w^w", "w^w+1", "w^w*2",
+        "w^(w+1)", "w^(w+1)*2+3", "w^(w*2)", "w^(w*2)+w^w", "w^(w^2)", "w^(w^3+1)",
+        "w^(w^w)",
+    )]
+
+    def test_monotone_up_to_w_to_the_w_to_the_w(self):
+        pairs = sorted(((a, b) for a in self.TOWER for b in self.TOWER),
+                       key=lambda p: (max(p), p[0], p[1]))
+        codes = [godel_pair(a, b) for a, b in pairs]
+        assert all(compare(prev, cur) < 0 for prev, cur in zip(codes, codes[1:]))
+
+    def test_pair_rank_successor_step_up_to_w_to_the_w_to_the_w(self):
+        # the shell of max alpha holds (a, alpha) for a < alpha, then (alpha, b)
+        # for b <= alpha: alpha*2 + 1 pairs
+        for alpha in self.TOWER:
+            assert pair_rank(succ(alpha)) == add(
+                add(pair_rank(alpha), mul(alpha, from_int(2))), ONE)
+
 
 class TestSyntax:
     CANONICAL = ["0", "5", "w", "w^2*3+w*2+7", "w^(w+1)", "w^w", "w^3+1",

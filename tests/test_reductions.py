@@ -1,4 +1,5 @@
 import json
+import math
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from otmlab.hfsets import (
     format_set,
     hf,
     kpair,
+    kpair_parts,
     rank,
     singleton,
     universe_rank_le,
@@ -51,10 +53,13 @@ SINGLE_USE = [w for w in WITNESSES.values() if w.kind == "soW"]
 
 
 def as_oW(witness):
-    """The soW witness declared as oW: its post stage ignores the instance."""
+    """The soW witness declared as oW: its post stage reads kpair(y, x) and
+    runs the soW post stage on y, ignoring the instance."""
+    post = witness.post
     return ReductionWitness(
         name=witness.name + "_as_oW", kind="oW", source=witness.source,
-        target=witness.target, pre=witness.pre, post=witness.post,
+        target=witness.target, pre=witness.pre,
+        post=NativeProcedure(post.name, lambda p: post(kpair_parts(p)[0]), post.uses),
     )
 
 
@@ -86,6 +91,15 @@ class TestApplyOW:
         w = WITNESSES["pp_le_zl"]
         with pytest.raises(OracleDomainError):
             apply_oW(w, Canonification({}), PAIR01)
+
+    def test_a_post_stage_that_uses_the_miracle_is_refused_by_name(self):
+        # a pre stage alike: see test_an_instance_whose_pre_stage_fails_is_in_no_case
+        w = ReductionWitness(name="otm_post", kind="soW", source="PP", target="PP",
+                             pre=NATIVE_REGISTRY["identity"],
+                             post=NATIVE_REGISTRY["pp-from-wo-otm"])
+        with pytest.raises(WitnessExecutionError,
+                           match="^pp-from-wo-otm uses the miracle, which only an OTM"):
+            apply_oW(w, Canonification({PAIR01: SE}), PAIR01)
 
     def test_soW_output_depends_only_on_pre_image(self):
         # pre stage is constant for ZERO<=PP2, so every input must agree
@@ -142,8 +156,8 @@ class TestVerify:
 
         witness = ReductionWitness(
             name="counted_pp_le_pp", kind="soW", source="PP", target="PP",
-            pre=NativeProcedure("counted-pre", 1, counted_pre, ("set-algebra",)),
-            post=NativeProcedure("counted-post", 1, counted_post, ("set-algebra",)),
+            pre=NativeProcedure("counted-pre", counted_pre, ("set-algebra",)),
+            post=NativeProcedure("counted-post", counted_post, ("set-algebra",)),
         )
         pp = PRINCIPLES["PP"]
         report = verify_reduction(witness, U3, cap=10_000, seed=1)
@@ -234,6 +248,21 @@ MANIFESTS = [load_witness_manifest(witness_path(name))
 LARGE_PRODUCTS = {"pp_le_ac", "pp_le_hmp", "pp_le_zl", "ppfin_le_pp"}
 
 
+def _refusing_pairs(x):
+    """Why REFUSE_PAIRS refuses x, or None: it is the identity elsewhere."""
+    return f"refuses the pair {format_set(x)}" if len(x) == 2 else None
+
+
+def _refuse_pairs(x):
+    reason = _refusing_pairs(x)
+    if reason:
+        raise WitnessExecutionError(reason)
+    return x
+
+
+REFUSE_PAIRS = NativeProcedure("refuse-pairs", _refuse_pairs, ("set-algebra",))
+
+
 class TestPointwiseVerdicts:
     """A sweep decides each (instance, answer) once and walks the product of
     canonifications only to list counterexamples; its report must be the one
@@ -275,7 +304,7 @@ class TestPointwiseVerdicts:
         witness = ReductionWitness(
             name="refuses_one_answer", kind="soW", source="PP", target="PP",
             pre=NATIVE_REGISTRY["identity"],
-            post=NativeProcedure("refuse-one-answer", 1, post, ("set-algebra",)),
+            post=NativeProcedure("refuse-one-answer", post, ("set-algebra",)),
         )
         report = matches_product_sweep(witness, [PAIR01, two], cap=2_000)
         assert (report.mode, report.canonification_count, report.cases) == (
@@ -294,12 +323,57 @@ class TestPointwiseVerdicts:
         assert all(f.reason == "canonification undefined at {}"
                    for f in report.failures)
 
+    @pytest.mark.parametrize("pre, refusal, post", [
+        (REFUSE_PAIRS, _refusing_pairs, "identity"),
+        (REFUSE_PAIRS, _refusing_pairs, "const-empty"),
+        (NATIVE_REGISTRY["wo-from-pp-iterative"],
+         lambda x: "wo-from-pp-iterative uses the miracle, which only an OTM stage may",
+         "identity"),
+    ], ids=["refuse-pairs", "refuse-pairs-then-fail", "uses-the-miracle"])
+    def test_an_instance_whose_pre_stage_fails_is_in_no_case(self, pre, refusal, post):
+        witness = ReductionWitness(
+            name="pre_fails", kind="soW", source="PP", target="PP",
+            pre=pre, post=NATIVE_REGISTRY[post],
+        )
+        report = matches_product_sweep(witness, U3, cap=DEFAULT_CAP)
+        instances = [x for x in U3 if PRINCIPLES["PP"].domain(x)]
+        kept = [x for x in instances if refusal(x) is None]
+        refused = [(x, "-", f"pre stage failed: {refusal(x)}")
+                   for x in instances if x not in kept]
+        failures = [(f.instance, f.canonification, f.reason) for f in report.failures]
+        assert failures[:len(refused)] == refused
+        # const-empty fails the kept instances without the element {}, so the
+        # sweep walks the product and passes over the refused ones there too
+        assert (len(failures) > len(refused)) == (post == "const-empty")
+        # the refused instances' pre-images are no targets: only the answers
+        # at the kept instances, their own pre-images, multiply
+        assert report.mode == "exhaustive"
+        assert report.product_size == report.canonification_count == math.prod(
+            len(x) for x in kept)
+        assert report.cases == report.canonification_count * len(kept)
+
+    def test_a_target_instance_without_answers_aborts_the_sweep(self, monkeypatch):
+        # PP_HOLE is PP without answers at THREE, a pre-image of the identity
+        pp = PRINCIPLES["PP"]
+        monkeypatch.setitem(PRINCIPLES, "PP_HOLE", Relation(
+            name="PP_HOLE", domain=pp.domain, candidates=pp.candidates,
+            holds=lambda x, y: x is not THREE and pp.holds(x, y)))
+        witness = ReductionWitness(
+            name="into_the_hole", kind="soW", source="PP", target="PP_HOLE",
+            pre=NATIVE_REGISTRY["identity"], post=NATIVE_REGISTRY["identity"],
+        )
+        report = matches_product_sweep(witness, U3, cap=DEFAULT_CAP)
+        assert (report.mode, report.canonification_count, report.cases) == (
+            "aborted", 0, 0)
+        assert [(f.instance, f.canonification, f.reason) for f in report.failures] == [
+            (THREE, "-", "target instance has no witness")]
+
 
 def otm_probe(name, source, target, procedure):
     """An OTM witness whose procedure is the native procedure(x, miracle)."""
     return ReductionWitness(
         name=name, kind="OTM", source=source, target=target,
-        otm=NativeProcedure(name.replace("_", "-"), 2, procedure, ("miracle",)),
+        otm=NativeProcedure(name.replace("_", "-"), procedure, ("miracle",)),
     )
 
 
@@ -607,6 +681,25 @@ class TestManifests:
         stages = {key: NATIVE_REGISTRY[name] for key, name in stages.items()}
         with pytest.raises(ValueError, match=f"^{problem}$"):
             ReductionWitness(name="w", kind=kind, source="PP", target="PP", **stages)
+
+    def test_an_oW_identity_post_stage_reads_the_pair_as_native_and_as_program(
+            self, tmp_path):
+        # the identity, native or on codes, returns kpair(y, x), which solves
+        # no PP instance
+        reports = []
+        for post in ("native:identity", f"file:{witness_path('pp_le_zl_post.otm')}"):
+            path = tmp_path / "identity_post.json"
+            path.write_text(json.dumps({
+                "kind": "oW", "source_relation": "PP", "target_relation": "ZL",
+                "pre": "native:discrete-poset", "post": post,
+            }))
+            reports.append(verify_reduction(load_witness_manifest(path), U2))
+        native, program = reports
+        assert native.to_json() == program.to_json()
+        assert (native.mode, native.cases, len(native.failures)) == ("exhaustive", 6, 6)
+        for f in native.failures:
+            assert f.reason in {f"result {kpair(y, f.instance)} fails PP"
+                                for y in f.instance.elements}
 
     def test_unknown_manifest_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "w.json"
