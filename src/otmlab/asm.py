@@ -230,5 +230,12 @@ def format_program(program: Program) -> str:
 
 
 def load_program(path) -> Program:
+    """Parse the program in a file.  Its ParseError, ConflictingRules or
+    TotalityError names the file before the position or the gaps."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+        text = fh.read()
+    try:
+        return parse_program(text)
+    except (ParseError, ConflictingRules, TotalityError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -13,7 +13,8 @@ which two sets differ decides; a proper prefix is the key of a set that
 lacks only elements below all of its own, and is smaller), and interning
 makes the key injective, so comparing two sets is one native tuple
 comparison that never forces the (potentially astronomical) integer index
-into existence.
+into existence.  Each set also caches its text: `format_set` builds it
+the first time the set is printed and returns the same string after that.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def rank_cap() -> int:
 class HfSet:
     """Interned hereditarily finite set; `elements` sorted by Ackermann order."""
 
-    __slots__ = ("elements", "_rank", "_index", "_key")
+    __slots__ = ("elements", "_rank", "_index", "_key", "_text")
 
     _intern: Dict[Tuple["HfSet", ...], "HfSet"] = {}
 
@@ -79,6 +80,7 @@ class HfSet:
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_text", None)
         cls._intern[elements] = self
         return self
 
@@ -242,7 +244,12 @@ def set_difference(x: HfSet, y: HfSet) -> HfSet:
 
 
 def format_set(x: HfSet) -> str:
-    return "{" + ",".join(format_set(e) for e in x.elements) + "}"
+    """The text of x, built on first use and cached on the interned set."""
+    text = x._text
+    if text is None:
+        text = "{" + ",".join(format_set(e) for e in x.elements) + "}"
+        object.__setattr__(x, "_text", text)
+    return text
 
 
 def parse_set_literal(text: str) -> HfSet:

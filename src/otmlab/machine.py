@@ -684,13 +684,14 @@ class _Runner:
 
         while True:
             if config.state in program.halt_states:
-                self._emit(
-                    {
-                        "event": "halt",
-                        "time": format_ordinal(config.time),
-                        "state": program.state_name(config.state),
-                    }
-                )
+                if self.trace is not None:
+                    self._emit(
+                        {
+                            "event": "halt",
+                            "time": format_ordinal(config.time),
+                            "state": program.state_name(config.state),
+                        }
+                    )
                 return Halted(config)
             if self.steps >= self.budget.max_successor_steps:
                 return Unresolved(config, "successor step budget exhausted")

@@ -26,7 +26,6 @@ else (`0`, `5`, `w`, `w^2*3+w*2+7`, `w^(w+1)`).
 from __future__ import annotations
 
 import math
-import sys
 from typing import Tuple
 
 from .errors import RepresentationOverflow
@@ -55,7 +54,7 @@ __all__ = [
 class Ordinal:
     """Immutable CNF ordinal.  Use from_int/omega_power/parse_ordinal to build."""
 
-    __slots__ = ("terms", "_hash", "_key", "_succ")
+    __slots__ = ("terms", "_hash", "_key", "_succ", "_text")
 
     _intern: dict = {}
 
@@ -75,6 +74,7 @@ class Ordinal:
         object.__setattr__(self, "_hash", hash(terms))
         object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
         object.__setattr__(self, "_succ", None)
+        object.__setattr__(self, "_text", None)
         cls._intern[terms] = self
         return self
 
@@ -368,27 +368,30 @@ def godel_unpair(c: Ordinal) -> Tuple[Ordinal, Ordinal]:
 
 
 def format_ordinal(o: Ordinal) -> str:
-    """The text of o, interned: records that keep the text of the same
-    ordinals, such as the limit events of many runs, share one string."""
-    if o.is_zero:
-        return "0"
-    parts = []
-    for exp, coef in o.terms:
-        if exp.is_zero:
-            parts.append(str(coef))
-            continue
-        if exp == ONE:
-            s = "w"
-        elif exp.is_natural:
-            s = f"w^{exp.to_int()}"
-        elif exp == OMEGA:
-            s = "w^w"
-        else:
-            s = f"w^({format_ordinal(exp)})"
-        if coef > 1:
-            s += f"*{coef}"
-        parts.append(s)
-    return sys.intern("+".join(parts))
+    """The text of o, built on first use and cached on the interned ordinal:
+    records that keep the text of the same ordinals, such as the limit
+    events of many runs, share one string."""
+    text = o._text
+    if text is None:
+        parts = []
+        for exp, coef in o.terms:
+            if exp.is_zero:
+                parts.append(str(coef))
+                continue
+            if exp == ONE:
+                s = "w"
+            elif exp.is_natural:
+                s = f"w^{exp.to_int()}"
+            elif exp == OMEGA:
+                s = "w^w"
+            else:
+                s = f"w^({format_ordinal(exp)})"
+            if coef > 1:
+                s += f"*{coef}"
+            parts.append(s)
+        text = "+".join(parts) or "0"
+        object.__setattr__(o, "_text", text)
+    return text
 
 
 class _OrdinalScanner(CharCursor):

@@ -67,7 +67,8 @@ class Tape:
         return tuple(zip(b[::2], b[1::2]))
 
     def interval_strings(self) -> Tuple[str, ...]:
-        """The intervals as text, interned like format_ordinal's."""
+        """The intervals as text, interned: records that keep the same
+        intervals share one string, as they share format_ordinal's."""
         return tuple(
             sys.intern(f"[{format_ordinal(lo)},{format_ordinal(hi)})")
             for lo, hi in self.ones

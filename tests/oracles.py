@@ -4,9 +4,10 @@ Everything here is deliberately written on different data structures and by
 different derivations than the package code: ordinals as fixed-length
 coefficient tuples, the CNF order by recursion instead of by order key, tapes
 as dicts and as scanned lists of interval pairs, sets as nested frozensets,
-machines as dict-tape simulators, the successor step as one that writes
-every tape and moves every head, single-use verdicts by walking every
-(canonification, instance) case, and OTM choice trees by recursion.
+set and ordinal text from frozensets and plain CNF tuples, machines as
+dict-tape simulators, the successor step as one that writes every tape and
+moves every head, single-use verdicts by walking every (canonification,
+instance) case, and OTM choice trees by recursion.
 """
 
 from __future__ import annotations
@@ -186,6 +187,33 @@ def cnf_compare(a, b) -> int:
     return 0
 
 
+# -- CNF text from plain term tuples ---------------------------------------------------
+#
+# The package prints an ordinal by looking at the structure of each exponent;
+# this prints the exponent first and chooses the bracket from its text.
+
+
+def to_cnf(a) -> tuple:
+    """Package ordinal -> CNF as nested tuples ((exponent, coefficient), ...)."""
+    return tuple((to_cnf(e), c) for e, c in a.terms)
+
+
+def cnf_text(terms: tuple) -> str:
+    """`0`, `5`, `w`, `w^2*3+w*2+7`, `w^(w+1)` for nested CNF term tuples:
+    a bare w for exponent 1, no brackets around a number or a lone w."""
+    if not terms:
+        return "0"
+    parts = []
+    for exp, coef in terms:
+        if not exp:
+            parts.append(str(coef))
+            continue
+        e = cnf_text(exp)
+        power = "w" if e == "1" else f"w^{e}" if e.isdigit() or e == "w" else f"w^({e})"
+        parts.append(power if coef == 1 else f"{power}*{coef}")
+    return "+".join(parts)
+
+
 # -- pairing oracle ----------------------------------------------------------------
 
 
@@ -355,6 +383,16 @@ class PairTape:
 def to_frozen(x) -> frozenset:
     """HfSet -> nested frozensets (an entirely separate representation)."""
     return frozenset(to_frozen(e) for e in x.elements)
+
+
+def frozen_index(x: frozenset) -> int:
+    """Ackermann index of a nested frozenset: the sum of 2**index(e)."""
+    return sum(1 << frozen_index(e) for e in x)
+
+
+def frozen_text(x: frozenset) -> str:
+    """`{}`, `{{},{{}}}`: the elements' texts by ascending Ackermann index."""
+    return "{" + ",".join(frozen_text(e) for e in sorted(x, key=frozen_index)) + "}"
 
 
 def naive_eval(node, env: Dict[str, frozenset]) -> bool:

@@ -98,6 +98,8 @@ class TestRun:
         p = tmp_path / "bad.otm"
         p.write_text("tapes in work out; state q0;\nrule q0 work=0 -> goto q0;\n")
         assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"otmlab: {p}: transition table incomplete: ")
 
     def test_json_output_stable(self, sweep_path, capsys):
         assert main(["run", sweep_path, "--budget", "2000,2", "--json"]) == 0
@@ -217,7 +219,8 @@ class TestCheck:
             "", f"otmlab: {path}: soW witnesses take no stage 'otm'\n")
 
     def test_stage_file_parse_error_stays_a_usage_error(self, tmp_path, capsys):
-        """A malformed .otm stage keeps its parse error and exit status 2."""
+        """A malformed .otm stage keeps its parse error and exit status 2,
+        and the error names the file."""
         (tmp_path / "post.otm").write_text("tapes in work out;\nrule q9 -> goto q9;\n")
         path = tmp_path / "m.json"
         path.write_text(json.dumps({
@@ -227,7 +230,32 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("otmlab: 2:6: ")
+        assert captured.err.startswith(f"otmlab: {tmp_path / 'post.otm'}: 2:6: ")
+
+    @pytest.mark.parametrize(
+        "broken, problem",
+        [
+            ("tapes in work out;\nrule q9 -> goto q9;\n", "2:6: expected a declared state"),
+            ("tapes in work out; state q0;\nrule q0 -> goto q0;\nrule q0 -> goto q0;\n",
+             "3:1: rule overlaps the rule at 2:1"),
+            ("tapes in work out; state q0;\nrule q0 work=0 -> goto q0;\n",
+             "transition table incomplete: "),
+        ],
+        ids=["parse", "conflict", "totality"],
+    )
+    def test_broken_second_stage_file_is_named(self, tmp_path, broken, problem, capsys):
+        """Of two .otm stages only the second is broken: the error names it."""
+        (tmp_path / "pre.otm").write_text(HALT_NOW)
+        (tmp_path / "post.otm").write_text(broken)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "kind": "soW", "source_relation": "PP", "target_relation": "ZL",
+            "pre": "file:pre.otm", "post": "file:post.otm",
+        }))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"otmlab: {tmp_path / 'post.otm'}: {problem}")
 
     def test_rank0_universe_trivially_ok(self, capsys):
         assert main(["check", "pp_le_zl", "--universe", "rank:0"]) == 0

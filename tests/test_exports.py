@@ -67,3 +67,24 @@ def test_every_private_helper_is_used():
                     for other in used if other != path)
     )
     assert dead == [], "private helpers nothing in the package uses"
+
+
+def test_every_import_is_used():
+    """A name a module imports is read in that module; a docstring that
+    mentions it does not count.  The package __init__ is left out: its
+    imports are the names it re-exports."""
+    unused = []
+    for path in sorted(Path(otmlab.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}:{n}" for n in names if n not in read]
+    assert unused == [], "imports nothing in their module uses"

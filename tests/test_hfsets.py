@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import to_frozen
+from oracles import frozen_text, to_frozen
 from otmlab.codes import decode, encode
 from otmlab.errors import ParseError, RepresentationOverflow
 from otmlab.hfsets import (
@@ -145,9 +145,16 @@ class TestLiterals:
         assert parse_set_literal("{}") is EMPTY
         assert parse_set_literal("{{},{{}}}") is PAIR01
 
-    def test_roundtrip_rank3(self):
-        for x in universe_rank_le(3):
-            assert parse_set_literal(format_set(x)) is x
+    def test_text_matches_the_oracle_and_is_cached(self):
+        """Every set of rank <= 3 and 200 seeded sets of rank 4: the text is
+        the frozenset oracle's, parses back to the set, and is built once."""
+        rng = random.Random(21)
+        rank4 = [ack_enumerate(rng.randrange(16, 65536)) for _ in range(200)]
+        for x in universe_rank_le(3) + rank4:
+            text = format_set(x)
+            assert text == frozen_text(to_frozen(x))
+            assert parse_set_literal(text) is x
+            assert format_set(x) is text
 
     def test_whitespace_tolerated(self):
         assert parse_set_literal(" { {} , { {} } } ") is PAIR01

@@ -591,6 +591,16 @@ class TestDeterminismAndTrace:
         assert steps and all("time" in r and "state" in r for r in steps)
         assert any(r["event"] == "halt" for r in records)
 
+    def test_untraced_run_formats_no_ordinal(self, monkeypatch):
+        """Without a trace no record is built, so no time or head is printed."""
+
+        def refuse(o):
+            raise AssertionError(f"formatted {o!r} for no trace")
+
+        monkeypatch.setattr("otmlab.machine.format_ordinal", refuse)
+        final = run(parse_program(RIGHT_SWEEP), budget=RunBudget(2000, 2))
+        assert isinstance(final, Halted) and final.final.time is W + 2
+
 
 class TestAsmErrors:
     def test_totality_error_names_the_gap(self):

@@ -309,9 +309,19 @@ class TestSyntax:
     CANONICAL = ["0", "5", "w", "w^2*3+w*2+7", "w^(w+1)", "w^w", "w^3+1",
                  "w*2", "w^(w^2+w*2)*4+w^5*2+3"]
 
+    @staticmethod
+    def assert_text(value):
+        """The text is the CNF-tuple oracle's, parses back to the value, and
+        is built once."""
+        text = format_ordinal(value)
+        assert text == oracles.cnf_text(oracles.to_cnf(value))
+        assert parse_ordinal(text) is value
+        assert format_ordinal(value) is text
+
     def test_roundtrip_exact(self):
         for text in self.CANONICAL:
             assert format_ordinal(parse_ordinal(text)) == text
+            self.assert_text(parse_ordinal(text))
 
     def test_parse_errors_carry_spans(self):
         for bad in ["w^", "3+", "w*0", "(w", "w^()", "5w"]:
@@ -325,7 +335,7 @@ class TestSyntax:
         value = ZERO
         for power, coeff in spec:
             value = add(value, mul(omega_power(from_int(power)), from_int(coeff)))
-        assert parse_ordinal(format_ordinal(value)) == value
+        self.assert_text(value)
 
     def test_interning_makes_equality_identity(self):
         assert parse_ordinal("w^2+3") is parse_ordinal("w^2+3")
