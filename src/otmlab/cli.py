@@ -4,6 +4,10 @@ Subcommands: run, check, encode, decode, eval, canon, list-universe.
 Exit codes: 0 success, 1 verification counterexample, 2 usage/parse error,
 3 execution error, 141 standard output closed by its reader (128 + SIGPIPE;
 nothing is printed).  OTMLAB_RANK_CAP overrides the default rank cap (6).
+
+Importing this module loads only what argument parsing needs (errors,
+hfsets, machine and the layers below them); each subcommand imports the
+layers it runs when it runs, so `otmlab run` never loads the verifier.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import codes, hfsets, logic, machine, ordinals, relations, reductions
-from .asm import load_program
+from . import hfsets, machine
 from .errors import (
     ConflictingRules,
     NotDelta0,
@@ -24,9 +27,6 @@ from .errors import (
     TotalityError,
     UnboundVariable,
 )
-from .formulas import PrenexStatement, parse_formula
-from .programs import Program
-from .tapes import Tape
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -93,6 +93,16 @@ def _universe_rank(spec: str) -> int:
     return int(digits)
 
 
+def _principle(name: str):
+    """The relation of relations.PRINCIPLES that name names."""
+    from .relations import PRINCIPLES
+
+    if name not in PRINCIPLES:
+        names = ", ".join(map(repr, sorted(PRINCIPLES)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {names})")
+    return PRINCIPLES[name]
+
+
 def _emit(data, as_json: bool, human: str):
     if as_json:
         print(json.dumps(data, sort_keys=True))
@@ -104,6 +114,11 @@ def _emit(data, as_json: bool, human: str):
 
 
 def cmd_run(args) -> int:
+    from . import codes
+    from .asm import load_program
+    from .ordinals import format_ordinal
+    from .tapes import Tape
+
     program = load_program(args.program)
     if args.input is not None:
         value = hfsets.parse_set_literal(_read_arg_text(args.input))
@@ -143,9 +158,9 @@ def cmd_run(args) -> int:
         cfg = outcome.final
         data = {
             "outcome": "halted",
-            "time": ordinals.format_ordinal(cfg.time),
+            "time": format_ordinal(cfg.time),
             "state": program.state_name(cfg.state),
-            "heads": [ordinals.format_ordinal(h) for h in cfg.heads],
+            "heads": [format_ordinal(h) for h in cfg.heads],
             "tapes": tape_lines(cfg),
         }
         human = f"HALTED time={data['time']}"
@@ -157,7 +172,7 @@ def cmd_run(args) -> int:
         cfg = outcome.limit_behavior
         data = {
             "outcome": "diverges",
-            "time": ordinals.format_ordinal(cfg.time),
+            "time": format_ordinal(cfg.time),
             "state": program.state_name(cfg.state),
             "tapes": tape_lines(cfg),
         }
@@ -166,13 +181,15 @@ def cmd_run(args) -> int:
     data = {
         "outcome": "unresolved",
         "reason": outcome.reason,
-        "time": ordinals.format_ordinal(outcome.last.time),
+        "time": format_ordinal(outcome.last.time),
     }
     _emit(data, args.json, f"UNRESOLVED ({outcome.reason}) at time={data['time']}")
     return EXIT_EXECUTION
 
 
-def _load_witness(spec: str) -> reductions.ReductionWitness:
+def _load_witness(spec: str):
+    from . import reductions
+
     builtin = reductions.builtin_witnesses()
     if spec in builtin:
         return builtin[spec]
@@ -188,6 +205,9 @@ def _load_witness(spec: str) -> reductions.ReductionWitness:
 
 
 def cmd_check(args) -> int:
+    from . import reductions
+    from .programs import Program
+
     if args.all == (args.witness is not None):
         print("check: provide a witness (name or manifest) or --all, not both",
               file=sys.stderr)
@@ -200,10 +220,10 @@ def cmd_check(args) -> int:
         report = reductions.verify_reduction(
             witness,
             universe,
-            cap=args.cap,
+            cap=reductions.DEFAULT_CAP if args.cap is None else args.cap,
             seed=args.seed if args.seed is not None else 0,
             budget=args.budget,
-            sample_size=args.samples,
+            sample_size=reductions.DEFAULT_SAMPLES if args.samples is None else args.samples,
         )
         if report.mode == "sampled" and args.seed is None:
             print(
@@ -227,6 +247,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import codes
+
     value = hfsets.parse_set_literal(_read_arg_text(args.set))
     code = codes.encode(value)
     print(codes.code_to_json(code))
@@ -234,6 +256,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import codes
+
     code = codes.code_from_json(_read_arg_text(args.code))
     value = codes.decode(code)
     _emit(
@@ -243,6 +267,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import logic
+    from .formulas import PrenexStatement, parse_formula
+
     formula = parse_formula(_read_arg_text(args.formula))
     if isinstance(formula, PrenexStatement):
         if args.env:
@@ -279,6 +306,8 @@ def cmd_eval(args) -> int:
 
 
 def _canonification_from_args(args, relation, universe):
+    from . import relations
+
     if args.map:
         entries = json.loads(_read_arg_text(args.map))
         if not isinstance(entries, list):
@@ -303,7 +332,9 @@ def _canonification_from_args(args, relation, universe):
 
 
 def cmd_canon(args) -> int:
-    relation = relations.PRINCIPLES[args.relation]
+    from . import relations
+
+    relation = args.relation
     universe = hfsets.universe_rank_le(args.universe)
     canon = _canonification_from_args(args, relation, universe)
     ok, counterexample = relations.check_canonification(canon, relation, universe)
@@ -357,10 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--all", action="store_true", help="verify every builtin witness")
     p_check.add_argument("--universe", type=_universe_rank, default="rank:3",
                          help="rank:N, N <= 4 (default rank:3)")
-    p_check.add_argument("--cap", type=_count, default=reductions.DEFAULT_CAP,
-                         help="full canonification product up to this size (default %(default)s)")
-    p_check.add_argument("--samples", type=_count, default=reductions.DEFAULT_SAMPLES,
-                         help="sample count past the cap (default %(default)s)")
+    p_check.add_argument("--cap", type=_count,
+                         help="full canonification product up to this size "
+                         "(default reductions.DEFAULT_CAP)")
+    p_check.add_argument("--samples", type=_count,
+                         help="sample count past the cap (default reductions.DEFAULT_SAMPLES)")
     p_check.add_argument("--seed", type=_seed, default=None,
                          help="sampling seed (required when sampling occurs)")
     p_check.add_argument("--budget", type=_budget, default=_DEFAULT_BUDGET,
@@ -385,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_canon = sub.add_parser("canon", help="check a canonification against a relation")
-    p_canon.add_argument("relation", choices=sorted(relations.PRINCIPLES))
+    p_canon.add_argument("relation", type=_principle,
+                         help="a principle of the catalog, e.g. PP (an unknown name lists them)")
     p_canonification = p_canon.add_mutually_exclusive_group()
     p_canonification.add_argument(
         "--map", help="JSON list of [instance, value] set-literal pairs, each "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple, Union
 
 from .errors import NotDelta0, UnboundVariable
-from .syntax import TokenCursor, scan
+from .syntax import TokenCursor, parse_nested, scan
 
 __all__ = [
     "Member",
@@ -200,6 +200,17 @@ class _Parser(TokenCursor):
             return Equal(left, self.expect_ident(_VAR).text)
         self.error("'in' or '='")
 
+    def parse_file(self) -> Union[Delta0Formula, PrenexStatement]:
+        first = self.peek().text
+        if first == "EX":
+            self.error("'ALL' (prenex prefixes alternate ALL/EX)")
+        if first == "ALL":
+            result = self.parse_prenex()
+        else:
+            result = Delta0Formula.of(self.parse_delta0())
+        self.expect_end("end of formula")
+        return result
+
     def parse_prenex(self) -> PrenexStatement:
         blocks: List[Tuple[str, str]] = []
         while self.accept("ALL"):
@@ -224,15 +235,7 @@ def parse_formula(text: str) -> Union[Delta0Formula, PrenexStatement]:
     """Parse a formula file: a prenex statement if it starts with ALL/EX,
     otherwise a bounded formula (free variables allowed)."""
     parser = _Parser(scan(text, _PUNCT, "a formula token", _KEYWORDS))
-    first = parser.peek().text
-    if first == "EX":
-        parser.error("'ALL' (prenex prefixes alternate ALL/EX)")
-    if first == "ALL":
-        result = parser.parse_prenex()
-    else:
-        result = Delta0Formula.of(parser.parse_delta0())
-    parser.expect_end("end of formula")
-    return result
+    return parse_nested(parser, parser.parse_file)
 
 
 def parse_delta0(text: str) -> Delta0Formula:

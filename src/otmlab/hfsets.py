@@ -23,7 +23,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import RepresentationOverflow
-from .syntax import CharCursor
+from .syntax import DIGITS, CharCursor, parse_nested
 
 __all__ = [
     "HfSet",
@@ -54,14 +54,16 @@ _DEFAULT_RANK_CAP = 6
 
 
 def rank_cap() -> int:
-    """Configured decodable-set rank cap (env OTMLAB_RANK_CAP, default 6)."""
+    """Configured decodable-set rank cap (env OTMLAB_RANK_CAP, default 6): a
+    non-negative integer in ASCII digits."""
     raw = os.environ.get("OTMLAB_RANK_CAP")
     if raw is None:
         return _DEFAULT_RANK_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"OTMLAB_RANK_CAP must be an integer, got {raw!r}")
+    if not raw or not set(raw) <= DIGITS:
+        raise ValueError(
+            f"OTMLAB_RANK_CAP must be a non-negative integer in ASCII digits, got {raw!r}"
+        )
+    return int(raw)
 
 
 class HfSet:
@@ -270,7 +272,7 @@ def parse_set_literal(text: str) -> HfSet:
             if not cursor.accept(","):
                 cursor.error("',' or '}'")
 
-    result = parse()
+    result = parse_nested(cursor, parse)
     cursor.expect_end("end of set literal")
     return result
 

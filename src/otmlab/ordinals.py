@@ -29,7 +29,7 @@ import math
 from typing import Tuple
 
 from .errors import RepresentationOverflow
-from .syntax import DIGITS, CharCursor
+from .syntax import DIGITS, CharCursor, parse_nested
 
 __all__ = [
     "Ordinal",
@@ -434,6 +434,6 @@ class _OrdinalScanner(CharCursor):
 def parse_ordinal(text: str) -> Ordinal:
     scanner = _OrdinalScanner(text, " \t")
     scanner.skip_ws()
-    value = scanner.parse_expr()
+    value = parse_nested(scanner, scanner.parse_expr)
     scanner.expect_end("end of ordinal")
     return value

@@ -5,18 +5,21 @@ column spans and read through a `TokenCursor`; ordinal and set literals are
 read character by character through a `CharCursor`.  Each syntax passes its
 differences as data (punctuation, keywords, whitespace), and every syntax
 reports a mistake the same way: a `ParseError` naming the span, what was
-expected and what was found.
+expected and what was found, input nested past Python's recursion limit
+included (`parse_nested`).
 """
 
 from __future__ import annotations
 
-from typing import Collection, List, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, List, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import ParseError, SourceSpan
 
 # The digits of a number.  `str.isdigit` also holds for characters such as
 # '²' that `int` rejects.
 DIGITS = frozenset("0123456789")
+
+T = TypeVar("T")
 
 
 class Token(NamedTuple):
@@ -88,6 +91,9 @@ class TokenCursor:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
+    def span(self) -> SourceSpan:
+        return self.peek().span
+
     def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -128,9 +134,12 @@ class CharCursor:
         self.pos = 0
         self.whitespace = whitespace
 
+    def span(self) -> SourceSpan:
+        return SourceSpan(1, 1 + self.pos, 1)
+
     def error(self, expected: str):
         found = self.text[self.pos : self.pos + 8] or "end of input"
-        raise ParseError(SourceSpan(1, 1 + self.pos, 1), expected, found)
+        raise ParseError(self.span(), expected, found)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in self.whitespace:
@@ -163,3 +172,12 @@ class CharCursor:
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(what)
+
+
+def parse_nested(cursor, parse: Callable[[], T]) -> T:
+    """parse(), with input nested too deeply for Python's recursion limit
+    reported as a ParseError at the cursor's position."""
+    try:
+        return parse()
+    except RecursionError:
+        raise ParseError(cursor.span(), "less nesting", "input nested too deeply") from None

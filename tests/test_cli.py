@@ -505,6 +505,34 @@ class TestSetCommands:
         monkeypatch.delenv("OTMLAB_RANK_CAP")
         assert main(["decode", code_json]) == 0
 
+    @pytest.mark.parametrize("value", ["\u0666", " 6", "6 ", "-1", "+6", "6.0", "", "\u00b2"])
+    def test_rank_cap_env_takes_ascii_digits_only(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("OTMLAB_RANK_CAP", value)
+        assert main(["decode", '{"bound": "2", "pairs": ["1"]}']) == 3
+        err = capsys.readouterr().err
+        assert f"OTMLAB_RANK_CAP must be a non-negative integer in ASCII digits, got {value!r}" in err
+
+    @pytest.mark.parametrize("value, status", [("0", 3), ("1", 0), ("06", 0)])
+    def test_rank_cap_env_of_ascii_digits(self, value, status, capsys, monkeypatch):
+        monkeypatch.setenv("OTMLAB_RANK_CAP", value)
+        assert main(["decode", '{"bound": "2", "pairs": ["1"]}']) == status
+        out, err = capsys.readouterr()
+        assert (out, err) == (("{{}}\n", "") if status == 0 else ("", "otmlab: decoded set has rank 1 > cap 0\n"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "{" * 3000 + "}" * 3000],
+            ["eval", "!" * 3000 + "x in y", "--env", "x={}", "--env", "y={}"],
+            ["eval", "(" * 3000 + "x in y" + ")" * 3000],
+            ["decode", json.dumps({"bound": "w^(" * 2000 + "1" + ")" * 2000, "pairs": []})],
+        ],
+        ids=["set", "formula-negations", "formula-parentheses", "ordinal"],
+    )
+    def test_deep_nesting_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "found 'input nested too deeply'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv, problem",

@@ -69,22 +69,37 @@ def test_every_private_helper_is_used():
     assert dead == [], "private helpers nothing in the package uses"
 
 
+def _imported_names(node):
+    """The names an import statement binds ([] for any other node)."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def _unused_imports(scope):
+    """(line, name) of each import in scope, outside its nested functions,
+    that nothing in scope reads; then the same for each nested function."""
+    read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    unused, stack = [], list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            unused += _unused_imports(node)
+            continue
+        unused += [(node.lineno, n) for n in _imported_names(node) if n not in read]
+        stack.extend(ast.iter_child_nodes(node))
+    return unused
+
+
 def test_every_import_is_used():
-    """A name a module imports is read in that module; a docstring that
-    mentions it does not count.  The package __init__ is left out: its
-    imports are the names it re-exports."""
+    """A name a module imports is read where it is in scope: an import in a
+    function by that function (or a function nested in it), a module-level
+    import anywhere in the module.  A docstring that mentions it does not
+    count."""
     unused = []
     for path in sorted(Path(otmlab.__file__).parent.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.asname or a.name.split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                names = [a.asname or a.name for a in node.names]
-            else:
-                continue
-            unused += [f"{path.name}:{node.lineno}:{n}" for n in names if n not in read]
-    assert unused == [], "imports nothing in their module uses"
+        unused += [f"{path.name}:{line}:{name}" for line, name in sorted(_unused_imports(tree))]
+    assert unused == [], "imports nothing in their scope uses"

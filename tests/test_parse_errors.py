@@ -153,3 +153,20 @@ def test_malformed_input_raises_the_recorded_error(syntax, text, exc_type, messa
     assert str(err.value) == message
     got = getattr(err.value, "span", None)
     assert (None if got is None else (got.line, got.column, got.length)) == span
+
+
+DEEP = {
+    "set": ("set", "{" * 3000 + "}" * 3000),
+    "formula-negations": ("formula", "!" * 3000 + "x in y"),
+    "formula-parentheses": ("formula", "(" * 3000 + "x in y" + ")" * 3000),
+    "ordinal": ("ordinal", "w^(" * 2000 + "1" + ")" * 2000),
+}
+
+
+@pytest.mark.parametrize("syntax, text", DEEP.values(), ids=DEEP.keys())
+def test_nesting_past_the_recursion_limit_is_a_parse_error(syntax, text):
+    with pytest.raises(ParseError) as err:
+        PARSERS[syntax](text)
+    assert err.value.expected == "less nesting"
+    assert err.value.found == "input nested too deeply"
+    assert err.value.span.line == 1 and 1 < err.value.span.column < len(text)
