@@ -27,6 +27,7 @@ from .errors import (
     TotalityError,
     UnboundVariable,
 )
+from .syntax import parse_json
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -309,7 +310,7 @@ def _canonification_from_args(args, relation, universe):
     from . import relations
 
     if args.map:
-        entries = json.loads(_read_arg_text(args.map))
+        entries = parse_json(_read_arg_text(args.map), "--map")
         if not isinstance(entries, list):
             raise ValueError(f"--map must be a JSON list, got {json.dumps(entries)}")
         mapping = {}

@@ -19,6 +19,7 @@ from . import hfsets, ordinals
 from .errors import InvalidCode, RepresentationOverflow
 from .hfsets import HfSet, hf, tc
 from .ordinals import Ordinal, from_int, godel_pair, godel_unpair
+from .syntax import parse_json
 from .tapes import Tape
 
 __all__ = [
@@ -198,7 +199,7 @@ def code_to_json(code: SetCode) -> str:
 def code_from_json(text: str) -> SetCode:
     """The code of a JSON object {"bound": ORD, "pairs": [ORD, ...]} whose
     ordinals are strings; a ValueError names what is malformed."""
-    data = json.loads(text)
+    data = parse_json(text, "code")
     if not isinstance(data, dict):
         raise ValueError(f"code must be a JSON object, got {json.dumps(data)}")
     for key in ("bound", "pairs"):

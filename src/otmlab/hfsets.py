@@ -6,15 +6,16 @@ therefore keeps the default identity `==` and hash: a set is its own key in
 dicts and sets, and lookups never call back into Python.  The
 Ackermann coding n <-> set of positions of 1-bits gives the canonical
 enumeration used as the desk-scale stand-in for a constructible enumeration.
-The order is an order key: a set's `_key` is the tuple of its elements' keys,
-largest element first, built the first time the set is ordered.  Python's
-lexicographic tuple order is the Ackermann order (the largest element in
-which two sets differ decides; a proper prefix is the key of a set that
-lacks only elements below all of its own, and is smaller), and interning
+The order is an order key: a set's `_key` is its rank, then its elements'
+keys, largest element first, built the first time the set is ordered.
+Python's lexicographic tuple order is the Ackermann order (a lower rank is a
+lower index, by RANK_LAYER_BOUNDS, so deep singleton chains of different
+lengths part at the first entry; within a rank the largest element in which
+two sets differ decides, and a proper prefix is smaller), and interning
 makes the key injective, so comparing two sets is one native tuple
-comparison that never forces the (potentially astronomical) integer index
-into existence.  Each set also caches its text: `format_set` builds it
-the first time the set is printed and returns the same string after that.
+comparison that never forces the (potentially astronomical) index into
+being.  Each set also caches its text: `format_set` builds it the first time
+the set is printed and returns the same string after that.
 """
 
 from __future__ import annotations
@@ -120,10 +121,10 @@ def singleton(x: HfSet) -> HfSet:
 
 
 def _ack_key(x: HfSet) -> tuple:
-    """x's order key, built on first use: its elements' keys, largest first."""
+    """x's order key, built on first use: its rank, then its elements' keys."""
     key = x._key
     if key is None:
-        key = tuple(_ack_key(e) for e in reversed(x.elements))
+        key = (rank(x),) + tuple(_ack_key(e) for e in reversed(x.elements))
         object.__setattr__(x, "_key", key)
     return key
 

@@ -6,11 +6,11 @@ A witness reduces a relation R to a relation R' in one of three senses:
   oW    post(kpair(F'(pre(x)), x))  single oracle use, original instance kept
   OTM   a procedure that may consult F' any number of times (miracle tape)
 
-Stages are either whitelisted native procedures (compositions of
-OTM-effective primitives) or machine programs executed on set codes.  A pre
-or post stage reads one set, an oW post stage kpair(y, x); a native takes the
-oracle too exactly when it uses the miracle.  Stages are pure, so a sweep
-memoizes every stage by (stage, input).
+Stages are native procedures (Python functions of sets) or machine programs
+run on set codes.  A pre or post stage reads one set, an oW post stage
+kpair(y, x); only an OTM stage may take the oracle, as a native func(x,
+oracle) or a program with a miracle state, which a witness checks when it is
+built.  Stages are pure, so a sweep memoizes every stage by (stage, input).
 verify_reduction sweeps every canonification of the target relation over the
 relevant instances (full product when small, extremal plus seeded samples
 otherwise) and reports counterexamples.  A single-use case depends on its
@@ -24,7 +24,7 @@ answers while the tree fits the cap, past it the one each choice rule picks.
 
 from __future__ import annotations
 
-import json
+import inspect
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -55,6 +55,7 @@ from .hfsets import (
 )
 from .machine import RunBudget
 from .programs import Program
+from .syntax import parse_json
 from .relations import (
     PRINCIPLES,
     Canonification,
@@ -69,7 +70,6 @@ from .relations import (
 __all__ = [
     "NativeProcedure",
     "NATIVE_REGISTRY",
-    "PRIMITIVES",
     "ReductionWitness",
     "apply_oW",
     "run_with_miracle",
@@ -82,34 +82,24 @@ __all__ = [
     "witness_path",
 ]
 
-PRIMITIVES = (
-    "encode",
-    "decode",
-    "tc",
-    "ack-min",
-    "set-algebra",
-    "kuratowski",
-    "miracle",
-)
-
 # a verification sweeps a canonification product (or OTM choice tree) in full
 # up to DEFAULT_CAP; past it, it checks DEFAULT_SAMPLES seeded samples
 DEFAULT_CAP = 30_000
 DEFAULT_SAMPLES = 100
 
-
 @dataclass(frozen=True)
 class NativeProcedure:
-    """A named composition of whitelisted OTM-effective primitives."""
+    """A named function of sets: func(x), or func(x, oracle) to take the oracle."""
 
     name: str
     func: Callable
-    uses: Tuple[str, ...]
+    takes_oracle: bool = field(init=False)
 
     def __post_init__(self):
-        unknown = [u for u in self.uses if u not in PRIMITIVES]
-        if unknown:
-            raise ValueError(f"{self.name} uses non-whitelisted {unknown}")
+        params = inspect.signature(self.func).parameters.values()
+        if len(params) not in (1, 2) or any(p.kind > p.POSITIONAL_OR_KEYWORD for p in params):
+            raise ValueError(f"native {self.name} must take (x) or (x, oracle)")
+        object.__setattr__(self, "takes_oracle", len(params) == 2)
 
     def __call__(self, *args):
         return self.func(*args)
@@ -129,13 +119,28 @@ class ReductionWitness:
     otm: Optional[Stage] = None
 
     def __post_init__(self):
+        for key, relation in (("source_relation", self.source), ("target_relation", self.target)):
+            if not isinstance(relation, str) or relation not in PRINCIPLES:
+                raise ValueError(f"{key} {relation!r} is not a known relation")
         if self.kind not in ("oW", "soW", "OTM"):
             raise ValueError(f"unknown witness kind {self.kind}")
         runs = ("otm",) if self.kind == "OTM" else ("pre", "post")
-        for stage in ("pre", "post", "otm"):
-            if (getattr(self, stage) is None) == (stage in runs):
-                need = "need" if stage in runs else "take no"
-                raise ValueError(f"{self.kind} witnesses {need} stage {stage!r}")
+        for role in ("pre", "post", "otm"):
+            stage = getattr(self, role)
+            if (stage is None) == (role in runs):
+                need = "need" if role in runs else "take no"
+                raise ValueError(f"{self.kind} witnesses {need} stage {role!r}")
+        for role in runs:
+            stage = getattr(self, role)
+            native = isinstance(stage, NativeProcedure)
+            takes = stage.takes_oracle if native else stage.miracle_state is not None
+            if takes and role != "otm":
+                what = stage.name if native else "a program with a miracle state"
+                raise ValueError(f"stage {role!r} ({what}) takes the oracle, "
+                                 "which only an OTM stage may")
+            if native and not takes and role == "otm":
+                raise ValueError(f"stage 'otm' ({stage.name}) takes no oracle; "
+                                 "a native OTM stage is func(x, oracle)")
 
     def post_input(self, y: HfSet, x: HfSet) -> HfSet:
         """The post stage's input for answer y: kpair(y, x) for oW, y for soW."""
@@ -182,22 +187,14 @@ class _StageRunner:
 
     def apply(self, stage: Stage, value: HfSet) -> HfSet:
         """stage(value).  A pre or post stage reads one set (an oW post stage
-        reads kpair(y, x)); a native that uses the miracle takes the oracle
-        too, so it cannot run here."""
-        if isinstance(stage, NativeProcedure):
-            if "miracle" in stage.uses:
-                raise WitnessExecutionError(
-                    f"{stage.name} uses the miracle, which only an OTM stage may"
-                )
-            execute = stage.func
-        else:
-            execute = lambda v: _run_program(stage, v, self.budget)
+        reads kpair(y, x))."""
         # keyed on id: a Program holds a dict, so it cannot be hashed
         key = (id(stage), value)
         hit = self._memo.get(key)
         if hit is None:
             try:
-                hit = (True, execute(value))
+                hit = (True, stage.func(value) if isinstance(stage, NativeProcedure)
+                       else _run_program(stage, value, self.budget))
             except Exception as exc:
                 hit = (False, exc)
             self._memo[key] = hit
@@ -692,35 +689,30 @@ def _disjointify(x: HfSet) -> HfSet:
 
 _PP2_CONSTANT = hf([EMPTY, singleton(EMPTY)])
 
-NATIVE_REGISTRY: Dict[str, NativeProcedure] = {}
-
-
-def _register(name: str, func: Callable, uses: Tuple[str, ...]):
-    NATIVE_REGISTRY[name] = NativeProcedure(name=name, func=func, uses=uses)
-
-_register("identity", lambda x: x, ("set-algebra",))
-_register("const-empty", lambda x: EMPTY, ("set-algebra",))
-_register("pp2-instance", lambda x: _PP2_CONSTANT, ("set-algebra",))
-_register("singleton-family", singleton, ("set-algebra",))
-_register("discrete-poset", lambda x: kpair(x, EMPTY), ("kuratowski",))
-_register("maximal-elements", _maximal_elements_stage, ("kuratowski", "set-algebra"))
-_register("unique-element", _unique_element, ("set-algebra",))
-_register("tag-family",
-          lambda x: singleton(hf(kpair(x, z) for z in x.elements)),
-          ("kuratowski", "set-algebra"))
-_register("untag-subset", _untag_subset, ("kuratowski", "set-algebra"))
-_register("kpair-range", _kpair_range, ("kuratowski", "set-algebra"))
-_register("disjointify", _disjointify, ("kuratowski", "set-algebra"))
-_register("downclose", lambda x: hf(list(tc(x).elements) + [x]), ("tc", "set-algebra"))
-_register("pp-from-wo", _pp_from_wo, ("kuratowski", "set-algebra", "ack-min"))
-_register("mpp-from-wo", _mpp_from_wo, ("kuratowski", "set-algebra"))
-_register("ac-from-wo", _ac_from_wo, ("kuratowski", "set-algebra"))
-_register("acp-from-wo", _acp_from_wo, ("kuratowski", "set-algebra"))
-_register("zl-from-wo", _zl_from_wo, ("kuratowski", "set-algebra"))
-_register("hmp-from-wo", _hmp_from_wo, ("kuratowski", "set-algebra"))
-_register("wo-from-pp-iterative", _wo_from_pp_iterative,
-          ("miracle", "set-algebra", "kuratowski"))
-_register("pp-from-wo-otm", _pp_from_wo_otm, ("miracle", "kuratowski", "set-algebra"))
+NATIVE_REGISTRY: Dict[str, NativeProcedure] = {
+    name: NativeProcedure(name, func) for name, func in [
+        ("identity", lambda x: x),
+        ("const-empty", lambda x: EMPTY),
+        ("pp2-instance", lambda x: _PP2_CONSTANT),
+        ("singleton-family", singleton),
+        ("discrete-poset", lambda x: kpair(x, EMPTY)),
+        ("maximal-elements", _maximal_elements_stage),
+        ("unique-element", _unique_element),
+        ("tag-family", lambda x: singleton(hf(kpair(x, z) for z in x.elements))),
+        ("untag-subset", _untag_subset),
+        ("kpair-range", _kpair_range),
+        ("disjointify", _disjointify),
+        ("downclose", lambda x: hf(list(tc(x).elements) + [x])),
+        ("pp-from-wo", _pp_from_wo),
+        ("mpp-from-wo", _mpp_from_wo),
+        ("ac-from-wo", _ac_from_wo),
+        ("acp-from-wo", _acp_from_wo),
+        ("zl-from-wo", _zl_from_wo),
+        ("hmp-from-wo", _hmp_from_wo),
+        ("wo-from-pp-iterative", _wo_from_pp_iterative),
+        ("pp-from-wo-otm", _pp_from_wo_otm),
+    ]
+}
 
 
 def builtin_witnesses() -> Dict[str, ReductionWitness]:
@@ -794,11 +786,7 @@ def load_witness_manifest(path) -> ReductionWitness:
     """Witness manifest JSON: {name, kind, source_relation, target_relation,
     pre, post, otm} with stages as native:NAME or file:RELATIVE.otm."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not JSON: {exc}") from None
+    data = parse_json(path.read_text(encoding="utf-8"), str(path))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a witness manifest must be a JSON object")
     for key in data:
@@ -810,9 +798,6 @@ def load_witness_manifest(path) -> ReductionWitness:
     for key in ("name", "pre", "post", "otm"):
         if data.get(key) is not None and not isinstance(data[key], str):
             raise ValueError(f"{path}: {key} {data[key]!r} is not a string")
-    for key in ("source_relation", "target_relation"):
-        if not isinstance(data[key], str) or data[key] not in PRINCIPLES:
-            raise ValueError(f"{path}: {key} {data[key]!r} is not a known relation")
     base = path.parent
     try:
         return ReductionWitness(

@@ -11,6 +11,7 @@ included (`parse_nested`).
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Collection, List, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import ParseError, SourceSpan
@@ -181,3 +182,13 @@ def parse_nested(cursor, parse: Callable[[], T]) -> T:
         return parse()
     except RecursionError:
         raise ParseError(cursor.span(), "less nesting", "input nested too deeply") from None
+
+
+def parse_json(text: str, source: str):
+    """json.loads(text); malformed or too deeply nested JSON is a ValueError naming source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: not JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply") from None

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,33 @@ class TestCheck:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", f"otmlab: {path}: soW witnesses take no stage 'otm'\n")
+
+    @pytest.mark.parametrize("kind, stages, problem", [
+        ("soW", {"pre": "native:discrete-poset", "post": "native:pp-from-wo-otm"},
+         "stage 'post' (pp-from-wo-otm) takes the oracle, which only an OTM stage may"),
+        ("oW", {"pre": "native:wo-from-pp-iterative", "post": "native:identity"},
+         "stage 'pre' (wo-from-pp-iterative) takes the oracle, which only an OTM "
+         "stage may"),
+        ("soW", {"pre": "file:miracle.otm", "post": "native:identity"},
+         "stage 'pre' (a program with a miracle state) takes the oracle, which only "
+         "an OTM stage may"),
+        ("OTM", {"otm": "native:pp-from-wo"},
+         "stage 'otm' (pp-from-wo) takes no oracle; a native OTM stage is "
+         "func(x, oracle)"),
+    ], ids=["native-post", "native-pre", "program-pre", "unary-otm"])
+    def test_a_stage_that_breaks_the_oracle_rule_is_an_execution_error(
+            self, tmp_path, kind, stages, problem, capsys):
+        """Only an OTM stage may take the oracle: a manifest that breaks the
+        rule is refused before any case runs, not failed once per case."""
+        (tmp_path / "miracle.otm").write_text(
+            "tapes in work out miracle;\nstate q0;\nstate qm miracle;\n"
+            "state done halt;\nrule q0 -> goto done;\nrule qm -> goto done;\n")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "kind": kind, "source_relation": "PP", "target_relation": "WO", **stages,
+        }))
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr() == ("", f"otmlab: {path}: {problem}\n")
 
     def test_stage_file_parse_error_stays_a_usage_error(self, tmp_path, capsys):
         """A malformed .otm stage keeps its parse error and exit status 2,
@@ -537,6 +565,10 @@ class TestSetCommands:
 @pytest.mark.parametrize(
     "argv, problem",
     [
+        (["decode", "{"], "code: not JSON: Expecting property name enclosed in "
+                          "double quotes: line 1 column 2 (char 1)"),
+        (["canon", "PP", "--map", "["], "--map: not JSON: Expecting value: line 1 "
+                                        "column 2 (char 1)"),
         (["decode", "[1]"], "code must be a JSON object, got [1]"),
         (["decode", "{}"], "code has no 'bound'"),
         (["decode", '{"bound": "2"}'], "code has no 'pairs'"),
@@ -569,6 +601,33 @@ def test_malformed_json_argument_is_an_execution_error(argv, problem, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert (captured.out, captured.err) == ("", f"otmlab: {problem}\n")
+
+
+@pytest.mark.parametrize("command", ["decode", "run", "canon", "check"])
+def test_json_nested_too_deeply_is_an_execution_error(command, tmp_path, capsys):
+    """JSON nested past Python's recursion limit exits 3 with one line that
+    names the input, as other malformed JSON does, not with a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"bound": ' + "[" * 5000 + "]" * 5000 + "}")
+    argv, name = {
+        "decode": (["decode", f"@{path}"], "code"),
+        "run": (["run", str(ROOT / "demos" / "right_sweep.otm"), "--input-code",
+                 f"@{path}"], "code"),
+        "canon": (["canon", "PP", "--map", f"@{path}"], "--map"),
+        "check": (["check", str(path)], str(path)),
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"otmlab: {name}: JSON nested too deeply\n")
+
+
+def test_a_deep_singleton_chain_encodes_quickly(capsys):
+    """A set's order key starts with its rank, so sorting the closure of a
+    chain of 400 singletons does not compare the chains level by level (about
+    50 s without the rank; well under a second with it)."""
+    start = time.perf_counter()
+    assert main(["encode", "{" * 400 + "}" * 400]) == 0
+    assert time.perf_counter() - start < 10
+    assert json.loads(capsys.readouterr().out)["bound"] == "400"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from otmlab.relations import PRINCIPLES, Canonification, Relation
 from otmlab.reductions import (
     DEFAULT_CAP,
     NATIVE_REGISTRY,
-    PRIMITIVES,
     NativeProcedure,
     ReductionWitness,
     apply_oW,
@@ -59,7 +59,7 @@ def as_oW(witness):
     return ReductionWitness(
         name=witness.name + "_as_oW", kind="oW", source=witness.source,
         target=witness.target, pre=witness.pre,
-        post=NativeProcedure(post.name, lambda p: post(kpair_parts(p)[0]), post.uses),
+        post=NativeProcedure(post.name, lambda p: post(kpair_parts(p)[0])),
     )
 
 
@@ -92,14 +92,14 @@ class TestApplyOW:
         with pytest.raises(OracleDomainError):
             apply_oW(w, Canonification({}), PAIR01)
 
-    def test_a_post_stage_that_uses_the_miracle_is_refused_by_name(self):
-        # a pre stage alike: see test_an_instance_whose_pre_stage_fails_is_in_no_case
-        w = ReductionWitness(name="otm_post", kind="soW", source="PP", target="PP",
+    @pytest.mark.parametrize("kind", ["soW", "oW"])
+    def test_a_post_stage_that_takes_the_oracle_is_refused_when_built(self, kind):
+        # a pre stage alike: see TestConstructionRule
+        with pytest.raises(ValueError, match=r"^stage 'post' \(pp-from-wo-otm\) takes "
+                           "the oracle, which only an OTM stage may$"):
+            ReductionWitness(name="otm_post", kind=kind, source="PP", target="PP",
                              pre=NATIVE_REGISTRY["identity"],
                              post=NATIVE_REGISTRY["pp-from-wo-otm"])
-        with pytest.raises(WitnessExecutionError,
-                           match="^pp-from-wo-otm uses the miracle, which only an OTM"):
-            apply_oW(w, Canonification({PAIR01: SE}), PAIR01)
 
     def test_soW_output_depends_only_on_pre_image(self):
         # pre stage is constant for ZERO<=PP2, so every input must agree
@@ -156,8 +156,8 @@ class TestVerify:
 
         witness = ReductionWitness(
             name="counted_pp_le_pp", kind="soW", source="PP", target="PP",
-            pre=NativeProcedure("counted-pre", counted_pre, ("set-algebra",)),
-            post=NativeProcedure("counted-post", counted_post, ("set-algebra",)),
+            pre=NativeProcedure("counted-pre", counted_pre),
+            post=NativeProcedure("counted-post", counted_post),
         )
         pp = PRINCIPLES["PP"]
         report = verify_reduction(witness, U3, cap=10_000, seed=1)
@@ -260,7 +260,7 @@ def _refuse_pairs(x):
     return x
 
 
-REFUSE_PAIRS = NativeProcedure("refuse-pairs", _refuse_pairs, ("set-algebra",))
+REFUSE_PAIRS = NativeProcedure("refuse-pairs", _refuse_pairs)
 
 
 class TestPointwiseVerdicts:
@@ -304,7 +304,7 @@ class TestPointwiseVerdicts:
         witness = ReductionWitness(
             name="refuses_one_answer", kind="soW", source="PP", target="PP",
             pre=NATIVE_REGISTRY["identity"],
-            post=NativeProcedure("refuse-one-answer", post, ("set-algebra",)),
+            post=NativeProcedure("refuse-one-answer", post),
         )
         report = matches_product_sweep(witness, [PAIR01, two], cap=2_000)
         assert (report.mode, report.canonification_count, report.cases) == (
@@ -326,10 +326,7 @@ class TestPointwiseVerdicts:
     @pytest.mark.parametrize("pre, refusal, post", [
         (REFUSE_PAIRS, _refusing_pairs, "identity"),
         (REFUSE_PAIRS, _refusing_pairs, "const-empty"),
-        (NATIVE_REGISTRY["wo-from-pp-iterative"],
-         lambda x: "wo-from-pp-iterative uses the miracle, which only an OTM stage may",
-         "identity"),
-    ], ids=["refuse-pairs", "refuse-pairs-then-fail", "uses-the-miracle"])
+    ], ids=["refuse-pairs", "refuse-pairs-then-fail"])
     def test_an_instance_whose_pre_stage_fails_is_in_no_case(self, pre, refusal, post):
         witness = ReductionWitness(
             name="pre_fails", kind="soW", source="PP", target="PP",
@@ -373,7 +370,7 @@ def otm_probe(name, source, target, procedure):
     """An OTM witness whose procedure is the native procedure(x, miracle)."""
     return ReductionWitness(
         name=name, kind="OTM", source=source, target=target,
-        otm=NativeProcedure(name.replace("_", "-"), procedure, ("miracle",)),
+        otm=NativeProcedure(name.replace("_", "-"), procedure),
     )
 
 
@@ -424,6 +421,8 @@ def wrong_on_every_leaf(fault):
     return otm_probe(f"wrong_on_every_leaf_{fault.replace(' ', '_')}", "PP", "PP",
                      procedure)
 
+
+HALT_NOW = "tapes in work out;\nstate q0 halt;\n"
 
 # .otm probes of the miracle protocol, each a ZERO <= PP witness
 MIRACLE_PROBES = {
@@ -636,15 +635,87 @@ def test_exhaustive_otm_sweep_equals_recursive_reference(witness, universe):
 
 
 class TestNativeRegistry:
-    def test_all_procedures_use_whitelisted_primitives(self):
+    def test_a_native_takes_the_oracle_exactly_when_it_takes_two_arguments(self):
+        takers = {name for name, proc in NATIVE_REGISTRY.items() if proc.takes_oracle}
+        assert takers == {"wo-from-pp-iterative", "pp-from-wo-otm"}
         for proc in NATIVE_REGISTRY.values():
-            assert proc.uses
-            assert set(proc.uses) <= set(PRIMITIVES)
+            assert proc.takes_oracle == (proc.func.__code__.co_argcount == 2)
+        assert not NativeProcedure("len", len).takes_oracle
 
-    def test_otm_witnesses_declare_the_miracle_primitive(self):
+    @pytest.mark.parametrize("func", [
+        lambda: EMPTY,
+        lambda x, oracle, extra: x,
+        lambda *xs: xs[0],
+        lambda x, *, oracle: x,
+        lambda x, **kw: x,
+    ], ids=["no-argument", "three-arguments", "star-args", "keyword-only", "star-kwargs"])
+    def test_a_native_of_any_other_arity_is_refused_when_built(self, func):
+        with pytest.raises(ValueError, match=r"^native odd must take \(x\) or "
+                           r"\(x, oracle\)$"):
+            NativeProcedure("odd", func)
+
+    def test_otm_witnesses_take_the_oracle_and_single_use_stages_do_not(self):
         for w in WITNESSES.values():
-            if w.kind == "OTM":
-                assert "miracle" in w.otm.uses
+            stages = [w.otm] if w.kind == "OTM" else [w.pre, w.post]
+            assert all(s.takes_oracle == (w.kind == "OTM") for s in stages), w.name
+
+
+MIRACLE_PROGRAM = parse_program(MIRACLE_PROBES["probe3"])
+PLAIN_PROGRAM = parse_program(HALT_NOW)
+
+
+class TestConstructionRule:
+    """Only an OTM stage may take the oracle, and a witness names relations
+    of the catalog: a witness that breaks either rule is refused when it is
+    built, naming the stage or the relation."""
+
+    @pytest.mark.parametrize("role", ["pre", "post"])
+    @pytest.mark.parametrize("kind", ["soW", "oW"])
+    @pytest.mark.parametrize("stage, what", [
+        (NATIVE_REGISTRY["wo-from-pp-iterative"], "wo-from-pp-iterative"),
+        (MIRACLE_PROGRAM, "a program with a miracle state"),
+    ], ids=["native", "program"])
+    def test_a_single_use_stage_that_takes_the_oracle(self, stage, what, kind, role):
+        stages = {"pre": NATIVE_REGISTRY["identity"], "post": NATIVE_REGISTRY["identity"],
+                  role: stage}
+        problem = f"stage '{role}' ({what}) takes the oracle, which only an OTM stage may"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            ReductionWitness(name="w", kind=kind, source="PP", target="PP", **stages)
+
+    def test_a_one_argument_native_as_the_otm_stage(self):
+        problem = ("stage 'otm' (identity) takes no oracle; "
+                   "a native OTM stage is func(x, oracle)")
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            ReductionWitness(name="w", kind="OTM", source="PP", target="PP",
+                             otm=NATIVE_REGISTRY["identity"])
+
+    def test_a_program_without_a_miracle_state_may_be_the_otm_stage(self):
+        # it never consults the oracle, which an OTM procedure may do
+        assert PLAIN_PROGRAM.miracle_state is None
+        ReductionWitness(name="w", kind="OTM", source="ZERO", target="PP",
+                         otm=PLAIN_PROGRAM)
+
+    @pytest.mark.parametrize("key, source, target, bad", [
+        ("source_relation", "PPX", "PP", "'PPX'"),
+        ("target_relation", "PP", "ZLX", "'ZLX'"),
+        ("target_relation", "PP", ["ZL"], "['ZL']"),
+    ], ids=["source", "target", "unhashable"])
+    def test_an_unknown_relation(self, key, source, target, bad):
+        problem = f"{key} {bad} is not a known relation"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            ReductionWitness(name="w", kind="soW", source=source, target=target,
+                             pre=NATIVE_REGISTRY["identity"],
+                             post=NATIVE_REGISTRY["identity"])
+
+
+MANIFESTS = sorted(witness_path("").glob("*.json")) + sorted(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reject").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", MANIFESTS, ids=[p.name for p in MANIFESTS])
+def test_every_shipped_and_benchmark_manifest_builds(path):
+    witness = load_witness_manifest(path)
+    assert witness.name == json.loads(path.read_text()).get("name", path.stem)
 
 
 class TestManifests:
