@@ -105,19 +105,26 @@ def _collapse(code: SetCode) -> Tuple[List[HfSet], int]:
     values: List[Optional[HfSet]] = [None] * bound
     state = [0] * bound  # 0 unvisited, 1 in progress, 2 done
 
-    def visit(node: int):
-        if state[node] == 1:
-            raise InvalidCode("ill-founded", f"membership cycle through {node}")
-        if state[node] == 2:
-            return
-        state[node] = 1
-        for m in members[node]:
-            visit(m)
-        values[node] = hf(values[m] for m in members[node])
-        state[node] = 2
-
-    for node in range(bound):
-        visit(node)
+    # depth-first from each node in turn, on an explicit stack: a chain of
+    # memberships may be far deeper than Python's recursion limit
+    for root in range(bound):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(members[root]))]
+        while stack:
+            node, pending = stack[-1]
+            for m in pending:
+                if state[m] == 1:
+                    raise InvalidCode("ill-founded", f"membership cycle through {m}")
+                if state[m] == 0:
+                    state[m] = 1
+                    stack.append((m, iter(members[m])))
+                    break
+            else:
+                stack.pop()
+                values[node] = hf(values[m] for m in members[node])
+                state[node] = 2
 
     if len(set(values)) != bound:
         raise InvalidCode("not-extensional", "two nodes collapse to the same set")

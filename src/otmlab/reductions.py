@@ -13,13 +13,16 @@ oracle) or a program with a miracle state, which a witness checks when it is
 built.  Stages are pure, so a sweep memoizes every stage by (stage, input).
 verify_reduction sweeps every canonification of the target relation over the
 relevant instances (full product when small, extremal plus seeded samples
-otherwise) and reports counterexamples.  A single-use case depends on its
-canonification only through the answer at pre(x), so the sweep decides
-pointwise, one verdict per (instance, answer), and walks the product only to
-list counterexamples.  An OTM run meets its oracle instances as it goes, so
-one walker judges every leaf of an instance's choice tree, giving a lone
-answer inline and running again once per answer where there are several: all
+otherwise) and reports counterexamples.  A single-use case is judged by one
+apply_oW round trip.  It depends on its canonification only through the
+answer at pre(x), so the sweep first judges each (instance, answer) pair once,
+through one canonification giving it, and walks the product only to list
+counterexamples.  An OTM run meets its oracle instances as it goes, so one
+walker judges every leaf of an instance's choice tree, giving a lone answer
+inline and running again once per answer where there are several: all
 answers while the tree fits the cap, past it the one each choice rule picks.
+In both kinds an oracle query outside the target's domain fails its case: a
+realizer of the target may answer anything there.
 """
 
 from __future__ import annotations
@@ -362,12 +365,14 @@ def verify_reduction(
     """Check the witness against every (or cap-sampled) canonification of
     PRINCIPLES[witness.target] over the instances the pre-stage produces.
 
-    An oW/soW sweep decides pointwise: it checks post once per instance x and
-    answer y' that a canonification gives at pre(x), and when all pass it
-    counts one passing case per (canonification, instance) without running
-    them.  It walks the product only to list counterexamples, in product
-    order.  Execution errors are recorded as failures for their case.  The
-    sweep is deterministic for a fixed (witness, universe, cap, seed).
+    An oW/soW sweep judges each case by apply_oW.  It first judges each
+    instance x with each answer y' a canonification gives at pre(x), through
+    one canonification giving y'; when all pass, every (canonification,
+    instance) case passes and is counted without running.  Otherwise it
+    walks the product to list counterexamples, in product order.  Execution
+    errors, an oracle query outside the target's domain among them, are
+    recorded as failures for their case.  The sweep is deterministic for a
+    fixed (witness, universe, cap, seed).
     """
     instances = [x for x in universe if PRINCIPLES[witness.source].domain(x)]
     report = VerificationReport(
@@ -386,14 +391,13 @@ def verify_reduction(
 def _verify_single_use(witness, instances, cap, seed, budget, report, sample_size):
     source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
     runner = _StageRunner(budget)
-    pre_images = []
+    posed = []  # (x, pre(x)) for each x whose pre stage succeeded
     for x in instances:
         try:
-            pre_images.append(runner.apply(witness.pre, x))
+            posed.append((x, runner.apply(witness.pre, x)))
         except Exception as exc:
             report.failures.append(CaseFailure(x, "-", f"pre stage failed: {exc}"))
-            pre_images.append(None)
-    targets = list(dict.fromkeys(q for q in pre_images if q is not None))
+    targets = list(dict.fromkeys(q for _, q in posed))
     try:
         mode, canons, product = enumerate_canonifications(
             target, targets, cap, seed, sample_size
@@ -407,51 +411,30 @@ def _verify_single_use(witness, instances, cap, seed, budget, report, sample_siz
     report.mode = mode
     report.canonification_count = len(canons)
     report.product_size = product
-    if _every_answer_solves(witness, source, instances, pre_images, canons, runner):
-        report.cases = len(canons) * sum(q is not None for q in pre_images)
+    report.cases = len(canons) * len(posed)
+
+    def failure(canon, x):
+        """Why the case (canon, x) fails, or None when it passes."""
+        try:
+            y = apply_oW(witness, canon, x, budget, runner=runner)
+        except Exception as exc:
+            return str(exc)
+        if not source.holds(x, y):
+            return f"result {y} fails {source.name}"
+        return None
+
+    @lru_cache(maxsize=None)
+    def representatives(q):
+        """One canonification per answer (or None: undefined) given at q."""
+        return {canon.mapping.get(q): canon for canon in canons}.values()
+
+    if all(failure(canon, x) is None for x, q in posed for canon in representatives(q)):
         return
     for canon in canons:
-        for x, q in zip(instances, pre_images):
-            if q is None:
-                continue
-            report.cases += 1
-            try:
-                y = apply_oW(witness, canon, x, budget, runner=runner)
-            except Exception as exc:
-                report.failures.append(CaseFailure(x, canon.label, str(exc)))
-                continue
-            if not source.holds(x, y):
-                report.failures.append(
-                    CaseFailure(x, canon.label, f"result {y} fails {source.name}")
-                )
-
-
-def _every_answer_solves(witness, source, instances, pre_images, canons, runner):
-    """True iff post(y') solves x for every instance x whose pre stage
-    succeeded and every answer y' a canonification gives at pre(x).
-
-    A case depends on its canonification only through that answer, so then
-    every (canonification, instance) case passes.  False as soon as some
-    canonification is undefined at a pre-image, a stage raises or `holds`
-    rejects a result: the caller then lists the counterexamples case by case.
-    """
-    answers: Dict[HfSet, Dict[HfSet, None]] = {}
-    for x, q in zip(instances, pre_images):
-        if q is None:
-            continue
-        if q not in answers:
-            # in canonification order; None: some canonification is undefined
-            answers[q] = dict.fromkeys(canon.mapping.get(q) for canon in canons)
-            if None in answers[q]:
-                return False
-        for y in answers[q]:
-            try:
-                result = runner.apply(witness.post, witness.post_input(y, x))
-            except Exception:
-                return False
-            if not source.holds(x, result):
-                return False
-    return True
+        for x, _ in posed:
+            reason = failure(canon, x)
+            if reason is not None:
+                report.failures.append(CaseFailure(x, canon.label, reason))
 
 
 def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
@@ -469,9 +452,10 @@ def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
         def oracle(s):
             if s in partial:
                 return partial[s]
-            # off-domain oracle instances take the conventional empty value
+            # a realizer of the target may answer anything off its domain
             if not target.domain(s):
-                return EMPTY
+                raise OracleDomainError(
+                    f"oracle instance {s} is outside the domain of {target.name}")
             options = pick(s)
             if len(options) > 1:
                 raise _NeedInstance(s, options)

@@ -625,8 +625,9 @@ def otm_tree_sweep(witness, universe):
     sweep of an OTM witness.  Each run answers from a partial assignment; at
     the first in-domain oracle instance it lacks the run is abandoned and the
     assignment extended there by each witness in turn.  An instance without
-    witnesses ends its branch as a leaf that is no case."""
-    from otmlab.hfsets import EMPTY
+    witnesses ends its branch as a leaf that is no case; a query off the
+    target's domain fails its run, since a realizer may answer anything there."""
+    from otmlab.errors import OracleDomainError
     from otmlab.reductions import run_with_miracle
     from otmlab.relations import PRINCIPLES
 
@@ -639,7 +640,8 @@ def otm_tree_sweep(witness, universe):
 
         def oracle(s):
             if not target.domain(s):
-                return EMPTY
+                raise OracleDomainError(
+                    f"oracle instance {s} is outside the domain of {target.name}")
             if s not in assignment:
                 missing.append(s)
                 raise LookupError(f"no answer assigned at {s}")

@@ -435,6 +435,14 @@ class TestSetCommands:
         bad = json.dumps({"bound": "2", "pairs": []})
         assert main(["decode", bad]) == 3
 
+    def test_decode_of_a_deep_chain_exits_3_on_its_rank(self, capsys, monkeypatch):
+        # node i+1 is the one element of node i: p(i+1, i) = i*i + 4*i + 2,
+        # and the top, node 0, has rank 1,500
+        monkeypatch.delenv("OTMLAB_RANK_CAP", raising=False)
+        pairs = [str(i * i + 4 * i + 2) for i in range(1500)]
+        assert main(["decode", json.dumps({"bound": "1501", "pairs": pairs})]) == 3
+        assert capsys.readouterr().err == "otmlab: decoded set has rank 1500 > cap 6\n"
+
     def test_decode_unparsable_ordinal_exits_2(self, capsys):
         for bound in ("x", "²"):
             bad = json.dumps({"bound": bound, "pairs": []}, ensure_ascii=False)

@@ -16,7 +16,7 @@ from otmlab.codes import (
 )
 from otmlab.errors import InvalidCode
 from otmlab.hfsets import EMPTY, ack_enumerate, hf, singleton, tc, universe_rank_le
-from otmlab.ordinals import OMEGA, from_int
+from otmlab.ordinals import OMEGA, from_int, godel_pair
 
 SE = singleton(EMPTY)
 
@@ -96,6 +96,13 @@ class TestDecode:
         assert ok and reason is None
         ok, reason = is_valid(c(2))
         assert not ok and reason == "not-extensional"
+
+    def test_a_membership_chain_deeper_than_the_recursion_limit_is_valid(self):
+        # node i+1 is the one element of node i, so the collapse descends
+        # 1,500 levels from the top, node 0
+        chain = [godel_pair(from_int(i + 1), from_int(i)) for i in range(1500)]
+        code = SetCode(bound=from_int(1501), pairs=frozenset(chain))
+        assert is_valid(code) == (True, None)
 
 
 class TestCodeIndependence:

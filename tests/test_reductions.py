@@ -375,8 +375,8 @@ def otm_probe(name, source, target, procedure):
 
 
 def _off_domain_probe(x, miracle):
-    # {} is outside PP's domain, so the oracle gives the conventional value
-    assert miracle(EMPTY) is EMPTY
+    # {} is outside PP's domain, where a realizer of PP may answer anything
+    miracle(EMPTY)
     return EMPTY
 
 
@@ -454,6 +454,16 @@ MIRACLE_PROBES = {
         state qm miracle;
         state done halt;
         rule m0 -> write work=1 goto done;
+        rule qm -> goto done;
+        """,
+    # enters the miracle state with an empty miracle tape, the code of {},
+    # which is outside PP's domain, and halts
+    "probe4": """
+        tapes in work out miracle;
+        state m0;
+        state qm miracle;
+        state done halt;
+        rule m0 -> goto qm;
         rule qm -> goto done;
         """,
 }
@@ -538,14 +548,25 @@ class TestMiracleProtocol:
         with pytest.raises(MiracleRangeEscape):
             run_with_miracle(w, deep_oracle, PAIR01)
 
-    def test_off_domain_oracle_instances_yield_empty_in_sampled_mode(self):
-        # a witness that consults the oracle on an off-domain instance (the
-        # empty set is outside PP's domain) must see the conventional value;
-        # cap 0 forces the sampled fallback path
+    def test_off_domain_oracle_instances_fail_in_both_phases(self):
+        # a realizer of PP may answer anything at {}, outside PP's domain, so
+        # every run of the probe fails; under cap 0 the first run outgrows the
+        # cap and the choice rules of the sampled fallback run it again
         witness = PROBES["offdomain_probe"]
         report = verify_reduction(witness, U3[:4], cap=0, seed=1, sample_size=3)
         assert report.mode == "sampled"
-        assert report.ok, report.to_json()
+        rules = ["extremal-min", "extremal-max", "sample[0]", "sample[1]", "sample[2]"]
+        assert [(f.instance, f.canonification) for f in report.failures] == [
+            (U3[0], "(no oracle use)")] + [(x, rule) for rule in rules for x in U3[:4]]
+        assert {f.reason for f in report.failures} == {
+            "oracle instance {} is outside the domain of PP"}
+
+    def test_a_program_asking_off_the_target_domain_fails(self):
+        # an empty miracle tape codes {}: the oracle is asked outside PP's
+        # domain, so no answer it gives there can be relied on
+        report = verify_reduction(program_probe("probe4"), U2)
+        assert report.cases == len(U2) and len(report.failures) == len(U2)
+        assert all("{}" in f.reason for f in report.failures), report.to_json()
 
     def test_sampled_fallback_keeps_exhaustive_counterexamples(self):
         # the 4-element instance's choice tree outgrows cap=6 after the
