@@ -51,8 +51,8 @@ print()
 print("== Iterated picking well-orders a set ==")
 wo_via_pp = witnesses["wo_otm_pp"]
 x = hf([EMPTY, singleton(EMPTY), singleton(singleton(EMPTY))])
-y, stats = run_with_miracle(wo_via_pp, lambda s: s.elements[0], x, RunBudget())
+y, picks = run_with_miracle(wo_via_pp, lambda s: s.elements[0], x, RunBudget())
 print(f"x = {format_set(x)}")
-print(f"well-order obtained with {stats.calls} oracle picks (|x| = {len(x)})")
+print(f"well-order obtained with {picks} oracle picks (|x| = {len(x)})")
 print(f"WO holds: {WO.holds(x, y)}")
 

@@ -1,6 +1,6 @@
 """Assembly syntax for machine programs (`.otm` files, UTF-8, `#` comments).
 
-    tapes in work out;            # ordered roles: in, work, out, miracle, oracle
+    tapes in work out;            # ordered roles: in, work, out, miracle
     state q0;                     # first declared state is the start state
     state done halt;              # attributes: halt, miracle
     rule q0 work=0 -> write work=1 move work=R goto q0;
@@ -11,7 +11,8 @@ omitted writes keep the bit that was read, omitted moves stay.  Rules expand
 into explicit transitions; two rules covering the same (state, read-vector)
 conflict, and missing coverage is a totality error naming the gaps.  States
 are numbered in declaration order, which is also the order the limit rule
-minimizes over.
+minimizes over.  A miracle state needs a miracle tape and is not a halt
+state.
 
 The printer emits the fully explicit canonical form, and parse(print(p))
 reproduces p exactly.
@@ -24,11 +25,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ConflictingRules, ParseError, SourceSpan, TotalityError
 from .programs import MOVES, ROLE_ORDER, Program, Transition
-from .syntax import TokenCursor, scan
+from .syntax import Token, TokenCursor, scan
 
 __all__ = ["parse_program", "format_program", "load_program"]
 
-_ROLE_ALIASES = {"input": "in", "output": "out"}
 _PUNCT = ("->", ";", ",", "=")
 
 
@@ -52,6 +52,7 @@ class _ProgramParser(TokenCursor):
         self.state_ids: Dict[str, int] = {}
         self.halt_states = set()
         self.miracle_state: Optional[int] = None
+        self.miracle_attr: Optional[Token] = None
         self.rules: List[_Rule] = []
 
     def parse(self) -> Program:
@@ -74,12 +75,11 @@ class _ProgramParser(TokenCursor):
         roles = []
         while self.peek().text != ";":
             r = self.expect_ident("a tape role")
-            role = _ROLE_ALIASES.get(r.text, r.text)
-            if role not in ROLE_ORDER:
+            if r.text not in ROLE_ORDER:
                 self.error(f"a tape role (one of {', '.join(ROLE_ORDER)})", r)
-            if role in roles:
+            if r.text in roles:
                 self.error("a role not declared twice", r)
-            roles.append(role)
+            roles.append(r.text)
         semi = self.expect(";")
         for required in ("in", "work", "out"):
             if required not in roles:
@@ -101,17 +101,18 @@ class _ProgramParser(TokenCursor):
             elif attr.text == "miracle":
                 if self.miracle_state is not None:
                     self.error("a single miracle state", attr)
-                self.miracle_state = sid
+                self.miracle_state, self.miracle_attr = sid, attr
             else:
                 self.error("'halt' or 'miracle'", attr)
+            if sid in self.halt_states and sid == self.miracle_state:
+                self.error("a halt state or a miracle state, not both", attr)
         self.expect(";")
 
     def _role_token(self) -> str:
         tok = self.expect_ident("a tape role")
-        role = _ROLE_ALIASES.get(tok.text, tok.text)
-        if self.roles is None or role not in self.roles:
+        if self.roles is None or tok.text not in self.roles:
             self.error("a declared tape role", tok)
-        return role
+        return tok.text
 
     def _parse_assignments(self, kind: str) -> Dict[str, str]:
         """role=VALUE, role=VALUE, ... (at least one)."""
@@ -167,6 +168,8 @@ class _ProgramParser(TokenCursor):
             )
         if not self.state_names:
             raise ParseError(SourceSpan(1, 1, 1), "a 'state' declaration", "end of input")
+        if self.miracle_attr is not None and "miracle" not in self.roles:
+            self.error("a 'miracle' tape role for the miracle state", self.miracle_attr)
         transitions: Dict[Tuple[int, Tuple[int, ...]], Transition] = {}
         owner: Dict[Tuple[int, Tuple[int, ...]], _Rule] = {}
         for rule in self.rules:

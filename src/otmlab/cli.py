@@ -3,7 +3,8 @@
 Subcommands: run, check, encode, decode, eval, canon, list-universe.
 Exit codes: 0 success, 1 verification counterexample, 2 usage/parse error,
 3 execution error, 141 standard output closed by its reader (128 + SIGPIPE;
-nothing is printed).  OTMLAB_RANK_CAP overrides the default rank cap (6).
+nothing is printed).  No environment variable changes what a command does;
+a decoded set has rank at most hfsets.RANK_CAP (6).
 
 Importing this module loads only what argument parsing needs (errors,
 hfsets, machine and the layers below them); each subcommand imports the

@@ -142,10 +142,9 @@ def _collapse(code: SetCode) -> Tuple[List[HfSet], int]:
 def decode(code: SetCode) -> HfSet:
     values, top = _collapse(code)
     result = values[top]
-    cap = hfsets.rank_cap()
-    if hfsets.rank(result) > cap:
+    if hfsets.rank(result) > hfsets.RANK_CAP:
         raise RepresentationOverflow(
-            f"decoded set has rank {hfsets.rank(result)} > cap {cap}"
+            f"decoded set has rank {hfsets.rank(result)} > cap {hfsets.RANK_CAP}"
         )
     return result
 

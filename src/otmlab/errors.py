@@ -117,7 +117,7 @@ class WitnessExecutionError(OtmLabError):
 
 
 class MiracleRangeEscape(OtmLabError):
-    """An oracle image exceeds the configured rank cap."""
+    """An oracle image exceeds the rank cap, hfsets.RANK_CAP."""
 
 
 class Exhausted(OtmLabError):

@@ -15,16 +15,16 @@ two sets differ decides, and a proper prefix is smaller), and interning
 makes the key injective, so comparing two sets is one native tuple
 comparison that never forces the (potentially astronomical) index into
 being.  Each set also caches its text: `format_set` builds it the first time
-the set is printed and returns the same string after that.
+the set is printed and returns the same string after that.  A decoded set
+or an oracle image has rank at most RANK_CAP; a set literal may nest deeper.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import RepresentationOverflow
-from .syntax import DIGITS, CharCursor, parse_nested
+from .syntax import CharCursor, parse_nested
 
 __all__ = [
     "HfSet",
@@ -37,7 +37,7 @@ __all__ = [
     "ack_enumerate",
     "tc",
     "rank",
-    "rank_cap",
+    "RANK_CAP",
     "kpair",
     "kpair_parts",
     "set_union",
@@ -51,20 +51,9 @@ __all__ = [
 # bit positions above this would make 2**p unmanageable
 _MAX_ACK_EXPONENT = 1_000_000
 
-_DEFAULT_RANK_CAP = 6
-
-
-def rank_cap() -> int:
-    """Configured decodable-set rank cap (env OTMLAB_RANK_CAP, default 6): a
-    non-negative integer in ASCII digits."""
-    raw = os.environ.get("OTMLAB_RANK_CAP")
-    if raw is None:
-        return _DEFAULT_RANK_CAP
-    if not raw or not set(raw) <= DIGITS:
-        raise ValueError(
-            f"OTMLAB_RANK_CAP must be a non-negative integer in ASCII digits, got {raw!r}"
-        )
-    return int(raw)
+# the deepest set a code decodes to, or an oracle image may be: a WO answer
+# on a rank-4 set has rank 6
+RANK_CAP = 6
 
 
 class HfSet:
@@ -248,11 +237,22 @@ def set_difference(x: HfSet, y: HfSet) -> HfSet:
 
 def format_set(x: HfSet) -> str:
     """The text of x, built on first use and cached on the interned set."""
-    text = x._text
-    if text is None:
-        text = "{" + ",".join(format_set(e) for e in x.elements) + "}"
-        object.__setattr__(x, "_text", text)
-    return text
+    if x._text is not None:
+        return x._text
+    # elements before their set, depth-first on an explicit stack: a literal
+    # may nest far deeper than Python's recursion limit
+    stack = [(x, iter(x.elements))]
+    while stack:
+        node, pending = stack[-1]
+        for e in pending:
+            if e._text is None:
+                stack.append((e, iter(e.elements)))
+                break
+        else:
+            stack.pop()
+            text = "{" + ",".join([e._text for e in node.elements]) + "}"
+            object.__setattr__(node, "_text", text)
+    return x._text
 
 
 def parse_set_literal(text: str) -> HfSet:

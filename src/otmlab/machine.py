@@ -492,20 +492,11 @@ RunOutcome = Union[Halted, Diverges, Unresolved]
 
 
 def initial_configuration(
-    program: Program,
-    input_tape: Tape = EMPTY_TAPE,
-    oracle_tape: Optional[Tape] = None,
+    program: Program, input_tape: Tape = EMPTY_TAPE
 ) -> Configuration:
-    tapes = []
-    for role in program.tape_roles:
-        if role == "in":
-            tapes.append(input_tape)
-        elif role == "oracle" and oracle_tape is not None:
-            tapes.append(oracle_tape)
-        else:
-            tapes.append(EMPTY_TAPE)
+    tapes = tuple(input_tape if r == "in" else EMPTY_TAPE for r in program.tape_roles)
     heads = tuple(ZERO for _ in range(program.n_tapes))
-    return Configuration(program.start_state, heads, tuple(tapes), ZERO)
+    return Configuration(program.start_state, heads, tapes, ZERO)
 
 
 # the longest period _detect tries as a sweep, and how many earlier limits
@@ -743,12 +734,11 @@ def run(
     input_tape: Tape = EMPTY_TAPE,
     budget: RunBudget = RunBudget(),
     *,
-    oracle_tape: Optional[Tape] = None,
     miracle_hook: Optional[MiracleHook] = None,
     trace: Optional[Callable[[dict], None]] = None,
     trace_steps: bool = False,
 ) -> RunOutcome:
     """Execute from the standard start: start state, heads at 0, given input,
     all other tapes empty."""
-    config = initial_configuration(program, input_tape, oracle_tape)
+    config = initial_configuration(program, input_tape)
     return _Runner(program, budget, miracle_hook, trace, trace_steps).run(config)

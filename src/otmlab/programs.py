@@ -18,7 +18,7 @@ from .tapes import Tape
 
 __all__ = ["ROLE_ORDER", "Transition", "Program", "Configuration"]
 
-ROLE_ORDER = ("in", "work", "out", "miracle", "oracle")
+ROLE_ORDER = ("in", "work", "out", "miracle")
 
 _REQUIRED_ROLES = ("in", "work", "out")
 
@@ -48,11 +48,12 @@ class Program:
         for role in _REQUIRED_ROLES:
             if self.tape_roles.count(role) != 1:
                 raise ValueError(f"tape role {role!r} must appear exactly once")
-        for role in ("miracle", "oracle"):
-            if self.tape_roles.count(role) > 1:
-                raise ValueError(f"tape role {role!r} may appear at most once")
+        if self.tape_roles.count("miracle") > 1:
+            raise ValueError("tape role 'miracle' may appear at most once")
         if self.miracle_state is not None and self.miracle_state in self.halt_states:
             raise ValueError("the miracle state cannot be a halt state")
+        if self.miracle_state is not None and "miracle" not in self.tape_roles:
+            raise ValueError("a miracle state needs a 'miracle' tape")
         n = len(self.tape_roles)
         for (state, reads), tr in self.transitions.items():
             if len(reads) != n or len(tr.writes) != n or len(tr.moves) != n:

@@ -46,12 +46,12 @@ from .errors import (
 from .hfsets import (
     EMPTY,
     HfSet,
+    RANK_CAP,
     format_set,
     hf,
     kpair,
     kpair_parts,
     rank,
-    rank_cap,
     set_difference,
     singleton,
     tc,
@@ -76,7 +76,6 @@ __all__ = [
     "ReductionWitness",
     "apply_oW",
     "run_with_miracle",
-    "MiracleStats",
     "verify_reduction",
     "VerificationReport",
     "CaseFailure",
@@ -230,19 +229,14 @@ def apply_oW(
     return runner.apply(witness.post, witness.post_input(answer, x))
 
 
-@dataclass
-class MiracleStats:
-    calls: int = 0  # oracle applications (valid codes)
-    entries: int = 0  # arrivals in the miracle state / primitive invocations
-
-
 def run_with_miracle(
     witness: ReductionWitness,
     oracle: Callable[[HfSet], HfSet],
     x: HfSet,
     budget: RunBudget = RunBudget(),
-) -> Tuple[HfSet, MiracleStats]:
-    """Execute an OTM-kind witness against an oracle function.
+) -> Tuple[HfSet, int]:
+    """Execute an OTM-kind witness against an oracle function; returns the
+    result and the number of oracle calls.
 
     The oracle is consulted through the miracle protocol: for native
     procedures it is passed as the miracle primitive; for programs, each
@@ -252,35 +246,31 @@ def run_with_miracle(
     """
     if witness.kind != "OTM":
         raise ValueError("run_with_miracle is for OTM witnesses")
-    stats = MiracleStats()
-    cap = rank_cap()
+    calls = 0
 
     def call(s: HfSet) -> HfSet:
-        stats.calls += 1
+        nonlocal calls
+        calls += 1
         y = oracle(s)
-        if rank(y) > cap:
+        if rank(y) > RANK_CAP:
             raise MiracleRangeEscape(
-                f"oracle image has rank {rank(y)} > cap {cap}"
+                f"oracle image has rank {rank(y)} > cap {RANK_CAP}"
             )
         return y
 
     stage = witness.otm
     if isinstance(stage, NativeProcedure):
-        def miracle(s: HfSet) -> HfSet:
-            stats.entries += 1
-            return call(s)
+        y = stage(x, call)
+    else:
+        def hook(tape):
+            try:
+                s = decode(tape_to_code(tape))
+            except InvalidCode:
+                return None
+            return code_to_tape(encode(call(s)))
 
-        return stage(x, miracle), stats
-
-    def hook(tape):
-        stats.entries += 1
-        try:
-            s = decode(tape_to_code(tape))
-        except InvalidCode:
-            return None
-        return code_to_tape(encode(call(s)))
-
-    return _run_program(stage, x, budget, hook), stats
+        y = _run_program(stage, x, budget, hook)
+    return y, calls
 
 
 # -- verification -------------------------------------------------------------------
@@ -467,7 +457,7 @@ def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
         while stack:
             partial = stack.pop()
             try:
-                y, stats = run_with_miracle(witness, oracle, x, budget)
+                y, calls = run_with_miracle(witness, oracle, x, budget)
             except _NeedInstance as need:
                 if len(stack) + len(need.options) > cap:
                     return leaves, False
@@ -482,7 +472,7 @@ def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
                 report.failures.append(CaseFailure(x, label or _label(partial), str(exc)))
             else:
                 report.cases += 1
-                _record_calls(report, names[x], stats)
+                _record_calls(report, names[x], calls)
                 if not source.holds(x, y):
                     report.failures.append(CaseFailure(
                         x, label or _label(partial), f"result {y} fails {source.name}"))
@@ -524,9 +514,9 @@ def _label(partial: Dict[HfSet, HfSet]) -> str:
     )
 
 
-def _record_calls(report: VerificationReport, key: str, stats: MiracleStats):
+def _record_calls(report: VerificationReport, key: str, calls: int):
     """Keep the most oracle calls any run of the instance named key made."""
-    report.miracle_calls[key] = max(stats.calls, report.miracle_calls.get(key, 0))
+    report.miracle_calls[key] = max(calls, report.miracle_calls.get(key, 0))
 
 
 # -- native procedure registry -------------------------------------------------------

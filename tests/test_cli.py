@@ -22,6 +22,13 @@ PROGRAM_NOTE = "  note: .otm stages ran on the canonical code of each input only
 
 HALT_NOW = "tapes in work out;\nstate q0 halt;\n"
 
+# 900 nested braces, far past the rank cap and near the recursion limit
+DEEP_LITERAL = "{" * 900 + "}" * 900
+# node i+1 is the one element of node i: p(i+1, i) = i*i + 4*i + 2, and the
+# top, node 0, has rank 1,500
+DEEP_CHAIN_CODE = json.dumps(
+    {"bound": "1501", "pairs": [str(i * i + 4 * i + 2) for i in range(1500)]})
+
 
 @pytest.fixture
 def sweep_path():
@@ -435,14 +442,6 @@ class TestSetCommands:
         bad = json.dumps({"bound": "2", "pairs": []})
         assert main(["decode", bad]) == 3
 
-    def test_decode_of_a_deep_chain_exits_3_on_its_rank(self, capsys, monkeypatch):
-        # node i+1 is the one element of node i: p(i+1, i) = i*i + 4*i + 2,
-        # and the top, node 0, has rank 1,500
-        monkeypatch.delenv("OTMLAB_RANK_CAP", raising=False)
-        pairs = [str(i * i + 4 * i + 2) for i in range(1500)]
-        assert main(["decode", json.dumps({"bound": "1501", "pairs": pairs})]) == 3
-        assert capsys.readouterr().err == "otmlab: decoded set has rank 1500 > cap 6\n"
-
     def test_decode_unparsable_ordinal_exits_2(self, capsys):
         for bound in ("x", "²"):
             bad = json.dumps({"bound": bound, "pairs": []}, ensure_ascii=False)
@@ -529,31 +528,16 @@ class TestSetCommands:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["run", "--frobnicate"]) == 2
 
-    def test_rank_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("OTMLAB_RANK_CAP", "2")
-        deep = "{{{{}}}}"  # rank 3
-        code_json = None
-        monkeypatch.delenv("OTMLAB_RANK_CAP")
-        main(["encode", deep])
-        code_json = capsys.readouterr().out.strip()
-        monkeypatch.setenv("OTMLAB_RANK_CAP", "2")
-        assert main(["decode", code_json]) == 3
-        monkeypatch.delenv("OTMLAB_RANK_CAP")
-        assert main(["decode", code_json]) == 0
-
-    @pytest.mark.parametrize("value", ["\u0666", " 6", "6 ", "-1", "+6", "6.0", "", "\u00b2"])
-    def test_rank_cap_env_takes_ascii_digits_only(self, value, capsys, monkeypatch):
-        monkeypatch.setenv("OTMLAB_RANK_CAP", value)
-        assert main(["decode", '{"bound": "2", "pairs": ["1"]}']) == 3
-        err = capsys.readouterr().err
-        assert f"OTMLAB_RANK_CAP must be a non-negative integer in ASCII digits, got {value!r}" in err
-
-    @pytest.mark.parametrize("value, status", [("0", 3), ("1", 0), ("06", 0)])
-    def test_rank_cap_env_of_ascii_digits(self, value, status, capsys, monkeypatch):
-        monkeypatch.setenv("OTMLAB_RANK_CAP", value)
-        assert main(["decode", '{"bound": "2", "pairs": ["1"]}']) == status
-        out, err = capsys.readouterr()
-        assert (out, err) == (("{{}}\n", "") if status == 0 else ("", "otmlab: decoded set has rank 1 > cap 0\n"))
+    def test_rank_cap(self, capsys):
+        """A code decodes to a set of rank at most 6, the fixed cap."""
+        for rank in (6, 7):
+            literal = "{" * (rank + 1) + "}" * (rank + 1)
+            assert main(["encode", literal]) == 0
+            code_json = capsys.readouterr().out.strip()
+            assert main(["decode", code_json]) == (0 if rank == 6 else 3)
+            assert capsys.readouterr() == (
+                (literal + "\n", "") if rank == 6
+                else ("", "otmlab: decoded set has rank 7 > cap 6\n"))
 
     @pytest.mark.parametrize(
         "argv",
@@ -626,6 +610,28 @@ def test_json_nested_too_deeply_is_an_execution_error(command, tmp_path, capsys)
     }[command]
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"otmlab: {name}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "argv, status, err",
+    [
+        (["encode", DEEP_LITERAL], 0, ""),
+        (["run", str(ROOT / "demos" / "right_sweep.otm"), "--input", DEEP_LITERAL], 0, ""),
+        (["eval", "x in x", "--env", "x=" + DEEP_LITERAL], 0, ""),
+        (["canon", "PP", "--map", json.dumps([[DEEP_LITERAL, "{}"]] * 2)], 3,
+         f"otmlab: --map names instance {DEEP_LITERAL} twice\n"),
+        (["decode", DEEP_CHAIN_CODE], 3, "otmlab: decoded set has rank 1500 > cap 6\n"),
+    ],
+    ids=["encode", "run", "eval", "canon", "decode"],
+)
+def test_every_command_takes_sets_deeper_than_the_cap(argv, status, err):
+    """A set nested deeper than the rank cap, in a fresh interpreter, ends with
+    its command's own status and message, not with a traceback: only a decoded
+    set is held to the cap."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "otmlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (status, err)
 
 
 def test_a_deep_singleton_chain_encodes_quickly(capsys):

@@ -103,3 +103,18 @@ def test_every_import_is_used():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused += [f"{path.name}:{line}:{name}" for line, name in sorted(_unused_imports(tree))]
     assert unused == [], "imports nothing in their scope uses"
+
+
+def test_no_module_reads_the_environment():
+    """No environment variable changes what the package does: no module reads
+    os.environ or os.getenv, as an attribute or through a from-import."""
+    hidden = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(Path(otmlab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in hidden:
+                reads.append(f"{path.name}:{node.lineno}:{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}:{a.name}"
+                          for a in node.names if a.name in hidden]
+    assert reads == [], "modules that read the environment"

@@ -183,7 +183,7 @@ class TestStep:
 
 def random_program(rng, n_states=4, n_tapes=3):
     names = tuple(f"s{i}" for i in range(n_states)) + ("halt",)
-    roles = ("in", "work", "out", "miracle", "oracle")[:n_tapes]
+    roles = ("in", "work", "out", "miracle")[:n_tapes]
     if "work" not in roles or "out" not in roles:
         roles = ("in", "work", "out")
     transitions = {}
@@ -347,20 +347,6 @@ class TestLimits:
         assert isinstance(out, Halted)
         assert out.final.time == ZERO
         assert all(t.is_empty for t in out.final.tapes)
-
-    def test_oracle_tape_provides_extra_information(self):
-        src = (
-            "tapes in work out oracle;\n"
-            "state q0; state done halt;\n"
-            "rule q0 oracle=1 -> write out=1 goto done;\n"
-            "rule q0 oracle=0 -> goto done;\n"
-        )
-        p = parse_program(src)
-        marked = run(p, budget=RunBudget(10, 1),
-                     oracle_tape=Tape([(ZERO, from_int(1))]))
-        plain = run(p, budget=RunBudget(10, 1))
-        assert marked.final.tapes[p.tape_index("out")].read(ZERO) == 1
-        assert plain.final.tapes[p.tape_index("out")].read(ZERO) == 0
 
     def test_miracle_hook_fires_once_per_arrival(self):
         # the loop a -> b -> a -> qm -> a sweeps the work tape and certifies a
@@ -624,6 +610,17 @@ class TestAsmErrors:
     def test_empty_halting_program_matches_spec_example(self):
         p = parse_program("tapes in work out; state q0 halt;")
         assert p.transitions == {}
+
+    @pytest.mark.parametrize("roles, halts, problem", [
+        (("in", "work", "out"), frozenset(), "a miracle state needs a 'miracle' tape"),
+        (("in", "work", "out", "miracle"), frozenset({0}),
+         "the miracle state cannot be a halt state"),
+    ])
+    def test_program_refuses_a_miracle_state_asm_would_refuse(self, roles, halts, problem):
+        """A Program built without the assembler holds its miracle state to
+        the rules the parser enforces."""
+        with pytest.raises(ValueError, match=problem):
+            Program(("q0",), roles, 0, halts, {}, miracle_state=0)
 
     def test_parse_errors_have_spans(self):
         for bad in ["tapes in work; state q0;", "state q0;", "tapes in work out; rule q0;"]:

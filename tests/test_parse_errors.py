@@ -69,11 +69,15 @@ CONTRACT = [
     ('program', 'tapes in work out;', ParseError, "1:1: expected a 'state' declaration, found 'end of input'", (1, 1, 1)),
     ('program', 'tapes in work out; rule q0;', ParseError, "1:25: expected a declared state, found 'q0'", (1, 25, 2)),
     ('program', 'tapes in work out; tapes in work out;', ParseError, "1:20: expected a single 'tapes' declaration, found 'tapes'", (1, 20, 5)),
-    ('program', 'tapes in work foo;', ParseError, "1:15: expected a tape role (one of in, work, out, miracle, oracle), found 'foo'", (1, 15, 3)),
+    ('program', 'tapes in work foo;', ParseError, "1:15: expected a tape role (one of in, work, out, miracle), found 'foo'", (1, 15, 3)),
     ('program', 'tapes in in work out;', ParseError, "1:10: expected a role not declared twice, found 'in'", (1, 10, 2)),
     ('program', 'tapes in work out; state q0; state q0;', ParseError, "1:36: expected a fresh state name, found 'q0'", (1, 36, 2)),
     ('program', 'tapes in work out; state q0; state q1 blah;', ParseError, "1:39: expected 'halt' or 'miracle', found 'blah'", (1, 39, 4)),
     ('program', 'tapes in work out; state q0 miracle; state q1 miracle;', ParseError, "1:47: expected a single miracle state, found 'miracle'", (1, 47, 7)),
+    ('program', 'tapes in work out; state q0 miracle; state q1 halt; rule q0 -> goto q1;', ParseError, "1:29: expected a 'miracle' tape role for the miracle state, found 'miracle'", (1, 29, 7)),
+    ('program', 'tapes in work out miracle; state q0 halt miracle;', ParseError, "1:42: expected a halt state or a miracle state, not both, found 'miracle'", (1, 42, 7)),
+    ('program', 'tapes in work out miracle; state q0 miracle halt;', ParseError, "1:45: expected a halt state or a miracle state, not both, found 'halt'", (1, 45, 4)),
+    ('program', 'tapes input work output;', ParseError, "1:7: expected a tape role (one of in, work, out, miracle), found 'input'", (1, 7, 5)),
     ('program', 'tapes in work out; state q0 halt; rule q0 -> goto q0;', ParseError, "1:40: expected a non-halt state (halt states have no rules), found 'q0'", (1, 40, 2)),
     ('program', 'tapes in work out; state q0; rule q0 work=2 -> goto q0;', ParseError, "1:43: expected bit 0 or 1, found '2'", (1, 43, 1)),
     ('program', 'tapes in work out; state q0; rule q0 work=01 -> goto q0;', ParseError, "1:43: expected bit 0 or 1, found '01'", (1, 43, 2)),
@@ -86,7 +90,7 @@ CONTRACT = [
     ('program', 'tapes in work out; state 5;', ParseError, "1:26: expected a state name, found '5'", (1, 26, 1)),
     ('program', 'tapes in work out; state q0; rule q0 work 0 -> goto q0;', ParseError, "1:43: expected '=', found '0'", (1, 43, 1)),
     ('program', 'tapes 1;', ParseError, "1:7: expected a tape role, found '1'", (1, 7, 1)),
-    ('program', 'tapes in work out\n# c\nstate q0;\n  rule', ParseError, "3:1: expected a tape role (one of in, work, out, miracle, oracle), found 'state'", (3, 1, 5)),
+    ('program', 'tapes in work out\n# c\nstate q0;\n  rule', ParseError, "3:1: expected a tape role (one of in, work, out, miracle), found 'state'", (3, 1, 5)),
     ('program', 'tapes in work out; state q0; rule q0 -> write -> goto q0;', ParseError, "1:47: expected a tape role, found '->'", (1, 47, 2)),
     ('program', 'tapes in work out; state q0; rule q0 work=0, -> goto q0;', ParseError, "1:46: expected a tape role, found '->'", (1, 46, 2)),
     ('program', 'tapes in work out; state q0; rule q0 -> goto q0;\nrule q0 work=1 -> goto q0;', ConflictingRules, '2:1: rule overlaps the rule at 1:30 on state q0, reads (0, 1, 0)', None),
