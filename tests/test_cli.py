@@ -442,6 +442,10 @@ class TestSetCommands:
         bad = json.dumps({"bound": "2", "pairs": []})
         assert main(["decode", bad]) == 3
 
+    def test_decode_of_a_deep_chain_exits_3_on_its_rank(self, capsys):
+        assert main(["decode", DEEP_CHAIN_CODE]) == 3
+        assert capsys.readouterr().err == "otmlab: decoded set has rank 1500 > cap 6\n"
+
     def test_decode_unparsable_ordinal_exits_2(self, capsys):
         for bound in ("x", "²"):
             bad = json.dumps({"bound": bound, "pairs": []}, ensure_ascii=False)

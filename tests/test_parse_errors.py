@@ -74,10 +74,6 @@ CONTRACT = [
     ('program', 'tapes in work out; state q0; state q0;', ParseError, "1:36: expected a fresh state name, found 'q0'", (1, 36, 2)),
     ('program', 'tapes in work out; state q0; state q1 blah;', ParseError, "1:39: expected 'halt' or 'miracle', found 'blah'", (1, 39, 4)),
     ('program', 'tapes in work out; state q0 miracle; state q1 miracle;', ParseError, "1:47: expected a single miracle state, found 'miracle'", (1, 47, 7)),
-    ('program', 'tapes in work out; state q0 miracle; state q1 halt; rule q0 -> goto q1;', ParseError, "1:29: expected a 'miracle' tape role for the miracle state, found 'miracle'", (1, 29, 7)),
-    ('program', 'tapes in work out miracle; state q0 halt miracle;', ParseError, "1:42: expected a halt state or a miracle state, not both, found 'miracle'", (1, 42, 7)),
-    ('program', 'tapes in work out miracle; state q0 miracle halt;', ParseError, "1:45: expected a halt state or a miracle state, not both, found 'halt'", (1, 45, 4)),
-    ('program', 'tapes input work output;', ParseError, "1:7: expected a tape role (one of in, work, out, miracle), found 'input'", (1, 7, 5)),
     ('program', 'tapes in work out; state q0 halt; rule q0 -> goto q0;', ParseError, "1:40: expected a non-halt state (halt states have no rules), found 'q0'", (1, 40, 2)),
     ('program', 'tapes in work out; state q0; rule q0 work=2 -> goto q0;', ParseError, "1:43: expected bit 0 or 1, found '2'", (1, 43, 1)),
     ('program', 'tapes in work out; state q0; rule q0 work=01 -> goto q0;', ParseError, "1:43: expected bit 0 or 1, found '01'", (1, 43, 2)),
@@ -142,6 +138,12 @@ CONTRACT = [
     ('ordinal', 'w^²', ParseError, "1:3: expected an exponent (number, 'w', or parenthesized ordinal), found '²'", (1, 3, 1)),
     ('ordinal', '3٣', ParseError, "1:2: expected end of ordinal, found '٣'", (1, 2, 1)),
     ('program', 'tapes in work out; state q0; rule q0 work=² -> goto q0;', ParseError, "1:43: expected a token, found '²'", (1, 43, 1)),
+    # the miracle state's rules and the tape roles that are gone
+    ('program', 'tapes in work out; state q0 miracle; state q1 halt; rule q0 -> goto q1;', ParseError, "1:29: expected a 'miracle' tape role for the miracle state, found 'miracle'", (1, 29, 7)),
+    ('program', 'tapes in work out miracle; state q0 halt miracle;', ParseError, "1:42: expected a halt state or a miracle state, not both, found 'miracle'", (1, 42, 7)),
+    ('program', 'tapes in work out miracle; state q0 miracle halt;', ParseError, "1:45: expected a halt state or a miracle state, not both, found 'halt'", (1, 45, 4)),
+    ('program', 'tapes input work output;', ParseError, "1:7: expected a tape role (one of in, work, out, miracle), found 'input'", (1, 7, 5)),
+    ('program', 'tapes in work out oracle;', ParseError, "1:19: expected a tape role (one of in, work, out, miracle), found 'oracle'", (1, 19, 6)),
 ]
 
 
