@@ -28,7 +28,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("code_to_json", "code_to_tape", "decode", "encode", "tape_to_code"), "codes"
     ),
-    **dict.fromkeys(("parse_delta0", "parse_formula"), "formulas"),
+    "parse_formula": "formulas",
     **dict.fromkeys(("Carrier", "eval_delta0", "eval_prenex", "search_witness"), "logic"),
     **dict.fromkeys(("RunBudget", "run"), "machine"),
     "parse_program": "asm",

@@ -7,22 +7,23 @@ A witness reduces a relation R to a relation R' in one of three senses:
   OTM   a procedure that may consult F' any number of times (miracle tape)
 
 Stages are native procedures (Python functions of sets) or machine programs
-run on set codes.  A pre or post stage reads one set, an oW post stage
-kpair(y, x); only an OTM stage may take the oracle, as a native func(x,
-oracle) or a program with a miracle state, which a witness checks when it is
-built.  Stages are pure, so a sweep memoizes every stage by (stage, input).
-verify_reduction sweeps every canonification of the target relation over the
-relevant instances (full product when small, extremal plus seeded samples
-otherwise) and reports counterexamples.  A single-use case is judged by one
-apply_oW round trip.  It depends on its canonification only through the
-answer at pre(x), so the sweep first judges each (instance, answer) pair once,
-through one canonification giving it, and walks the product only to list
-counterexamples.  An OTM run meets its oracle instances as it goes, so one
-walker judges every leaf of an instance's choice tree, giving a lone answer
-inline and running again once per answer where there are several: all
-answers while the tree fits the cap, past it the one each choice rule picks.
-In both kinds an oracle query outside the target's domain fails its case: a
-realizer of the target may answer anything there.
+run on set codes, and one executor runs both.  A pre or post stage reads one
+set, an oW post stage kpair(y, x); only an OTM stage may take the oracle, as
+a native func(x, oracle) or a program with a miracle state, which a witness
+checks when it is built.  Stages are pure, so a sweep memoizes every stage by
+(stage, input).  verify_reduction sweeps every canonification of the target
+relation over the relevant instances (full product when small, extremal plus
+seeded samples otherwise) and reports counterexamples.  A single-use case is
+judged by one apply_oW round trip.  It depends on its canonification only
+through the answer at pre(x), so the sweep first judges each (instance,
+answer) pair once, through one canonification giving it, and walks the
+product only to list counterexamples.  An OTM case is one run, whose oracle
+answers from a partial choice of answers and stops the run where several
+are open.  A tree loop judges every leaf of an instance's choice tree while
+it fits the cap; past it, each choice rule is judged once per instance and
+keeps one choice across its instances.  In both kinds an oracle query
+outside the target's domain fails its case: a realizer of the target may
+answer anything there.
 """
 
 from __future__ import annotations
@@ -152,25 +153,39 @@ class ReductionWitness:
 # -- stage execution ---------------------------------------------------------------
 
 
-def _run_program(
-    program: Program,
+def _execute(
+    stage: Stage,
     value: HfSet,
     budget: RunBudget,
-    hook: Optional[machine.MiracleHook] = None,
+    oracle: Optional[Callable[[HfSet], HfSet]] = None,
 ) -> HfSet:
-    """Run program on a code of value (hook: the miracle hook, if any) and
-    decode its out tape."""
-    outcome = machine.run(
-        program, code_to_tape(encode(value)), budget, miracle_hook=hook
-    )
+    """stage(value), consulting oracle (if given) by the miracle protocol.
+
+    A native stage gets func(value), or func(value, oracle).  A program runs
+    on a code of value and its out tape is decoded; given the oracle, each
+    arrival in the miracle state reads the miracle tape, and a valid set code
+    there is replaced by a code of its oracle image (anything else is left
+    alone and the run simply continues).
+    """
+    if isinstance(stage, NativeProcedure):
+        return stage.func(value) if oracle is None else stage.func(value, oracle)
+
+    def hook(tape):
+        try:
+            s = decode(tape_to_code(tape))
+        except InvalidCode:
+            return None
+        return code_to_tape(encode(oracle(s)))
+
+    outcome = machine.run(stage, code_to_tape(encode(value)), budget,
+                          miracle_hook=hook if oracle else None)
     if outcome.kind != "halted":
         raise WitnessExecutionError(
             f"program did not halt ({outcome.kind}: "
             f"{getattr(outcome, 'reason', 'divergent')})"
         )
-    out_tape = outcome.final.tapes[program.tape_index("out")]
     try:
-        return decode(tape_to_code(out_tape))
+        return decode(tape_to_code(outcome.final.tapes[stage.tape_index("out")]))
     except InvalidCode as exc:
         raise WitnessExecutionError(f"program output is not a set code: {exc}")
 
@@ -195,8 +210,7 @@ class _StageRunner:
         hit = self._memo.get(key)
         if hit is None:
             try:
-                hit = (True, stage.func(value) if isinstance(stage, NativeProcedure)
-                       else _run_program(stage, value, self.budget))
+                hit = (True, _execute(stage, value, self.budget))
             except Exception as exc:
                 hit = (False, exc)
             self._memo[key] = hit
@@ -222,10 +236,7 @@ def apply_oW(
     if witness.kind not in ("oW", "soW"):
         raise ValueError("apply_oW is for oW/soW witnesses")
     runner = runner or _StageRunner(budget)
-    q = runner.apply(witness.pre, x)
-    if not canon.defined_at(q):
-        raise OracleDomainError(f"canonification undefined at {q}")
-    answer = canon(q)
+    answer = canon(runner.apply(witness.pre, x))
     return runner.apply(witness.post, witness.post_input(answer, x))
 
 
@@ -235,15 +246,9 @@ def run_with_miracle(
     x: HfSet,
     budget: RunBudget = RunBudget(),
 ) -> Tuple[HfSet, int]:
-    """Execute an OTM-kind witness against an oracle function; returns the
-    result and the number of oracle calls.
-
-    The oracle is consulted through the miracle protocol: for native
-    procedures it is passed as the miracle primitive; for programs, each
-    arrival in the miracle state reads the miracle tape, and a valid set code
-    is replaced by a code of its oracle image (anything else is left alone
-    and execution simply continues).
-    """
+    """Execute an OTM-kind witness against an oracle function, through the
+    miracle protocol of _execute; returns the result and the number of oracle
+    calls."""
     if witness.kind != "OTM":
         raise ValueError("run_with_miracle is for OTM witnesses")
     calls = 0
@@ -258,19 +263,7 @@ def run_with_miracle(
             )
         return y
 
-    stage = witness.otm
-    if isinstance(stage, NativeProcedure):
-        y = stage(x, call)
-    else:
-        def hook(tape):
-            try:
-                s = decode(tape_to_code(tape))
-            except InvalidCode:
-                return None
-            return code_to_tape(encode(call(s)))
-
-        y = _run_program(stage, x, budget, hook)
-    return y, calls
+    return _execute(witness.otm, x, budget, call), calls
 
 
 # -- verification -------------------------------------------------------------------
@@ -428,61 +421,68 @@ def _verify_single_use(witness, instances, cap, seed, budget, report, sample_siz
 
 
 def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
-    """Adaptive sweep: one walker judges each instance's choice tree in full
+    """Adaptive sweep: each instance's choice tree is judged leaf by leaf
     while it fits the cap, and past the cap once per choice rule."""
     source, target = PRINCIPLES[witness.source], PRINCIPLES[witness.target]
     answers = lru_cache(maxsize=None)(target.answers)
-    names = {x: format_set(x) for x in instances}
 
-    def walk(x, chosen, pick, label, cap):
-        """Judge every leaf of x's choice tree below the partial choice
-        `chosen`, where pick(s) lists the answers to try at a new in-domain
-        oracle instance s.  Returns (leaves, stayed within cap)."""
+    def judge(x, partial, pick, label=None):
+        """Make one run on x and record its case.  The oracle answers from
+        `partial`; at a new in-domain instance s it adds the one answer
+        pick(s) lists, and raises _NeedInstance where pick(s) lists several."""
 
         def oracle(s):
-            if s in partial:
-                return partial[s]
-            # a realizer of the target may answer anything off its domain
-            if not target.domain(s):
-                raise OracleDomainError(
-                    f"oracle instance {s} is outside the domain of {target.name}")
-            options = pick(s)
-            if len(options) > 1:
-                raise _NeedInstance(s, options)
-            partial[s] = options[0]
-            return options[0]
+            if s not in partial:
+                # a realizer of the target may answer anything off its domain
+                if not target.domain(s):
+                    raise OracleDomainError(
+                        f"oracle instance {s} is outside the domain of {target.name}")
+                options = pick(s)
+                if len(options) > 1:
+                    raise _NeedInstance(s, options)
+                partial[s] = options[0]
+            return partial[s]
 
-        stack = [chosen]
+        try:
+            y, calls = run_with_miracle(witness, oracle, x, budget)
+        except _NeedInstance:
+            raise
+        except EmptyWitnessSet as exc:
+            report.failures.append(CaseFailure(
+                x, "-", f"no witness for oracle instance {exc.instance}"))
+            return
+        except Exception as exc:
+            reason = str(exc)
+        else:
+            # keep the most oracle calls any run of x made
+            name = format_set(x)
+            report.miracle_calls[name] = max(calls, report.miracle_calls.get(name, 0))
+            reason = None if source.holds(x, y) else f"result {y} fails {source.name}"
+        report.cases += 1
+        if reason is not None:
+            report.failures.append(CaseFailure(x, label or _label(partial), reason))
+
+    def tree(x):
+        """Judge every leaf of x's choice tree, trying every answer at each
+        oracle instance.  Returns (leaves, stayed within cap)."""
+        stack = [{}]
         leaves = 0
         while stack:
             partial = stack.pop()
             try:
-                y, calls = run_with_miracle(witness, oracle, x, budget)
+                judge(x, partial, answers)
             except _NeedInstance as need:
                 if len(stack) + len(need.options) > cap:
                     return leaves, False
-                for opt in reversed(need.options):
-                    stack.append({**partial, need.instance: opt})
+                stack.extend({**partial, need.instance: opt} for opt in reversed(need.options))
                 continue
-            except EmptyWitnessSet as exc:
-                report.failures.append(CaseFailure(
-                    x, "-", f"no witness for oracle instance {exc.instance}"))
-            except Exception as exc:
-                report.cases += 1
-                report.failures.append(CaseFailure(x, label or _label(partial), str(exc)))
-            else:
-                report.cases += 1
-                _record_calls(report, names[x], calls)
-                if not source.holds(x, y):
-                    report.failures.append(CaseFailure(
-                        x, label or _label(partial), f"result {y} fails {source.name}"))
             leaves += 1
             if leaves > cap:
                 return leaves, False
         return leaves, True
 
     for x in instances:
-        leaves, exhaustive = walk(x, {}, answers, None, cap)
+        leaves, exhaustive = tree(x)
         report.canonification_count += leaves
         if not exhaustive:
             break
@@ -501,9 +501,8 @@ def _verify_otm(witness, instances, cap, seed, budget, report, sample_size):
     report.product_size = -1
     for label, choose in rules:
         chosen: Dict[HfSet, HfSet] = {}
-        pick = lambda s: [choose(answers(s))]
         for x in instances:
-            walk(x, chosen, pick, label, cap)
+            judge(x, chosen, lambda s: [choose(answers(s))], label)
 
 
 def _label(partial: Dict[HfSet, HfSet]) -> str:
@@ -512,11 +511,6 @@ def _label(partial: Dict[HfSet, HfSet]) -> str:
     return ",".join(
         f"{format_set(k)}->{format_set(v)}" for k, v in list(partial.items())[:4]
     )
-
-
-def _record_calls(report: VerificationReport, key: str, calls: int):
-    """Keep the most oracle calls any run of the instance named key made."""
-    report.miracle_calls[key] = max(calls, report.miracle_calls.get(key, 0))
 
 
 # -- native procedure registry -------------------------------------------------------

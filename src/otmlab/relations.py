@@ -2,8 +2,9 @@
 
 Relations are kept in implication form: an instance outside the stated domain
 is satisfied by any value, so a canonification only has real obligations on
-the domain (off-domain entries default to the empty set).  Structured
-instances (orders, posets) are plain sets built from Kuratowski pairs.
+the domain.  A canonification is undefined at every instance its mapping
+lacks.  Structured instances (orders, posets) are plain sets built from
+Kuratowski pairs.
 
 Each relation states its solutions once, in `holds`, and lists candidates
 that include every solution; its witness set (the finite range a
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import EmptyWitnessSet
+from .errors import EmptyWitnessSet, OracleDomainError
 from .formulas import Delta0Formula, parse_delta0
 from .hfsets import (
     EMPTY,
@@ -89,7 +90,10 @@ class Canonification:
     label: str = ""
 
     def __call__(self, x: HfSet) -> HfSet:
-        return self.mapping.get(x, EMPTY)
+        try:
+            return self.mapping[x]
+        except KeyError:
+            raise OracleDomainError(f"canonification undefined at {x}") from None
 
     def defined_at(self, x: HfSet) -> bool:
         return x in self.mapping

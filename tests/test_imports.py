@@ -2,6 +2,7 @@
 subcommand loads only the layers it runs.  Every case runs in a fresh
 interpreter and reads its sys.modules."""
 
+import ast
 import json
 import os
 import subprocess
@@ -99,9 +100,19 @@ print(json.dumps([0, sorted(sys.modules)]))
     assert {"reductions", "relations", "logic", "asm"} <= loaded
 
 
-def test_the_package_lists_its_40_exports_and_no_other_name():
-    assert len(otmlab.__all__) == len(set(otmlab.__all__)) == 40
+def test_the_package_lists_its_39_exports_and_no_other_name():
+    assert len(otmlab.__all__) == len(set(otmlab.__all__)) == 39
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         otmlab.nope  # noqa: B018
     with pytest.raises(ImportError):
         from otmlab import nope  # noqa: F401
+
+
+def test_every_export_is_taken_from_the_package_by_a_test_or_demo():
+    # an export nothing imports from the package belongs in its module only
+    taken = set()
+    for path in [*ROOT.joinpath("tests").rglob("*.py"), *ROOT.joinpath("demos").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "otmlab" and not node.level:
+                taken.update(alias.name for alias in node.names)
+    assert sorted(set(otmlab.__all__) - taken) == []

@@ -560,6 +560,23 @@ class TestMiracleProtocol:
         assert {f.reason for f in report.failures} == {
             "oracle instance {} is outside the domain of PP"}
 
+    def test_each_choice_rule_keeps_one_answer_at_an_oracle_instance(self):
+        # every run asks PAIR01; under cap 0 the first run outgrows the cap,
+        # and each rule of the fallback answers PAIR01 alike for every
+        # instance, also a rule that draws its answer at random
+        got = []
+
+        def asks_the_pair(x, miracle):
+            got.append(miracle(PAIR01))
+            return EMPTY
+
+        witness = otm_probe("asks_the_pair", "ZERO", "PP", asks_the_pair)
+        report = verify_reduction(witness, U3, cap=0, seed=1, sample_size=4)
+        assert report.mode == "sampled" and report.ok
+        per_rule = [got[i:i + len(U3)] for i in range(0, len(got), len(U3))]
+        assert [set(answers) for answers in per_rule[:2]] == [{EMPTY}, {SE}]
+        assert [len(set(answers)) for answers in per_rule] == [1] * (2 + 4)
+
     def test_a_program_asking_off_the_target_domain_fails(self):
         # an empty miracle tape codes {}: the oracle is asked outside PP's
         # domain, so no answer it gives there can be relied on
@@ -645,7 +662,7 @@ CATALOG_OTM = [
     [pytest.param(w, u, id=w.name) for w, u in [(w, U3) for w in CATALOG_OTM] + OTM_PROBES],
 )
 def test_exhaustive_otm_sweep_equals_recursive_reference(witness, universe):
-    """The walker's leaves, cases and failing (instance, reason) pairs are
+    """The tree loop's leaves, cases and failing (instance, reason) pairs are
     those of the recursion on answer assignments."""
     report = verify_reduction(witness, universe, cap=DEFAULT_CAP)
     assert report.mode == "exhaustive"

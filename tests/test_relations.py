@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from otmlab.errors import EmptyWitnessSet
+from otmlab.errors import EmptyWitnessSet, OracleDomainError
+from otmlab.formulas import parse_delta0
 from otmlab.hfsets import EMPTY, ack_index, hf, kpair, set_union, singleton, universe_rank_le
 from otmlab.reductions import builtin_witnesses
 from otmlab.relations import (
@@ -82,6 +83,10 @@ class TestCatalog:
         # be a witness
         partial = Canonification({x: y for x, y in good.mapping.items() if x is not SE})
         assert check_canonification(partial, PP, U3) == (False, SE)
+
+    def test_a_canonification_is_undefined_off_its_mapping(self):
+        with pytest.raises(OracleDomainError, match=r"^canonification undefined at \{\{\}\}$"):
+            Canonification({})(SE)
 
     def test_pp_matrix_matches_predicate(self):
         from otmlab.logic import eval_delta0
@@ -212,14 +217,14 @@ class TestEnumeration:
             PRINCIPLES["PP"], [], cap=10, seed=0, sample_size=0
         )
         assert mode == "exhaustive" and len(canons) == 1 and size == 1
-        assert canons[0](SE) is EMPTY  # off-domain default
+        assert canons[0].mapping == {}
 
     def test_off_domain_instances_skipped(self):
         mode, canons, _ = enumerate_canonifications(
             PRINCIPLES["PP"], [EMPTY, SE], cap=10, seed=0, sample_size=0
         )
         assert len(canons) == 1
-        assert canons[0](EMPTY) is EMPTY
+        assert canons[0].mapping == {SE: EMPTY}
 
     def test_sampling_with_extremals(self):
         PP = PRINCIPLES["PP"]
@@ -237,7 +242,7 @@ class TestEnumeration:
 
     def test_empty_witness_set_raises(self):
         never = relation_from_formula(
-            "never", __import__("otmlab").parse_delta0("y in x & x in y")
+            "never", parse_delta0("y in x & x in y")
         )
         with pytest.raises(EmptyWitnessSet):
             enumerate_canonifications(never, [SE], cap=10, seed=0, sample_size=0)
@@ -252,7 +257,7 @@ class TestAnswers:
 
     def test_no_answer_raises(self):
         never = relation_from_formula(
-            "never", __import__("otmlab").parse_delta0("y in x & x in y")
+            "never", parse_delta0("y in x & x in y")
         )
         with pytest.raises(EmptyWitnessSet) as err:
             never.answers(SE)
@@ -284,8 +289,6 @@ class TestAnswers:
 
 class TestFormulaRelations:
     def test_r_psi(self):
-        from otmlab.formulas import parse_delta0
-
         member = relation_from_formula("member", parse_delta0("y in x"))
         assert member.holds(SE, EMPTY)
         assert not member.holds(SE, SE)
