@@ -217,20 +217,23 @@ def cmd_check(args) -> int:
     names = sorted(reductions.builtin_witnesses()) if args.all else [args.witness]
     universe = hfsets.universe_rank_le(args.universe)
     checked = []
+    cap = reductions.DEFAULT_CAP if args.cap is None else args.cap
     for name in names:
         witness = _load_witness(name)
         report = reductions.verify_reduction(
             witness,
             universe,
-            cap=reductions.DEFAULT_CAP if args.cap is None else args.cap,
+            cap=cap,
             seed=args.seed if args.seed is not None else 0,
             budget=args.budget,
             sample_size=reductions.DEFAULT_SAMPLES if args.samples is None else args.samples,
         )
         if report.mode == "sampled" and args.seed is None:
+            exceeded = ("an instance's oracle choice tree" if witness.kind == "OTM"
+                        else "the canonification product")
             print(
-                f"check: {witness.name} needs sampling (product {report.product_size}); "
-                "pass --seed for reproducibility",
+                f"check: {witness.name} needs sampling ({exceeded} exceeds "
+                f"--cap {cap}); pass --seed for reproducibility",
                 file=sys.stderr,
             )
             return EXIT_USAGE
@@ -391,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--universe", type=_universe_rank, default="rank:3",
                          help="rank:N, N <= 4 (default rank:3)")
     p_check.add_argument("--cap", type=_count,
-                         help="full canonification product up to this size "
-                         "(default reductions.DEFAULT_CAP)")
+                         help="judge every case while the canonification product, "
+                         "or each instance's OTM oracle choice tree, has at most "
+                         "this many leaves (default reductions.DEFAULT_CAP)")
     p_check.add_argument("--samples", type=_count,
                          help="sample count past the cap (default reductions.DEFAULT_SAMPLES)")
     p_check.add_argument("--seed", type=_seed, default=None,

@@ -190,41 +190,6 @@ def _widen(lo: List[Ordinal], hi: List[Ordinal], heads: Sequence[Ordinal]):
             hi[i] = succ(h)
 
 
-class _Window:
-    """The window check shared by every summary: it reads only the visited
-    bounds, so it costs two compares whatever the segment's length."""
-
-    __slots__ = ()
-
-    def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
-        """Whether every position head i was stepped from lies in [lo, hi)."""
-        return (
-            compare(self.visited_lo[i], lo) >= 0
-            and compare(self.visited_hi[i], hi) <= 0
-        )
-
-
-@dataclass(eq=False, slots=True)
-class _SegmentStats(_Window):
-    """The summary of a segment that ends in a limit, combined from the
-    summaries of its parts by _combine_stats."""
-
-    acc: List[Tape]
-    acc_ok: List[bool]
-    min_heads: List[Ordinal]
-    min_state: int
-    visited_lo: List[Ordinal]
-    visited_hi: List[Ordinal]
-
-    def fold_config(self, config: Configuration):
-        """Fold in config, a limit the miracle hook rewrote."""
-        for i, t in enumerate(config.tapes):
-            self.acc[i] = self.acc[i].intersect(t)
-            if compare(config.heads[i], self.min_heads[i]) < 0:
-                self.min_heads[i] = config.heads[i]
-        self.min_state = min(self.min_state, config.state)
-
-
 class _HeadBounds:
     """The visited bounds [lo, hi) of the last k steps of a run,
     history[-1-k:-1], per tape.  k only grows, one configuration at a time,
@@ -250,11 +215,13 @@ class _HeadBounds:
         return list(self._lo), list(self._hi)
 
 
-class _Period(_Window):
-    """The summary of a run of successor steps, given as its configurations
-    (the run already recorded, or a replay) and their visited bounds.  Every
-    other field is computed on first use, so a candidate rejected by an early
-    check never pays for the later ones."""
+class _Summary:
+    """The summary of a segment.  A run of successor steps is given as its
+    configurations (the run already recorded, or a replay) and their visited
+    bounds, and computes acc, min_heads and min_state on first use, so a
+    candidate rejected by the window or fill check never pays for them.  A
+    segment that ends in a limit has no configurations: _combine_stats sets
+    those fields from the summaries of its parts."""
 
     def __init__(
         self,
@@ -268,8 +235,17 @@ class _Period(_Window):
         self.acc_ok: List[bool] = [True] * len(visited_lo)
 
     @classmethod
-    def of(cls, configs: Sequence[Configuration]) -> "_Period":
+    def of(cls, configs: Sequence[Configuration]) -> "_Summary":
         return cls(configs, *_HeadBounds(configs).upto(len(configs) - 1))
+
+    def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
+        """Whether every position head i was stepped from lies in [lo, hi).
+        It reads only the visited bounds, so it costs two compares whatever
+        the segment's length."""
+        return (
+            compare(self.visited_lo[i], lo) >= 0
+            and compare(self.visited_hi[i], hi) <= 0
+        )
 
     @cached_property
     def min_state(self) -> int:
@@ -293,19 +269,13 @@ class _Period(_Window):
         return acc
 
 
-_Summary = Union[_SegmentStats, _Period]
-
-
-def _combine_stats(parts: Sequence[_Summary]) -> _SegmentStats:
+def _combine_stats(parts: Sequence[_Summary]) -> _Summary:
     first = parts[0]
-    out = _SegmentStats(
-        list(first.acc),
-        list(first.acc_ok),
-        list(first.min_heads),
-        first.min_state,
-        list(first.visited_lo),
-        list(first.visited_hi),
-    )
+    out = _Summary((), list(first.visited_lo), list(first.visited_hi))
+    out.acc = list(first.acc)
+    out.acc_ok = list(first.acc_ok)
+    out.min_heads = list(first.min_heads)
+    out.min_state = first.min_state
     for part in parts[1:]:
         for i in range(len(out.acc)):
             out.acc[i] = out.acc[i].intersect(part.acc[i])
@@ -362,7 +332,7 @@ def _resolve_loop(
     end: Configuration,
     strides: Sequence[Ordinal],
     unit: _Summary,
-) -> Tuple[Configuration, _SegmentStats]:
+) -> Tuple[Configuration, _Summary]:
     if all(d.is_zero for d in strides) and end.key() != base.key():
         raise MalformedCertificate("configuration does not recur at the period")
     if end.state != base.state:
@@ -445,7 +415,7 @@ def resolve_limit(
             f"{program.n_tapes} tapes"
         )
     limit, _ = _resolve_loop(
-        configs[0], configs[-1], certificate.strides, _Period.of(configs)
+        configs[0], configs[-1], certificate.strides, _Summary.of(configs)
     )
     return limit
 
@@ -590,7 +560,7 @@ class _Runner:
         if i is not None:
             base = history[i]
             strides = (ZERO,) * len(end.heads)
-            limit, tail = _resolve_loop(base, end, strides, _Period.of(history[i:]))
+            limit, tail = _resolve_loop(base, end, strides, _Summary.of(history[i:]))
             cert = LoopCertificate(base, len(history) - 1 - i, strides)
             return "cycle", cert, limit, tail
         n = len(history) - 1
@@ -605,7 +575,7 @@ class _Runner:
                 continue
             # the visited bounds grow with the period, so each candidate only
             # folds in the positions the previous one did not cover
-            unit = _Period(history[b:], *bounds.upto(period))
+            unit = _Summary(history[b:], *bounds.upto(period))
             try:
                 limit, tail = _resolve_loop(base, end, strides, unit)
             except MalformedCertificate:
@@ -640,7 +610,7 @@ class _Runner:
         return strides
 
     def _detect_limit_level(
-        self, entries: List[Tuple[Configuration, _SegmentStats]]
+        self, entries: List[Tuple[Configuration, _Summary]]
     ) -> Optional[Tuple[str, LoopCertificate, Configuration, _Summary]]:
         """The loop of earlier limits that the newest limit closes, as in
         _detect; its certificate only names the base limit.  entries: the
@@ -671,7 +641,7 @@ class _Runner:
         history: List[Configuration] = [config]
         index: Dict[tuple, int] = {config.key(): 0}
         self._reset_sweep_bases(config)
-        entries: List[Tuple[Configuration, _SegmentStats]] = []
+        entries: List[Tuple[Configuration, _Summary]] = []
 
         while True:
             if config.state in program.halt_states:
@@ -701,7 +671,7 @@ class _Runner:
                 continue
             kind, cert, limit, tail = found
             # the segment's summary is read off the run it recorded
-            stats = _combine_stats([_Period.of(history), tail])
+            stats = _combine_stats([_Summary.of(history), tail])
 
             # jump to the loop's limit; a new limit may close a loop of limits
             while True:
@@ -710,8 +680,10 @@ class _Runner:
                 self.jumps += 1
                 hooked = _apply_hook(program, limit, self.hook)
                 if hooked is not limit:
-                    # stats already hold the limit the loop resolved to
-                    stats.fold_config(hooked)
+                    # the hook rewrites only the miracle tape: stats already
+                    # hold the limit's heads and state
+                    for i, t in enumerate(hooked.tapes):
+                        stats.acc[i] = stats.acc[i].intersect(t)
                     limit = hooked
                 if limit.key() == cert.base.key():
                     self._emit_limit(limit, "diverges")

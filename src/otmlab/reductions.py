@@ -285,6 +285,11 @@ class CaseFailure:
 
 @dataclass
 class VerificationReport:
+    """The verdict of one sweep.  In an exhaustive report product_size is the
+    full canonification product (single-use) or the leaf count of every
+    instance's oracle choice tree (OTM).  In a sampled report it is the first
+    partial product past the cap (single-use), not the product, or -1 (OTM)."""
+
     witness: str
     kind: str
     source: str
@@ -345,8 +350,11 @@ def verify_reduction(
     budget: RunBudget = RunBudget(),
     sample_size: int = DEFAULT_SAMPLES,
 ) -> VerificationReport:
-    """Check the witness against every (or cap-sampled) canonification of
-    PRINCIPLES[witness.target] over the instances the pre-stage produces.
+    """Check the witness against realizers of PRINCIPLES[witness.target].
+    An oW/soW witness meets every (or cap-sampled) canonification over the
+    instances its pre stage produces; an OTM witness, which has no pre stage,
+    meets every answer (or, past the cap, each choice rule's answer) at the
+    oracle instances its runs ask.
 
     An oW/soW sweep judges each case by apply_oW.  It first judges each
     instance x with each answer y' a canonification gives at pre(x), through

@@ -141,7 +141,9 @@ def enumerate_canonifications(
     Returns (mode, canonifications, product_size): the full product of
     answer choices when it fits in `cap`, otherwise one canonification per
     choice rule (`choice_rules(sample_size, seed)`), applied rule by rule in
-    instance order.
+    instance order.  product_size is the full product when exhaustive; when
+    sampled it is the first partial product past `cap`, multiplying the
+    answer counts in instance order, not the product.
     """
     domain_instances = [x for x in instances if relation.domain(x)]
     answer_lists = [relation.answers(x) for x in domain_instances]

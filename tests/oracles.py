@@ -684,7 +684,7 @@ def otm_tree_sweep(witness, universe):
 def reference_detect(history, index, sweep_max_period):
     """The first loop a recorded run certifies, as (kind, certificate, limit,
     tail): an exact recurrence first, then every period 1..sweep_max_period
-    in increasing order, each through _strides, a fresh _Period and
+    in increasing order, each through _strides, a fresh _Summary and
     _resolve_loop."""
     from otmlab import machine
     from otmlab.errors import MalformedCertificate
@@ -697,7 +697,7 @@ def reference_detect(history, index, sweep_max_period):
         strides = machine._strides(base, end)
         if strides is None:
             continue
-        unit = machine._Period.of(history[-1 - period :])
+        unit = machine._Summary.of(history[-1 - period :])
         try:
             limit, tail = machine._resolve_loop(base, end, strides, unit)
         except MalformedCertificate:

@@ -154,10 +154,21 @@ class TestCheck:
             "check: provide a witness (name or manifest) or --all, not both\n"
         )
 
-    def test_sampling_requires_seed(self, capsys):
-        code = main(["check", "pp_le_wo", "--universe", "rank:3", "--cap", "10"])
-        assert code == 2
-        assert "--seed" in capsys.readouterr().err
+    @pytest.mark.parametrize("witness,cap_args,exceeded", [
+        ("pp_le_wo", ["--cap", "10"], "the canonification product exceeds --cap 10"),
+        ("pp_otm_wo", ["--cap", "1"],
+         "an instance's oracle choice tree exceeds --cap 1"),
+    ], ids=["single-use", "OTM"])
+    def test_sampling_requires_seed(self, witness, cap_args, exceeded, capsys):
+        """The refusal names what exceeded the cap: a sampled report's
+        product_size is not the size of the product."""
+        assert main(["check", witness, "--universe", "rank:3", *cap_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"check: {witness} needs sampling ({exceeded}); "
+            "pass --seed for reproducibility\n"
+        )
 
     def test_sampling_with_seed(self, capsys):
         code = main(["check", "pp_le_wo", "--universe", "rank:3", "--cap", "10",

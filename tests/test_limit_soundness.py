@@ -400,7 +400,7 @@ def _naive_bounds(positions):
 
 def test_folded_summaries_match_the_recorded_run(monkeypatch):
     """At every step, the segment summary read off the recorded run
-    (_Period.of(history), as the runner builds it at a jump) equals the fold
+    (_Summary.of(history), as the runner builds it at a jump) equals the fold
     of every configuration since the segment start, and every candidate
     period's visited bounds, extended lazily as _detect extends them, equal a
     scan of every position a head was stepped from.  At every level-0 jump,
@@ -419,9 +419,10 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
             assert (seg.visited_lo[i], seg.visited_hi[i]) == lo_hi
 
     def checked_combine(parts):
-        # the runner's level-0 jump combines [segment, tail]; every other
-        # call combines limit-level summaries or a single period
-        if len(parts) == 2 and isinstance(parts[0], machine._Period):
+        # the runner's level-0 jump combines [segment, tail], the segment read
+        # off the recorded run; every other call combines limit-level
+        # summaries or a single period
+        if len(parts) == 2 and parts[0]._configs is naive["history"]:
             assert_naive_fold(parts[0], naive["history"])
             checked["jumps"] += 1
         return combine(parts)
@@ -432,7 +433,7 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
         for c in history[naive["n"] :]:
             naive["acc"] = [a.intersect(t) for a, t in zip(naive["acc"], c.tapes)]
         naive["n"] = len(history)
-        assert_naive_fold(machine._Period.of(history), history)
+        assert_naive_fold(machine._Summary.of(history), history)
         checked["steps"] += 1
         n_tapes = len(history[0].tapes)
 
@@ -442,12 +443,12 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
         last = 0
         for period in range(1, min(machine._SWEEP_MAX_PERIOD, len(history) - 1) + 1):
             base = history[-1 - period]
-            units = [machine._Period(history[-1 - period :], *every.upto(period))]
+            units = [machine._Summary(history[-1 - period :], *every.upto(period))]
             if machine._strides(base, end) is not None:
                 checked["skipped"] += period - last > 1
                 last = period
                 units.append(
-                    machine._Period(history[-1 - period :], *lazy.upto(period))
+                    machine._Summary(history[-1 - period :], *lazy.upto(period))
                 )
             for i in range(n_tapes):
                 positions = [c.heads[i] for c in history[-1 - period : -1]]
@@ -479,6 +480,89 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
     assert checked["jumps"] > 10
     assert checked["windows"] > 20000
     assert checked["skipped"] > 1000
+
+
+def test_combined_summary_is_the_naive_fold_of_its_parts():
+    """_combine_stats, which folds later parts into a copy of the first,
+    equals a fold of all its parts field by field: the intersection of their
+    tapes, the conjunction of acc_ok, the least head, the least state, the
+    least visited_lo and the greatest visited_hi.  The parts are periods of
+    random configurations and, as at the limit level, earlier combinations."""
+    rng = random.Random(20261020)
+    positions = [ZERO, from_int(1), from_int(3), OMEGA, add(OMEGA, from_int(2))]
+    n_tapes = 2
+
+    def random_period():
+        configs = [
+            Configuration(
+                rng.randrange(3),
+                tuple(rng.choice(positions) for _ in range(n_tapes)),
+                tuple(random_input(rng) for _ in range(n_tapes)),
+                ZERO,
+            )
+            for _ in range(rng.randint(2, 4))
+        ]
+        part = machine._Summary.of(configs)
+        part.acc_ok = [rng.random() < 0.8 for _ in range(n_tapes)]
+        return part
+
+    beyond_first = collections.Counter()
+    for _ in range(300):
+        parts = [random_period() for _ in range(rng.randint(1, 4))]
+        if len(parts) > 2 and rng.random() < 0.5:
+            parts = [machine._combine_stats(parts[:2])] + parts[2:]
+        out = machine._combine_stats(parts)
+        first, later = parts[0], parts[1:]
+        assert out.min_state == min(p.min_state for p in parts)
+        beyond_first["state"] += any(p.min_state < first.min_state for p in later)
+        for i in range(n_tapes):
+            acc = first.acc[i]
+            for p in later:
+                acc = acc.intersect(p.acc[i])
+            assert out.acc[i] == acc
+            assert out.acc_ok[i] == all(p.acc_ok[i] for p in parts)
+            assert out.min_heads[i] == min(p.min_heads[i] for p in parts)
+            assert out.visited_lo[i] == min(p.visited_lo[i] for p in parts)
+            assert out.visited_hi[i] == max(p.visited_hi[i] for p in parts)
+            for field in ("min_heads", "visited_lo"):
+                low = getattr(first, field)[i]
+                beyond_first[field] += any(getattr(p, field)[i] < low for p in later)
+            beyond_first["visited_hi"] += any(
+                p.visited_hi[i] > first.visited_hi[i] for p in later
+            )
+    assert min(beyond_first.values()) >= 30, beyond_first
+
+
+def test_accepted_sweeps_give_each_swept_tail_its_window(monkeypatch):
+    """For every sweep _resolve_loop accepts, the summary of the run from
+    the end h1 of each swept head's window up to the sweep limit lam has
+    visited bounds [h1, lam) and least head h1, and the tail's least state
+    is the period's, which is the limit's state.  The runs are the test
+    generators' programs: sweep-biased ones, and random_program runs whose
+    heads also move left."""
+    resolve = machine._resolve_loop
+    seen = collections.Counter()
+
+    def checked_resolve(base, end, strides, unit):
+        limit, tail = resolve(base, end, strides, unit)
+        assert tail.min_state == unit.min_state == limit.state
+        for i, d in enumerate(strides):
+            if d.is_zero:
+                continue
+            h1, lam = end.heads[i], limit.heads[i]
+            assert (tail.visited_lo[i], tail.visited_hi[i]) == (h1, lam)
+            assert tail.min_heads[i] == h1
+            seen["swept tapes"] += 1
+        return limit, tail
+
+    monkeypatch.setattr(machine, "_resolve_loop", checked_resolve)
+    rng = random.Random(20261021)
+    for _ in range(20):
+        run(sweepish_program(rng), random_input(rng), RunBudget(200, 4))
+    rng = random.Random(2)
+    for _ in range(40):
+        run(random_program(rng), random_input(rng), RunBudget(60, 4))
+    assert seen["swept tapes"] >= 50, seen
 
 
 _TAIL_FIELDS = ("acc", "acc_ok", "min_heads", "min_state", "visited_lo", "visited_hi")
