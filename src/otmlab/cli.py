@@ -116,9 +116,12 @@ def _emit(data, as_json: bool, human: str):
 
 
 def cmd_run(args) -> int:
+    """Run a program.  --json prints the outcome's kind and machine.describe()
+    of the configuration the run ended in (the final one, the limit that
+    repeats its loop, or the last one reached), plus the reason of an
+    unresolved run; the --trace records are those of machine.run."""
     from . import codes
     from .asm import load_program
-    from .ordinals import format_ordinal
     from .tapes import Tape
 
     program = load_program(args.program)
@@ -150,43 +153,24 @@ def cmd_run(args) -> int:
         if trace_fh:
             trace_fh.close()
 
-    def tape_lines(config):
-        return {
-            role: list(t.interval_strings())
-            for role, t in zip(program.tape_roles, config.tapes)
-        }
-
     if outcome.kind == "halted":
-        cfg = outcome.final
-        data = {
-            "outcome": "halted",
-            "time": format_ordinal(cfg.time),
-            "state": program.state_name(cfg.state),
-            "heads": [format_ordinal(h) for h in cfg.heads],
-            "tapes": tape_lines(cfg),
-        }
+        config, status = outcome.final, EXIT_OK
+    elif outcome.kind == "diverges":
+        config, status = outcome.limit_behavior, EXIT_OK
+    else:
+        config, status = outcome.last, EXIT_EXECUTION
+    data = {"outcome": outcome.kind, **machine.describe(program, config)}
+    if outcome.kind == "halted":
         human = f"HALTED time={data['time']}"
         for role, ivs in data["tapes"].items():
             human += f"\n  {role}: {' '.join(ivs) if ivs else '(all 0)'}"
-        _emit(data, args.json, human)
-        return EXIT_OK
-    if outcome.kind == "diverges":
-        cfg = outcome.limit_behavior
-        data = {
-            "outcome": "diverges",
-            "time": format_ordinal(cfg.time),
-            "state": program.state_name(cfg.state),
-            "tapes": tape_lines(cfg),
-        }
-        _emit(data, args.json, f"DIVERGES (provable loop) at time={data['time']}")
-        return EXIT_OK
-    data = {
-        "outcome": "unresolved",
-        "reason": outcome.reason,
-        "time": format_ordinal(outcome.last.time),
-    }
-    _emit(data, args.json, f"UNRESOLVED ({outcome.reason}) at time={data['time']}")
-    return EXIT_EXECUTION
+    elif outcome.kind == "diverges":
+        human = f"DIVERGES (provable loop) at time={data['time']}"
+    else:
+        data["reason"] = outcome.reason
+        human = f"UNRESOLVED ({outcome.reason}) at time={data['time']}"
+    _emit(data, args.json, human)
+    return status
 
 
 def _load_witness(spec: str):

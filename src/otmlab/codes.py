@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import hfsets, ordinals
-from .errors import InvalidCode, RepresentationOverflow
+from .errors import InvalidCode
 from .hfsets import HfSet, hf, tc
 from .ordinals import Ordinal, from_int, godel_pair, godel_unpair
 from .syntax import parse_json
@@ -141,12 +141,7 @@ def _collapse(code: SetCode) -> Tuple[List[HfSet], int]:
 
 def decode(code: SetCode) -> HfSet:
     values, top = _collapse(code)
-    result = values[top]
-    if hfsets.rank(result) > hfsets.RANK_CAP:
-        raise RepresentationOverflow(
-            f"decoded set has rank {hfsets.rank(result)} > cap {hfsets.RANK_CAP}"
-        )
-    return result
+    return hfsets.within_rank_cap(values[top], "decoded set")
 
 
 def is_valid(code: SetCode) -> Tuple[bool, Optional[str]]:

@@ -7,7 +7,8 @@ class OtmLabError(Exception):
 
 class RepresentationOverflow(OtmLabError):
     """A value left the representable desk-scale universe (ordinal cap,
-    Ackermann index size guard, or set rank cap)."""
+    Ackermann index size guard, or the set rank cap that a decoded set and an
+    oracle image must keep, hfsets.RANK_CAP)."""
 
 
 class MalformedCertificate(OtmLabError):
@@ -114,10 +115,6 @@ class OracleDomainError(OtmLabError):
 
 class WitnessExecutionError(OtmLabError):
     """A witness program failed to produce a usable result."""
-
-
-class MiracleRangeEscape(OtmLabError):
-    """An oracle image exceeds the rank cap, hfsets.RANK_CAP."""
 
 
 class Exhausted(OtmLabError):

@@ -16,7 +16,8 @@ makes the key injective, so comparing two sets is one native tuple
 comparison that never forces the (potentially astronomical) index into
 being.  Each set also caches its text: `format_set` builds it the first time
 the set is printed and returns the same string after that.  A decoded set
-or an oracle image has rank at most RANK_CAP; a set literal may nest deeper.
+or an oracle image has rank at most RANK_CAP (within_rank_cap checks it); a
+set literal may nest deeper.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "tc",
     "rank",
     "RANK_CAP",
+    "within_rank_cap",
     "kpair",
     "kpair_parts",
     "set_union",
@@ -191,6 +193,14 @@ def rank(x: HfSet) -> int:
     r = 0 if not x.elements else 1 + max(rank(e) for e in x.elements)
     object.__setattr__(x, "_rank", r)
     return r
+
+
+def within_rank_cap(x: HfSet, what: str) -> HfSet:
+    """x, if its rank is at most RANK_CAP; RepresentationOverflow naming what
+    x is otherwise."""
+    if rank(x) > RANK_CAP:
+        raise RepresentationOverflow(f"{what} has rank {rank(x)} > cap {RANK_CAP}")
+    return x
 
 
 # -- pure-set encodings --------------------------------------------------------

@@ -65,6 +65,7 @@ __all__ = [
     "RunOutcome",
     "run",
     "initial_configuration",
+    "describe",
 ]
 
 # a hook receives the miracle-tape content on every arrival in the miracle
@@ -469,6 +470,21 @@ def initial_configuration(
     return Configuration(program.start_state, heads, tapes, ZERO)
 
 
+def describe(program: Program, config: Configuration) -> dict:
+    """A configuration as text: its time, state name, head positions and, by
+    tape role, the tape's 1-intervals.  The trace's limit and halt records and
+    `otmlab run --json` all carry this shape."""
+    return {
+        "time": format_ordinal(config.time),
+        "state": program.state_name(config.state),
+        "heads": [format_ordinal(h) for h in config.heads],
+        "tapes": {
+            role: list(t.interval_strings())
+            for role, t in zip(program.tape_roles, config.tapes)
+        },
+    }
+
+
 # the longest period _detect tries as a sweep, and how many earlier limits
 # _detect_limit_level tries as the base of a loop of limits
 _SWEEP_MAX_PERIOD = 24
@@ -494,10 +510,6 @@ class _Runner:
 
     # .. trace helpers ..
 
-    def _emit(self, record: dict):
-        if self.trace is not None:
-            self.trace(record)
-
     def _emit_step(self, before: Configuration, after: Configuration):
         if self.trace is None or not self.trace_steps:
             return
@@ -512,7 +524,7 @@ class _Runner:
                         new.read(cell),
                     ]
                 )
-        self._emit(
+        self.trace(
             {
                 "event": "step",
                 "time": format_ordinal(after.time),
@@ -523,21 +535,10 @@ class _Runner:
         )
 
     def _emit_limit(self, config: Configuration, kind: str):
-        if self.trace is None:
-            return
-        self._emit(
-            {
-                "event": "limit",
-                "kind": kind,
-                "time": format_ordinal(config.time),
-                "state": self.program.state_name(config.state),
-                "heads": [format_ordinal(h) for h in config.heads],
-                "tapes": {
-                    role: list(t.interval_strings())
-                    for role, t in zip(self.program.tape_roles, config.tapes)
-                },
-            }
-        )
+        if self.trace is not None:
+            self.trace(
+                {"event": "limit", "kind": kind, **describe(self.program, config)}
+            )
 
     # .. detection ..
 
@@ -646,13 +647,7 @@ class _Runner:
         while True:
             if config.state in program.halt_states:
                 if self.trace is not None:
-                    self._emit(
-                        {
-                            "event": "halt",
-                            "time": format_ordinal(config.time),
-                            "state": program.state_name(config.state),
-                        }
-                    )
+                    self.trace({"event": "halt", **describe(program, config)})
                 return Halted(config)
             if self.steps >= self.budget.max_successor_steps:
                 return Unresolved(config, "successor step budget exhausted")
@@ -711,6 +706,12 @@ def run(
     trace_steps: bool = False,
 ) -> RunOutcome:
     """Execute from the standard start: start state, heads at 0, given input,
-    all other tapes empty."""
+    all other tapes empty.
+
+    trace, if given, receives a dict per event: a `limit` record at each
+    limit jump (its kind and the describe() fields of the limit), a `halt`
+    record (the describe() fields of the final configuration) and, with
+    trace_steps, a `step` record per successor step (time, state, heads and
+    its writes, each flipped cell as [role, cell, bit])."""
     config = initial_configuration(program, input_tape)
     return _Runner(program, budget, miracle_hook, trace, trace_steps).run(config)

@@ -40,22 +40,20 @@ from .codes import code_to_tape, decode, encode, tape_to_code
 from .errors import (
     EmptyWitnessSet,
     InvalidCode,
-    MiracleRangeEscape,
     OracleDomainError,
     WitnessExecutionError,
 )
 from .hfsets import (
     EMPTY,
     HfSet,
-    RANK_CAP,
     format_set,
     hf,
     kpair,
     kpair_parts,
-    rank,
     set_difference,
     singleton,
     tc,
+    within_rank_cap,
 )
 from .machine import RunBudget
 from .programs import Program
@@ -256,12 +254,7 @@ def run_with_miracle(
     def call(s: HfSet) -> HfSet:
         nonlocal calls
         calls += 1
-        y = oracle(s)
-        if rank(y) > RANK_CAP:
-            raise MiracleRangeEscape(
-                f"oracle image has rank {rank(y)} > cap {RANK_CAP}"
-            )
-        return y
+        return within_rank_cap(oracle(s), "oracle image")
 
     return _execute(witness.otm, x, budget, call), calls
 

@@ -98,9 +98,50 @@ class TestRun:
             assert out == "DIVERGES (provable loop) at time=w\n"
             return
         assert json.loads(out) == {
-            "outcome": "diverges", "state": "q0", "time": "w",
+            "outcome": "diverges", "state": "q0", "time": "w", "heads": ["0", "0", "0"],
             "tapes": {"in": [], "work": [], "out": []},
         }
+
+    # (program, budget, status, the configuration run --json reports)
+    FINAL_RECORDS = {
+        "halted": ("demos/right_sweep.otm", "2000,2", 0, {
+            "time": "w+2", "state": "done", "heads": ["0", "w", "0"],
+            "tapes": {"in": [], "work": ["[0,w)"], "out": []}}),
+        # writes one 1, then idles in q1: the limit w repeats time 1's configuration
+        "diverges": (
+            "tapes in work out; state q0; state q1;\n"
+            "rule q0 -> write work=1 move work=R goto q1;\nrule q1 -> goto q1;\n",
+            "2000,2", 0, {
+                "time": "w", "state": "q1", "heads": ["0", "1", "0"],
+                "tapes": {"in": [], "work": ["[0,1)"], "out": []}}),
+        "unresolved": ("demos/right_sweep.otm", "5,1", 3, {
+            "time": "w+1", "state": "qd", "heads": ["0", "w", "0"],
+            "tapes": {"in": [], "work": ["[0,w)"], "out": []},
+            "reason": "successor step budget exhausted"}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FINAL_RECORDS))
+    def test_json_and_trace_report_where_the_run_stopped(self, kind, tmp_path,
+                                                         monkeypatch, capsys):
+        """run --json gives the time, state, heads and tapes the run stopped
+        in, and the trace's last record (halt, or the limit that repeats its
+        loop) gives the same ones."""
+        program, budget, status, expected = self.FINAL_RECORDS[kind]
+        if not program.endswith(".otm"):
+            (tmp_path / "p.otm").write_text(program)
+            program = str(tmp_path / "p.otm")
+        monkeypatch.chdir(ROOT)
+        trace = tmp_path / "trace.jsonl"
+        argv = ["run", program, "--budget", budget, "--json", "--trace", str(trace)]
+        assert main(argv) == status
+        assert json.loads(capsys.readouterr().out) == {"outcome": kind, **expected}
+        last = json.loads(trace.read_text().splitlines()[-1])
+        if kind == "unresolved":
+            assert last["event"] == "limit" and last["time"] == "w"
+            return
+        event = {"halted": {"event": "halt"},
+                 "diverges": {"event": "limit", "kind": "diverges"}}[kind]
+        assert last == {**event, **expected}
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.otm"

@@ -577,6 +577,43 @@ class TestDeterminismAndTrace:
         assert steps and all("time" in r and "state" in r for r in steps)
         assert any(r["event"] == "halt" for r in records)
 
+    def test_step_records_match_the_classical_machine(self):
+        """Up to the first limit, each step record gives the time, state and
+        heads after the step, and as writes exactly the cells the classical
+        simulator flips at that step, by role, cell and new bit."""
+        rng = random.Random(29)
+        flips = 0
+        for _ in range(20):
+            program = random_program(rng)
+            input_cells = sorted(rng.sample(range(30), rng.randint(0, 8)))
+            oracle = oracles.ClassicalTM(program, input_cells)
+            records = []
+            run(
+                program,
+                Tape((from_int(c), from_int(c + 1)) for c in input_cells),
+                RunBudget(300, 1),
+                trace=records.append,
+                trace_steps=True,
+            )
+            for record in records:
+                if record["event"] != "step":
+                    break
+                before = [oracle.ones(i) for i in range(program.n_tapes)]
+                oracle.step()
+                assert record["time"] == str(oracle.time)
+                assert record["state"] == program.state_name(oracle.state)
+                assert record["heads"] == [str(h) for h in oracle.heads]
+                flipped = {
+                    (role, c, 1 if c in oracle.ones(i) else 0)
+                    for i, role in enumerate(program.tape_roles)
+                    for c in before[i] ^ oracle.ones(i)
+                }
+                writes = {(role, int(cell), bit) for role, cell, bit in record["writes"]}
+                assert len(writes) == len(record["writes"])
+                assert writes == flipped
+                flips += len(flipped)
+        assert flips > 100
+
     def test_untraced_run_formats_no_ordinal(self, monkeypatch):
         """Without a trace no record is built, so no time or head is printed."""
 

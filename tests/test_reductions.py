@@ -10,12 +10,13 @@ import oracles
 from otmlab.asm import parse_program
 from otmlab.codes import code_to_tape, encode, tape_to_code, decode
 from otmlab.errors import (
-    MiracleRangeEscape,
     OracleDomainError,
+    RepresentationOverflow,
     WitnessExecutionError,
 )
 from otmlab.hfsets import (
     EMPTY,
+    RANK_CAP,
     ack_compare,
     format_set,
     hf,
@@ -544,8 +545,25 @@ class TestMiracleProtocol:
                 x = singleton(x)
             return x
 
-        with pytest.raises(MiracleRangeEscape):
+        with pytest.raises(RepresentationOverflow, match="oracle image has rank 10 > cap 6"):
             run_with_miracle(w, deep_oracle, PAIR01)
+
+    @pytest.mark.parametrize("depth", [RANK_CAP, RANK_CAP + 1])
+    def test_an_oracle_image_may_reach_the_rank_cap(self, depth):
+        """The oracle's answer is handed back at rank RANK_CAP and refused one
+        rank above it."""
+        chain = EMPTY
+        for _ in range(depth):
+            chain = singleton(chain)
+        assert rank(chain) == depth
+        ask = ReductionWitness(name="ask", kind="OTM", source="PP", target="PP",
+                               otm=NativeProcedure("ask", lambda x, oracle: oracle(x)))
+        if depth <= RANK_CAP:
+            assert run_with_miracle(ask, lambda s: chain, EMPTY) == (chain, 1)
+            return
+        with pytest.raises(RepresentationOverflow,
+                           match=f"^oracle image has rank {depth} > cap {RANK_CAP}$"):
+            run_with_miracle(ask, lambda s: chain, EMPTY)
 
     def test_off_domain_oracle_instances_fail_in_both_phases(self):
         # a realizer of PP may answer anything at {}, outside PP's domain, so
