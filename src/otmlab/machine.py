@@ -468,6 +468,7 @@ def initial_configuration(
     tapes = tuple(input_tape if r == "in" else EMPTY_TAPE for r in program.tape_roles)
     heads = tuple(ZERO for _ in range(program.n_tapes))
     return Configuration(program.start_state, heads, tapes, ZERO)
+    return Configuration(program.start_state, heads, tapes, ZERO)
 
 
 def describe(program: Program, config: Configuration) -> dict:
@@ -539,6 +540,12 @@ class _Runner:
             self.trace(
                 {"event": "limit", "kind": kind, **describe(self.program, config)}
             )
+
+    def _unresolved(self, config: Configuration, reason: str) -> Unresolved:
+        if self.trace is not None:
+            self.trace({"event": "unresolved", **describe(self.program, config),
+                        "reason": reason})
+        return Unresolved(config, reason)
 
     # .. detection ..
 
@@ -650,7 +657,7 @@ class _Runner:
                     self.trace({"event": "halt", **describe(program, config)})
                 return Halted(config)
             if self.steps >= self.budget.max_successor_steps:
-                return Unresolved(config, "successor step budget exhausted")
+                return self._unresolved(config, "successor step budget exhausted")
 
             before = config
             config = _estep(program, before, self.hook)
@@ -671,7 +678,7 @@ class _Runner:
             # jump to the loop's limit; a new limit may close a loop of limits
             while True:
                 if self.jumps >= self.budget.max_limit_jumps:
-                    return Unresolved(config, "limit jump budget exhausted")
+                    return self._unresolved(config, "limit jump budget exhausted")
                 self.jumps += 1
                 hooked = _apply_hook(program, limit, self.hook)
                 if hooked is not limit:
@@ -710,8 +717,10 @@ def run(
 
     trace, if given, receives a dict per event: a `limit` record at each
     limit jump (its kind and the describe() fields of the limit), a `halt`
-    record (the describe() fields of the final configuration) and, with
-    trace_steps, a `step` record per successor step (time, state, heads and
-    its writes, each flipped cell as [role, cell, bit])."""
+    record (the describe() fields of the final configuration), an
+    `unresolved` record when a budget runs out (the describe() fields of the
+    last configuration and the reason) and, with trace_steps, a `step` record
+    per successor step (time, state, heads and its writes, each flipped cell
+    as [role, cell, bit])."""
     config = initial_configuration(program, input_tape)
     return _Runner(program, budget, miracle_hook, trace, trace_steps).run(config)

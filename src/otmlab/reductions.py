@@ -51,6 +51,7 @@ from .hfsets import (
     kpair,
     kpair_parts,
     set_difference,
+    set_union,
     singleton,
     tc,
     within_rank_cap,
@@ -517,84 +518,75 @@ def _label(partial: Dict[HfSet, HfSet]) -> str:
 # -- native procedure registry -------------------------------------------------------
 
 
-def _decode_wo(w: HfSet) -> Tuple[List[HfSet], HfSet]:
-    """(field in order, top element) of an order answer over downclose(x).
+class _Order:
+    """A WO answer w as a post stage reads it: field, top and least(s), of
+    which only least(s) depends on the order.  The field is the union of the
+    union of w, and the top is the one field element that belongs to no other
+    field element: the instance x of an answer over downclose(x)."""
 
-    The top is the one field element that belongs to no other field element:
-    the instance x itself."""
-    parts: List[HfSet] = []
-    for p in w.elements:
-        ab = kpair_parts(p)
-        if ab is None:
+    def __init__(self, w: HfSet):
+        if any(kpair_parts(p) is None for p in w.elements):
             raise WitnessExecutionError("order value is not a set of pairs")
-        parts.extend(ab)
-    f = hf(parts)
-    ordered = decode_linear_order(w, f)
-    if ordered is None:
-        raise WitnessExecutionError("oracle answer is not a linear order")
-    tops = [u for u in f.elements if not any(u in v for v in f.elements)]
-    if len(tops) != 1:
-        raise WitnessExecutionError(f"no unique top in {f}")
-    return ordered, tops[0]
+        self.field = set_union(set_union(w))
+        ordered = decode_linear_order(w, self.field)
+        if ordered is None:
+            raise WitnessExecutionError("oracle answer is not a linear order")
+        tops = [u for u in self.field.elements if not any(u in v for v in self.field.elements)]
+        if len(tops) != 1:
+            raise WitnessExecutionError(f"no unique top in {self.field}")
+        self.top = tops[0]
+        self._rank = {e: i for i, e in enumerate(ordered)}
+
+    def least(self, s) -> HfSet:
+        """The first element of the set s in the order."""
+        ranked = [e for e in s if e in self._rank]
+        if not ranked:
+            raise WitnessExecutionError("order does not reach the requested set")
+        return min(ranked, key=self._rank.__getitem__)
 
 
-def _least_in(ordered: List[HfSet], members: HfSet) -> HfSet:
-    for e in ordered:
-        if e in members:
-            return e
-    raise WitnessExecutionError("order does not reach the requested set")
-
-
-def _decode_wo_poset(w: HfSet):
-    ordered, top = _decode_wo(w)
-    decoded = decode_poset(top)
+def _poset(c: HfSet, problem: str):
+    """decode_poset(c), or WitnessExecutionError(problem.format(c))."""
+    decoded = decode_poset(c)
     if decoded is None:
-        raise WitnessExecutionError("top element is not an encoded poset")
-    return ordered, decoded
+        raise WitnessExecutionError(problem.format(c))
+    return decoded
 
 
 def _pp_from_wo(w: HfSet) -> HfSet:
     if len(w) == 0:
         raise WitnessExecutionError("empty order cannot locate an element")
-    ordered, top = _decode_wo(w)
-    return _least_in(ordered, top)
-
-
-def _ac_from_wo(w: HfSet) -> HfSet:
-    if len(w) == 0:
-        return EMPTY  # the empty family's transversal
-    ordered, top = _decode_wo(w)
-    return hf(_least_in(ordered, z) for z in top.elements)
+    order = _Order(w)
+    return order.least(order.top)
 
 
 def _acp_from_wo(w: HfSet) -> HfSet:
     if len(w) == 0:
-        return EMPTY
-    ordered, top = _decode_wo(w)
-    return hf(kpair(z, _least_in(ordered, z)) for z in top.elements)
-
-
-def _mpp_from_wo(w: HfSet) -> HfSet:
-    return singleton(_pp_from_wo(w))
+        return EMPTY  # the empty family's choice function
+    order = _Order(w)
+    return hf(kpair(z, order.least(z)) for z in order.top.elements)
 
 
 def _zl_from_wo(w: HfSet) -> HfSet:
-    ordered, (f, order) = _decode_wo_poset(w)
-    maxima = maximal_elements(f, order)
-    for e in ordered:
-        if e in maxima:
-            return e
-    raise WitnessExecutionError("no maximal element found in the order")
+    order = _Order(w)
+    f, r = _poset(order.top, "top element is not an encoded poset")
+    maxima = [e for e in maximal_elements(f, r) if e in order.field]
+    if not maxima:
+        raise WitnessExecutionError("no maximal element found in the order")
+    return order.least(maxima)
 
 
 def _hmp_from_wo(w: HfSet) -> HfSet:
-    ordered, (f, order) = _decode_wo_poset(w)
+    """The chain that takes, again and again, the least poset element that
+    is comparable with every element taken so far."""
+    order = _Order(w)
+    f, r = _poset(order.top, "top element is not an encoded poset")
+    left = [e for e in f.elements if e in order.field]
     chain: List[HfSet] = []
-    for e in ordered:
-        if e not in f:
-            continue
-        if all((e, c) in order or (c, e) in order for c in chain):
-            chain.append(e)
+    while left:
+        e = order.least(left)
+        chain.append(e)
+        left = [c for c in left if (e, c) in r or (c, e) in r]
     return hf(chain)
 
 
@@ -618,13 +610,6 @@ def _pp_from_wo_otm(x: HfSet, miracle: Callable[[HfSet], HfSet]) -> HfSet:
     if ordered is None:
         raise WitnessExecutionError("oracle answer is not a well-order of x")
     return ordered[0]
-
-
-def _maximal_elements_stage(c: HfSet) -> HfSet:
-    decoded = decode_poset(c)
-    if decoded is None:
-        raise WitnessExecutionError(f"not an encoded poset: {c}")
-    return hf(maximal_elements(*decoded))
 
 
 def _unique_element(y: HfSet) -> HfSet:
@@ -665,7 +650,8 @@ NATIVE_REGISTRY: Dict[str, NativeProcedure] = {
         ("pp2-instance", lambda x: _PP2_CONSTANT),
         ("singleton-family", singleton),
         ("discrete-poset", lambda x: kpair(x, EMPTY)),
-        ("maximal-elements", _maximal_elements_stage),
+        ("maximal-elements",
+         lambda c: hf(maximal_elements(*_poset(c, "not an encoded poset: {}")))),
         ("unique-element", _unique_element),
         ("tag-family", lambda x: singleton(hf(kpair(x, z) for z in x.elements))),
         ("untag-subset", _untag_subset),
@@ -673,8 +659,9 @@ NATIVE_REGISTRY: Dict[str, NativeProcedure] = {
         ("disjointify", _disjointify),
         ("downclose", lambda x: hf(list(tc(x).elements) + [x])),
         ("pp-from-wo", _pp_from_wo),
-        ("mpp-from-wo", _mpp_from_wo),
-        ("ac-from-wo", _ac_from_wo),
+        ("mpp-from-wo", lambda w: singleton(_pp_from_wo(w))),
+        # a choice function's range is a transversal
+        ("ac-from-wo", lambda w: _kpair_range(_acp_from_wo(w))),
         ("acp-from-wo", _acp_from_wo),
         ("zl-from-wo", _zl_from_wo),
         ("hmp-from-wo", _hmp_from_wo),

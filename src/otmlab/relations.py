@@ -3,8 +3,15 @@
 Relations are kept in implication form: an instance outside the stated domain
 is satisfied by any value, so a canonification only has real obligations on
 the domain.  A canonification is undefined at every instance its mapping
-lacks.  Structured instances (orders, posets) are plain sets built from
-Kuratowski pairs.
+lacks.
+
+Structured instances are plain sets built from Kuratowski pairs.  A strict
+order is a set of pairs (a, b), read "a comes before b", and a poset is the
+pair (field, strict order).  One pair reader checks that every member is a
+pair of field elements and that no pair holds both ways.  On top of it
+decode_poset checks transitivity, and decode_linear_order counts each
+element's predecessors: counts of 0, 1, ..., n-1 prove such a relation total
+and transitive.
 
 Each relation states its solutions once, in `holds`, and lists candidates
 that include every solution; its witness set (the finite range a
@@ -197,6 +204,21 @@ def encode_poset(f: HfSet, order: Iterable[Tuple[HfSet, HfSet]]) -> HfSet:
     return kpair(f, hf(kpair(a, b) for a, b in order))
 
 
+def _strict_pairs(r: HfSet, f: HfSet) -> Optional[FrozenSet[Tuple[HfSet, HfSet]]]:
+    """The pairs of r, or None unless r is a set of Kuratowski pairs of
+    elements of f that holds no pair both ways (so no (a, a) either)."""
+    pairs = []
+    for p in r.elements:
+        ab = kpair_parts(p)
+        if ab is None or ab[0] not in f or ab[1] not in f:
+            return None
+        pairs.append(ab)
+    rel = frozenset(pairs)
+    if any((b, a) in rel for a, b in pairs):
+        return None
+    return rel
+
+
 def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, FrozenSet[Tuple[HfSet, HfSet]]]]:
     """(field, strict partial order as a frozenset of pairs), or None if c is
     not a valid encoded poset."""
@@ -204,23 +226,11 @@ def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, FrozenSet[Tuple[HfSet, HfSet
     if parts is None:
         return None
     f, r = parts
-    pairs = []
-    for p in r.elements:
-        ab = kpair_parts(p)
-        if ab is None:
-            return None
-        a, b = ab
-        if a not in f or b not in f:
-            return None
-        pairs.append((a, b))
-    rel = frozenset(pairs)
-    for a, b in pairs:
-        if a is b:
-            return None  # irreflexive
-        if (b, a) in rel:
-            return None  # asymmetric
-    for a, b in pairs:
-        for c2, d in pairs:
+    rel = _strict_pairs(r, f)
+    if rel is None:
+        return None
+    for a, b in rel:
+        for c2, d in rel:
             if b is c2 and (a, d) not in rel:
                 return None  # transitive
     return f, rel
@@ -236,33 +246,25 @@ def encode_order(elements: Sequence[HfSet]) -> HfSet:
 
 
 def decode_linear_order(y: HfSet, f: HfSet) -> Optional[List[HfSet]]:
-    """Elements of f in the order given by the strict total order y, or None."""
-    pairs = []
-    for p in y.elements:
-        ab = kpair_parts(p)
-        if ab is None:
-            return None
-        a, b = ab
-        if a not in f or b not in f or a is b:
-            return None
-        pairs.append((a, b))
-    rel = set(pairs)
-    if any((b, a) in rel for a, b in pairs):
+    """Elements of f in the order given by the strict total order y, least
+    first, or None.
+
+    An asymmetric y whose n elements have the predecessor counts 0, ..., n-1
+    is such an order, so no transitivity check is needed.  The counts add up
+    to n(n-1)/2 pairs, one per pair of distinct elements, and asymmetry
+    allows at most one each: y is a tournament.  The element with n-1
+    predecessors lies above every other, and is the predecessor of none;
+    without it the rest have the counts 0, ..., n-2, and so on down.
+    """
+    rel = _strict_pairs(y, f)
+    if rel is None:
         return None
-    elements = list(f.elements)
-    n = len(elements)
-    # totality and transitivity for finite strict orders: sort by predecessor count
-    below = {e: 0 for e in elements}
-    for a, b in pairs:
+    below = {e: 0 for e in f.elements}
+    for _, b in rel:
         below[b] += 1
-    if sorted(below.values()) != list(range(n)):
+    if sorted(below.values()) != list(range(len(below))):
         return None
-    ordered = sorted(elements, key=below.get)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if (a, b) not in rel:
-                return None
-    return ordered
+    return sorted(f.elements, key=below.get)
 
 
 def ack_order_on(x: HfSet) -> HfSet:

@@ -7,7 +7,8 @@ as dicts and as scanned lists of interval pairs, sets as nested frozensets,
 set and ordinal text from frozensets and plain CNF tuples, machines as
 dict-tape simulators, the successor step as one that writes every tape and
 moves every head, single-use verdicts by walking every (canonification,
-instance) case, and OTM choice trees by recursion.
+instance) case, OTM choice trees by recursion, and strict orders by the
+properties that define them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
+from otmlab import formulas as F
 from otmlab.ordinals import ONE, ZERO, add, compare
 from otmlab.programs import Configuration
 
@@ -396,8 +398,6 @@ def frozen_text(x: frozenset) -> str:
 
 
 def naive_eval(node, env: Dict[str, frozenset]) -> bool:
-    from otmlab import formulas as F
-
     if isinstance(node, F.Delta0Formula):
         return naive_eval(node.root, env)
     if isinstance(node, F.Member):
@@ -472,14 +472,46 @@ def naive_check_t(statement, functions, carrier_sets) -> bool:
     return True
 
 
+# -- strict orders by their definitions ----------------------------------------------
+
+
+def is_strict_partial_order(field, pairs) -> bool:
+    """pairs relates elements of field, is irreflexive and is transitive
+    (asymmetry follows from the two)."""
+    pairs = set(pairs)
+    return (all(a in field and b in field for a, b in pairs)
+            and all((a, a) not in pairs for a in field)
+            and all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c))
+
+
+def is_strict_linear_order(field, pairs) -> bool:
+    """A strict partial order in which any two distinct elements are related."""
+    pairs = set(pairs)
+    return is_strict_partial_order(field, pairs) and all(
+        (a, b) in pairs or (b, a) in pairs for a in field for b in field if a != b)
+
+
+def relations_to_check():
+    """(n, pairs) over the field range(n): every relation for n <= 3, every
+    asymmetric one for n = 4 and every tournament for n = 5."""
+    for n in range(4):
+        square = list(itertools.product(range(n), repeat=2))
+        for bits in itertools.product((False, True), repeat=len(square)):
+            yield n, [p for p, on in zip(square, bits) if on]
+    # each pair a < b of elements: unrelated (None), a before b, or b before a
+    for n, ways in ((4, (None, False, True)), (5, (False, True))):
+        edges = list(itertools.combinations(range(n), 2))
+        for flips in itertools.product(ways, repeat=len(edges)):
+            yield n, [(b, a) if flip else (a, b)
+                      for (a, b), flip in zip(edges, flips) if flip is not None]
+
+
 # -- formula generator ----------------------------------------------------------------
 
 
 def generate_formulas(max_size: int, variables=("x", "y")):
     """All bounded formulas up to the given AST node count, over the free
     variables plus one reusable bound variable 'z'."""
-    from otmlab import formulas as F
-
     def atoms(scope):
         out = []
         for u in scope:
@@ -523,8 +555,6 @@ def generate_formulas(max_size: int, variables=("x", "y")):
 
 
 def random_formula(rng, size, scope=("x", "y"), depth=0):
-    from otmlab import formulas as F
-
     if size <= 1:
         u, v = rng.choice(scope), rng.choice(scope)
         return rng.choice([F.Member(u, v), F.Equal(u, v)])

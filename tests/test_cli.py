@@ -124,8 +124,8 @@ class TestRun:
     def test_json_and_trace_report_where_the_run_stopped(self, kind, tmp_path,
                                                          monkeypatch, capsys):
         """run --json gives the time, state, heads and tapes the run stopped
-        in, and the trace's last record (halt, or the limit that repeats its
-        loop) gives the same ones."""
+        in, and the trace's last record (halt, the limit that repeats its
+        loop, or unresolved with the reason) gives the same ones."""
         program, budget, status, expected = self.FINAL_RECORDS[kind]
         if not program.endswith(".otm"):
             (tmp_path / "p.otm").write_text(program)
@@ -136,11 +136,9 @@ class TestRun:
         assert main(argv) == status
         assert json.loads(capsys.readouterr().out) == {"outcome": kind, **expected}
         last = json.loads(trace.read_text().splitlines()[-1])
-        if kind == "unresolved":
-            assert last["event"] == "limit" and last["time"] == "w"
-            return
         event = {"halted": {"event": "halt"},
-                 "diverges": {"event": "limit", "kind": "diverges"}}[kind]
+                 "diverges": {"event": "limit", "kind": "diverges"},
+                 "unresolved": {"event": "unresolved"}}[kind]
         assert last == {**event, **expected}
 
     def test_parse_error_exits_2(self, tmp_path, capsys):

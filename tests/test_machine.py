@@ -538,6 +538,20 @@ class TestResolveLimit:
             resolve_limit(p, cert)
         assert str(err.value) == reason
 
+    @pytest.mark.parametrize("text, period, strides, reason", [
+        ("tapes in work out; state q0; state h halt; rule q0 -> goto h;", 2, (0, 0, 0),
+         "loop passes through a halt state"),
+        (ALTERNATING_SWEEP, 1, (0, 1, 0), "sweep period changes the state"),
+        (TOGGLE, 0, (0, 0, 0), "period must be positive"),
+    ], ids=["through-halt", "state-changes", "period-zero"])
+    def test_a_certificate_the_replay_contradicts(self, text, period, strides, reason):
+        p = parse_program(text)
+        cert = LoopCertificate(base=initial_configuration(p), period=period,
+                               strides=tuple(from_int(d) for d in strides))
+        with pytest.raises(MalformedCertificate) as err:
+            resolve_limit(p, cert)
+        assert str(err.value) == reason
+
     def test_sweep_certificate_wrong_stride(self):
         p = parse_program(PURE_SWEEP)
         base = initial_configuration(p)
@@ -648,16 +662,32 @@ class TestAsmErrors:
         p = parse_program("tapes in work out; state q0 halt;")
         assert p.transitions == {}
 
-    @pytest.mark.parametrize("roles, halts, problem", [
-        (("in", "work", "out"), frozenset(), "a miracle state needs a 'miracle' tape"),
-        (("in", "work", "out", "miracle"), frozenset({0}),
+    # every row has the miracle state q0, and the halt state q1 where halts is {1}
+    @pytest.mark.parametrize("roles, halts, transitions, problem", [
+        (("in", "work", "out"), frozenset(), {}, "a miracle state needs a 'miracle' tape"),
+        (("in", "work", "out", "miracle"), frozenset({0}), {},
          "the miracle state cannot be a halt state"),
+        (("in", "work", "tape"), frozenset(), {}, "unknown tape role 'tape'"),
+        (("in", "work", "miracle"), frozenset(), {},
+         "tape role 'out' must appear exactly once"),
+        (("in", "work", "out", "miracle", "miracle"), frozenset(), {},
+         "tape role 'miracle' may appear at most once"),
+        (("in", "work", "out", "miracle"), frozenset({1}),
+         {(0, (0, 0, 0)): Transition((0,) * 4, ("S",) * 4, 0)},
+         "transition arity mismatch in state 0"),
+        (("in", "work", "out", "miracle"), frozenset({1}),
+         {(0, (0,) * 4): Transition((0,) * 4, ("S", "S", "S", "U"), 0)},
+         "bad move in state 0"),
+        (("in", "work", "out", "miracle"), frozenset({1}),
+         {(1, (0,) * 4): Transition((0,) * 4, ("S",) * 4, 1)},
+         "halt state 1 has transitions"),
     ])
-    def test_program_refuses_a_miracle_state_asm_would_refuse(self, roles, halts, problem):
-        """A Program built without the assembler holds its miracle state to
-        the rules the parser enforces."""
-        with pytest.raises(ValueError, match=problem):
-            Program(("q0",), roles, 0, halts, {}, miracle_state=0)
+    def test_program_refuses_a_table_asm_would_refuse(self, roles, halts, transitions,
+                                                      problem):
+        """A Program built without the assembler holds its tape roles, its
+        miracle state and its transitions to the rules the parser enforces."""
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            Program(("q0", "q1"), roles, 0, halts, transitions, miracle_state=0)
 
     def test_parse_errors_have_spans(self):
         for bad in ["tapes in work; state q0;", "state q0;", "tapes in work out; rule q0;"]:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from functools import cmp_to_key
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from otmlab import reductions
 from otmlab.asm import parse_program
 from otmlab.codes import code_to_tape, encode, tape_to_code, decode
 from otmlab.errors import (
@@ -28,7 +30,15 @@ from otmlab.hfsets import (
 )
 from otmlab.machine import RunBudget, run
 from otmlab.ordinals import from_int
-from otmlab.relations import PRINCIPLES, Canonification, Relation
+from otmlab.relations import (
+    PRINCIPLES,
+    Canonification,
+    Relation,
+    decode_poset,
+    encode_order,
+    encode_poset,
+    maximal_elements,
+)
 from otmlab.reductions import (
     DEFAULT_CAP,
     NATIVE_REGISTRY,
@@ -713,6 +723,86 @@ class TestNativeRegistry:
         for w in WITNESSES.values():
             stages = [w.otm] if w.kind == "OTM" else [w.pre, w.post]
             assert all(s.takes_oracle == (w.kind == "OTM") for s in stages), w.name
+
+    def test_wo_post_stages_take_what_a_scan_of_the_order_meets_first(self):
+        """Each WO post stage, given an order of downclose(x), returns what
+        scanning the order as a list gives: the first element of x, of each
+        member of x, or of x's maximal poset elements, and the chain that
+        keeps each poset element comparable with those kept before it."""
+        rng = random.Random(3)
+        three = hf([EMPTY, SE, SSE])
+        posets = [encode_poset(three, rel) for rel in
+                  ([], [(EMPTY, SE)], [(EMPTY, SE), (SE, SSE), (EMPTY, SSE)],
+                   [(EMPTY, SSE), (SE, SSE)])]
+        run = {name: NATIVE_REGISTRY[name] for name in
+               ("pp-from-wo", "mpp-from-wo", "ac-from-wo", "acp-from-wo",
+                "zl-from-wo", "hmp-from-wo")}
+        for x in [x for x in U3 if len(x)] + posets:
+            field = list(NATIVE_REGISTRY["downclose"](x).elements)
+            for _ in range(3):
+                rng.shuffle(field)
+                w = encode_order(field)
+                first = [e for e in field if e in x][0]
+                assert run["pp-from-wo"](w) is first
+                assert run["mpp-from-wo"](w) is singleton(first)
+                if all(len(z) for z in x.elements):
+                    picks = {z: [e for e in field if e in z][0] for z in x.elements}
+                    assert run["ac-from-wo"](w) is hf(picks.values())
+                    assert run["acp-from-wo"](w) is hf(kpair(z, e) for z, e in picks.items())
+                if x in posets:
+                    f, r = decode_poset(x)
+                    maxima = maximal_elements(f, r)
+                    assert run["zl-from-wo"](w) is [e for e in field if e in maxima][0]
+                    chain = []
+                    for e in field:
+                        if e in f and all((e, c) in r or (c, e) in r for c in chain):
+                            chain.append(e)
+                    assert run["hmp-from-wo"](w) is hf(chain)
+
+    # (stage, input, oracle, the failure text a report records for it)
+    REFUSALS = {
+        "order-not-pairs": ("pp-from-wo", SE, None, "order value is not a set of pairs"),
+        "order-not-linear": ("ac-from-wo", hf([kpair(EMPTY, SE), kpair(SE, EMPTY)]), None,
+                             "oracle answer is not a linear order"),
+        # neither 0 nor {{0}} belongs to the other
+        "order-two-tops": ("acp-from-wo", encode_order([EMPTY, SSE]), None,
+                           "no unique top in {{},{{{}}}}"),
+        "order-empty-no-top": ("zl-from-wo", EMPTY, None, "no unique top in {}"),
+        "order-top-not-poset": ("hmp-from-wo", encode_order([EMPTY, SE]), None,
+                                "top element is not an encoded poset"),
+        "order-empty": ("pp-from-wo", EMPTY, None, "empty order cannot locate an element"),
+        # the top {{0}} codes the empty poset
+        "zl-no-maximal": ("zl-from-wo", encode_order([SE, SSE]), None,
+                          "no maximal element found in the order"),
+        # the poset's one element 0 lies outside the order's field
+        "zl-maximal-outside": ("zl-from-wo", encode_order([SSE, kpair(SE, EMPTY)]), None,
+                               "no maximal element found in the order"),
+        # the top's member {{0}} holds {0}, which the order's field lacks
+        "ac-member-outside": ("ac-from-wo", encode_order([SSE, singleton(SSE)]), None,
+                              "order does not reach the requested set"),
+        "pp-otm-not-an-order": ("pp-from-wo-otm", PAIR01, lambda s: EMPTY,
+                                "oracle answer is not a well-order of x"),
+        "maximal-not-poset": ("maximal-elements", EMPTY, None, "not an encoded poset: {}"),
+        "kpair-range-not-pairs": ("kpair-range", SE, None,
+                                  "choice function value is not a pair set"),
+        "program-diverges": ("tapes in work out; state q0; rule q0 -> goto q0;", EMPTY, None,
+                             "program did not halt (diverges: divergent)"),
+        "program-unresolved": (
+            "tapes in work out; state q0; rule q0 -> write work=1 move work=R goto q0;",
+            EMPTY, None, "program did not halt (unresolved: limit jump budget exhausted)"),
+        "program-out-not-a-code": (
+            "tapes in work out; state q0; state h halt; rule q0 -> write out=1 goto h;",
+            EMPTY, None, "program output is not a set code: invalid code (ill-founded): "
+            "membership cycle through 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_a_stage_that_cannot_run_says_why(self, case):
+        stage, value, oracle, text = self.REFUSALS[case]
+        stage = NATIVE_REGISTRY[stage] if stage in NATIVE_REGISTRY else parse_program(stage)
+        with pytest.raises(WitnessExecutionError) as err:
+            reductions._execute(stage, value, RunBudget(50, 4), oracle)
+        assert str(err.value) == text
 
 
 MIRACLE_PROGRAM = parse_program(MIRACLE_PROBES["probe3"])

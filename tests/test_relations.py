@@ -1,11 +1,22 @@
+import collections
 import itertools
 import random
 
 import pytest
 
+import oracles
 from otmlab.errors import EmptyWitnessSet, OracleDomainError
 from otmlab.formulas import parse_delta0
-from otmlab.hfsets import EMPTY, ack_index, hf, kpair, set_union, singleton, universe_rank_le
+from otmlab.hfsets import (
+    EMPTY,
+    ack_enumerate,
+    ack_index,
+    hf,
+    kpair,
+    set_union,
+    singleton,
+    universe_rank_le,
+)
 from otmlab.reductions import builtin_witnesses
 from otmlab.relations import (
     PRINCIPLES,
@@ -51,6 +62,35 @@ class TestEncodedStructures:
         assert decode_poset(intransitive) is None
         chain = encode_poset(three, [(EMPTY, SE), (SE, SSE), (EMPTY, SSE)])
         assert decode_poset(chain) is not None
+
+    def test_the_decoders_accept_exactly_the_strict_orders(self):
+        """On fields of up to 5 sets, a poset code decodes iff its relation is
+        a strict partial order, to its own pairs; an order decodes iff it is a
+        strict linear order, least first."""
+        seen = collections.Counter()
+        for n, pairs in oracles.relations_to_check():
+            els = [ack_enumerate(k) for k in range(n)]
+            f = hf(els)
+            rel = {(els[a], els[b]) for a, b in pairs}
+            code = hf(kpair(a, b) for a, b in rel)
+            poset = decode_poset(kpair(f, code))
+            assert (poset is not None) == oracles.is_strict_partial_order(range(n), pairs)
+            if poset is not None:
+                assert poset == (f, rel)
+            ordered = decode_linear_order(code, f)
+            assert (ordered is not None) == oracles.is_strict_linear_order(range(n), pairs)
+            if ordered is not None:
+                assert set(itertools.combinations(ordered, 2)) == rel
+            seen[n, poset is not None, ordered is not None] += 1
+        assert sum(seen.values()) == 1 + 2 + 16 + 512 + 729 + 1024
+        # the labelled strict partial orders on n elements number 1, 1, 3, 19,
+        # 219 (every one for n <= 4), and the linear ones n!
+        assert [seen[n, True, True] for n in range(6)] == [1, 1, 2, 6, 24, 120]
+        assert [seen[n, True, False] for n in range(5)] == [0, 0, 1, 13, 195]
+        # a pair that leaves the field, at either end, decodes as neither
+        for pair in (kpair(EMPTY, SE), kpair(SE, EMPTY)):
+            assert decode_poset(kpair(singleton(EMPTY), hf([pair]))) is None
+            assert decode_linear_order(hf([pair]), singleton(EMPTY)) is None
 
     def test_linear_order_decode(self):
         elements = [EMPTY, SSE, SE]
