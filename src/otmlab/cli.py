@@ -273,6 +273,12 @@ def cmd_eval(args) -> int:
             for part in _read_arg_text(args.carrier).split(";")
             if part.strip()
         ]
+        repeated = [m for i, m in enumerate(members) if m in members[:i]]
+        if not members or repeated:
+            problem = (f"names member {hfsets.format_set(repeated[0])} twice"
+                       if repeated else "names no member")
+            print(f"eval: --carrier {problem}", file=sys.stderr)
+            return EXIT_USAGE
         result = logic.eval_prenex(formula, logic.Carrier(tuple(members)))
     else:
         if args.carrier is not None:

@@ -42,6 +42,7 @@ __all__ = [
     "within_rank_cap",
     "kpair",
     "kpair_parts",
+    "pairs_of",
     "set_union",
     "set_difference",
     "parse_set_literal",
@@ -228,6 +229,13 @@ def kpair_parts(p: HfSet) -> Optional[Tuple[HfSet, HfSet]]:
                 b = next(e for e in big.elements if e is not a)
                 return a, b
     return None
+
+
+def pairs_of(r: HfSet) -> Optional[List[Tuple[HfSet, HfSet]]]:
+    """The (a, b) of every member of r, in r's order; None if some member is
+    not a Kuratowski pair."""
+    pairs = [kpair_parts(p) for p in r.elements]
+    return None if None in pairs else pairs
 
 
 def set_union(x: HfSet) -> HfSet:

@@ -139,13 +139,6 @@ def _apply_hook(
     return config.replace(tapes=tuple(tapes))
 
 
-def _estep(
-    program: Program, config: Configuration, hook: Optional[MiracleHook]
-) -> Configuration:
-    """Step plus oracle arrival: entering the miracle state fires the hook."""
-    return _apply_hook(program, step(program, config), hook)
-
-
 # -- certificates ---------------------------------------------------------------
 
 
@@ -158,17 +151,14 @@ class LoopCertificate:
 
 
 def _replay_period(
-    program: Program,
-    base: Configuration,
-    period: int,
-    hook: Optional[MiracleHook],
+    program: Program, base: Configuration, period: int
 ) -> List[Configuration]:
     """The configurations base, ..., end of one period, re-executed."""
     configs = [base]
     for _ in range(period):
         if configs[-1].state in program.halt_states:
             raise MalformedCertificate("loop passes through a halt state")
-        configs.append(_estep(program, configs[-1], hook))
+        configs.append(step(program, configs[-1]))
     return configs
 
 
@@ -393,23 +383,18 @@ def _resolve_loop(
     return limit, tail
 
 
-def resolve_limit(
-    program: Program,
-    certificate: LoopCertificate,
-    miracle_hook: Optional[MiracleHook] = None,
-) -> Configuration:
+def resolve_limit(program: Program, certificate: LoopCertificate) -> Configuration:
     """Validate a certificate by replay and return the configuration at the
     least limit ordinal above the loop.  Raises MalformedCertificate when the
     replay contradicts the certified shape.
 
-    Only successor-level certificates are validated: the period counts
+    The replay takes plain successor steps, without an oracle.  Only
+    successor-level certificates are validated: the period counts
     successor steps from the base.  A certificate of a loop of limits (see
     Diverges) counts limit jumps instead, so no replay checks that loop."""
     if certificate.period < 1:
         raise MalformedCertificate("period must be positive")
-    configs = _replay_period(
-        program, certificate.base, certificate.period, miracle_hook
-    )
+    configs = _replay_period(program, certificate.base, certificate.period)
     if len(certificate.strides) != program.n_tapes:
         raise MalformedCertificate(
             f"certificate has {len(certificate.strides)} strides for "
@@ -467,7 +452,6 @@ def initial_configuration(
 ) -> Configuration:
     tapes = tuple(input_tape if r == "in" else EMPTY_TAPE for r in program.tape_roles)
     heads = tuple(ZERO for _ in range(program.n_tapes))
-    return Configuration(program.start_state, heads, tapes, ZERO)
     return Configuration(program.start_state, heads, tapes, ZERO)
 
 
@@ -660,7 +644,7 @@ class _Runner:
                 return self._unresolved(config, "successor step budget exhausted")
 
             before = config
-            config = _estep(program, before, self.hook)
+            config = _apply_hook(program, step(program, before), self.hook)
             self.steps += 1
             self._emit_step(before, config)
             history.append(config)

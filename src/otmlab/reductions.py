@@ -50,6 +50,7 @@ from .hfsets import (
     hf,
     kpair,
     kpair_parts,
+    pairs_of,
     set_difference,
     set_union,
     singleton,
@@ -66,8 +67,8 @@ from .relations import (
     decode_linear_order,
     decode_poset,
     encode_order,
+    encode_poset,
     enumerate_canonifications,
-    maximal_elements,
 )
 
 __all__ = [
@@ -525,7 +526,7 @@ class _Order:
     field element: the instance x of an answer over downclose(x)."""
 
     def __init__(self, w: HfSet):
-        if any(kpair_parts(p) is None for p in w.elements):
+        if pairs_of(w) is None:
             raise WitnessExecutionError("order value is not a set of pairs")
         self.field = set_union(set_union(w))
         ordered = decode_linear_order(w, self.field)
@@ -569,8 +570,8 @@ def _acp_from_wo(w: HfSet) -> HfSet:
 
 def _zl_from_wo(w: HfSet) -> HfSet:
     order = _Order(w)
-    f, r = _poset(order.top, "top element is not an encoded poset")
-    maxima = [e for e in maximal_elements(f, r) if e in order.field]
+    poset = _poset(order.top, "top element is not an encoded poset")
+    maxima = [e for e in poset.maximal() if e in order.field]
     if not maxima:
         raise WitnessExecutionError("no maximal element found in the order")
     return order.least(maxima)
@@ -580,13 +581,13 @@ def _hmp_from_wo(w: HfSet) -> HfSet:
     """The chain that takes, again and again, the least poset element that
     is comparable with every element taken so far."""
     order = _Order(w)
-    f, r = _poset(order.top, "top element is not an encoded poset")
-    left = [e for e in f.elements if e in order.field]
+    poset = _poset(order.top, "top element is not an encoded poset")
+    left = [e for e in poset.field.elements if e in order.field]
     chain: List[HfSet] = []
     while left:
         e = order.least(left)
         chain.append(e)
-        left = [c for c in left if (e, c) in r or (c, e) in r]
+        left = [c for c in left if poset.comparable(e, c)]
     return hf(chain)
 
 
@@ -618,23 +619,11 @@ def _unique_element(y: HfSet) -> HfSet:
     return y.elements[0]
 
 
-def _untag_subset(y: HfSet) -> HfSet:
-    out = []
-    for p in y.elements:
-        ab = kpair_parts(p)
-        if ab is not None:
-            out.append(ab[1])
-    return hf(out)
-
-
 def _kpair_range(y: HfSet) -> HfSet:
-    out = []
-    for p in y.elements:
-        ab = kpair_parts(p)
-        if ab is None:
-            raise WitnessExecutionError("choice function value is not a pair set")
-        out.append(ab[1])
-    return hf(out)
+    pairs = pairs_of(y)
+    if pairs is None:
+        raise WitnessExecutionError("choice function value is not a pair set")
+    return hf(b for _, b in pairs)
 
 
 def _disjointify(x: HfSet) -> HfSet:
@@ -649,12 +638,14 @@ NATIVE_REGISTRY: Dict[str, NativeProcedure] = {
         ("const-empty", lambda x: EMPTY),
         ("pp2-instance", lambda x: _PP2_CONSTANT),
         ("singleton-family", singleton),
-        ("discrete-poset", lambda x: kpair(x, EMPTY)),
+        ("discrete-poset", lambda x: encode_poset(x, ())),
         ("maximal-elements",
-         lambda c: hf(maximal_elements(*_poset(c, "not an encoded poset: {}")))),
+         lambda c: hf(_poset(c, "not an encoded poset: {}").maximal())),
         ("unique-element", _unique_element),
         ("tag-family", lambda x: singleton(hf(kpair(x, z) for z in x.elements))),
-        ("untag-subset", _untag_subset),
+        # the second entries of the pairs in y; members that are no pair are skipped
+        ("untag-subset",
+         lambda y: hf(ab[1] for ab in map(kpair_parts, y.elements) if ab is not None)),
         ("kpair-range", _kpair_range),
         ("disjointify", _disjointify),
         ("downclose", lambda x: hf(list(tc(x).elements) + [x])),

@@ -5,13 +5,15 @@ is satisfied by any value, so a canonification only has real obligations on
 the domain.  A canonification is undefined at every instance its mapping
 lacks.
 
-Structured instances are plain sets built from Kuratowski pairs.  A strict
-order is a set of pairs (a, b), read "a comes before b", and a poset is the
-pair (field, strict order).  One pair reader checks that every member is a
-pair of field elements and that no pair holds both ways.  On top of it
-decode_poset checks transitivity, and decode_linear_order counts each
-element's predecessors: counts of 0, 1, ..., n-1 prove such a relation total
-and transitive.
+Structured instances are plain sets built from Kuratowski pairs, and one
+reader, hfsets.pairs_of, turns any set of pairs into its (a, b) list.  An AC'
+answer is a set of pairs (z, e), a strict order a set of pairs (a, b), read
+"a comes before b", and a poset the pair (field, strict order).  One strict
+pair reader checks that every pair joins field elements and that no pair
+holds both ways.  On top of it decode_poset checks transitivity and returns a
+Poset, the one place that says which elements are maximal and which two are
+comparable; decode_linear_order counts each element's predecessors: counts
+of 0, 1, ..., n-1 prove such a relation total and transitive.
 
 Each relation states its solutions once, in `holds`, and lists candidates
 that include every solution; its witness set (the finite range a
@@ -24,7 +26,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import EmptyWitnessSet, OracleDomainError
 from .formulas import Delta0Formula, parse_delta0
@@ -36,6 +39,7 @@ from .hfsets import (
     hf,
     kpair,
     kpair_parts,
+    pairs_of,
     set_union,
 )
 from .logic import eval_delta0
@@ -48,12 +52,12 @@ __all__ = [
     "enumerate_canonifications",
     "relation_from_formula",
     "PRINCIPLES",
+    "Poset",
     "encode_poset",
     "decode_poset",
     "encode_order",
     "decode_linear_order",
     "ack_order_on",
-    "maximal_elements",
 ]
 
 
@@ -207,21 +211,31 @@ def encode_poset(f: HfSet, order: Iterable[Tuple[HfSet, HfSet]]) -> HfSet:
 def _strict_pairs(r: HfSet, f: HfSet) -> Optional[FrozenSet[Tuple[HfSet, HfSet]]]:
     """The pairs of r, or None unless r is a set of Kuratowski pairs of
     elements of f that holds no pair both ways (so no (a, a) either)."""
-    pairs = []
-    for p in r.elements:
-        ab = kpair_parts(p)
-        if ab is None or ab[0] not in f or ab[1] not in f:
-            return None
-        pairs.append(ab)
-    rel = frozenset(pairs)
-    if any((b, a) in rel for a, b in pairs):
+    pairs = pairs_of(r)
+    if pairs is None or not all(a in f and b in f for a, b in pairs):
         return None
-    return rel
+    rel = frozenset(pairs)
+    return None if any((b, a) in rel for a, b in rel) else rel
 
 
-def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, FrozenSet[Tuple[HfSet, HfSet]]]]:
-    """(field, strict partial order as a frozenset of pairs), or None if c is
-    not a valid encoded poset."""
+class Poset(NamedTuple):
+    """A decoded poset: its field and its strict order as a set of pairs
+    (a, b), read "a lies below b"."""
+
+    field: HfSet
+    pairs: FrozenSet[Tuple[HfSet, HfSet]]
+
+    def maximal(self) -> List[HfSet]:
+        """The field elements that lie below no other, in field order."""
+        below = {a for a, _ in self.pairs}
+        return [e for e in self.field.elements if e not in below]
+
+    def comparable(self, a: HfSet, b: HfSet) -> bool:
+        return (a, b) in self.pairs or (b, a) in self.pairs
+
+
+def decode_poset(c: HfSet) -> Optional[Poset]:
+    """The poset c encodes, or None if c is not a valid encoded poset."""
     parts = kpair_parts(c)
     if parts is None:
         return None
@@ -233,7 +247,7 @@ def decode_poset(c: HfSet) -> Optional[Tuple[HfSet, FrozenSet[Tuple[HfSet, HfSet
         for c2, d in rel:
             if b is c2 and (a, d) not in rel:
                 return None  # transitive
-    return f, rel
+    return Poset(f, rel)
 
 
 def encode_order(elements: Sequence[HfSet]) -> HfSet:
@@ -272,11 +286,6 @@ def ack_order_on(x: HfSet) -> HfSet:
     return encode_order(list(x.elements))
 
 
-def maximal_elements(f: HfSet, order: FrozenSet[Tuple[HfSet, HfSet]]) -> List[HfSet]:
-    non_maximal = {a for a, _ in order}
-    return [e for e in f.elements if e not in non_maximal]
-
-
 # -- the catalog -----------------------------------------------------------------
 
 
@@ -308,8 +317,8 @@ def _members(x: HfSet) -> Tuple[HfSet, ...]:
 
 
 def _poset_field(c: HfSet) -> HfSet:
-    decoded = decode_poset(c)
-    return decoded[0] if decoded is not None else EMPTY
+    poset = decode_poset(c)
+    return poset.field if poset is not None else EMPTY
 
 
 def _pp_holds(x, y):
@@ -346,16 +355,13 @@ def _ac_candidates(x):
 
 
 def _acp_holds(x, y):
-    entries = {}
-    for p in y.elements:
-        ab = kpair_parts(p)
-        if ab is None:
-            return False
-        z, e = ab
-        if z not in x or e not in z or z in entries:
-            return False
-        entries[z] = e
-    return len(entries) == len(x)
+    """y is a function on x with y(z) in z."""
+    pairs = pairs_of(y)
+    return (
+        pairs is not None
+        and len(dict(pairs)) == len(pairs) == len(x)
+        and all(z in x and e in z for z, e in pairs)
+    )
 
 
 def _acp_candidates(x):
@@ -378,15 +384,12 @@ def _wo_candidates(x):
 
 
 def _zl_domain(c):
-    decoded = decode_poset(c)
-    return decoded is not None and len(decoded[0]) > 0
+    return len(_poset_field(c)) > 0
 
 
 def _zl_holds(c, y):
-    decoded = decode_poset(c)
-    if decoded is None:
-        return False
-    return y in maximal_elements(*decoded)
+    poset = decode_poset(c)
+    return poset is not None and y in poset.maximal()
 
 
 def _hmp_domain(c):
@@ -394,23 +397,17 @@ def _hmp_domain(c):
 
 
 def _hmp_holds(c, y):
-    decoded = decode_poset(c)
-    if decoded is None:
-        return False
-    f, order = decoded
-    if not all(e in f for e in y.elements):
+    """y is a subset of the field, pairwise comparable, and no other field
+    element is comparable with all of y."""
+    poset = decode_poset(c)
+    if poset is None or not all(e in poset.field for e in y.elements):
         return False
     els = y.elements
-    for i, a in enumerate(els):
-        for b in els[i + 1 :]:
-            if (a, b) not in order and (b, a) not in order:
-                return False
-    for e in f.elements:
-        if e in y:
-            continue
-        if all((e, c2) in order or (c2, e) in order for c2 in els):
-            return False
-    return True
+    if not all(poset.comparable(a, b) for i, a in enumerate(els) for b in els[i + 1 :]):
+        return False
+    return not any(
+        all(poset.comparable(e, d) for d in els) for e in poset.field.elements if e not in y
+    )
 
 
 _PP_MATRIX = parse_delta0("(ex u in x (u = u)) -> y in x")

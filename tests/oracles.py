@@ -7,8 +7,9 @@ as dicts and as scanned lists of interval pairs, sets as nested frozensets,
 set and ordinal text from frozensets and plain CNF tuples, machines as
 dict-tape simulators, the successor step as one that writes every tape and
 moves every head, single-use verdicts by walking every (canonification,
-instance) case, OTM choice trees by recursion, and strict orders by the
-properties that define them.
+instance) case, OTM choice trees by recursion, and Kuratowski pairs, strict
+orders, maximal elements and chains and choice functions by the properties
+that define them.
 """
 
 from __future__ import annotations
@@ -491,6 +492,48 @@ def is_strict_linear_order(field, pairs) -> bool:
         (a, b) in pairs or (b, a) in pairs for a in field for b in field if a != b)
 
 
+# -- pairs, posets and choice functions by their definitions -------------------------
+
+
+def frozen_pair(p: frozenset):
+    """(a, b) with p = {{a}, {a, b}}, tried for every a and b in the union of
+    p; None if there are none."""
+    union = frozenset().union(*p)
+    for a in union:
+        for b in union:
+            if p == frozenset({frozenset({a}), frozenset({a, b})}):
+                return a, b
+    return None
+
+
+def poset_maximal(field, pairs) -> set:
+    """The elements of field that lie below no element of field."""
+    return {e for e in field if not any((e, d) in pairs for d in field)}
+
+
+def poset_maximal_chains(field, pairs) -> set:
+    """The subsets of field whose elements are pairwise related and that no
+    larger such subset contains."""
+    field = list(field)
+    chains = [
+        frozenset(s)
+        for n in range(len(field) + 1)
+        for s in itertools.combinations(field, n)
+        if all((a, b) in pairs or (b, a) in pairs for a, b in itertools.combinations(s, 2))
+    ]
+    return {c for c in chains if not any(c < d for d in chains)}
+
+
+def is_choice_function(x: frozenset, y: frozenset) -> bool:
+    """Every member of y is a pair (z, e) with z in x and e in z, and every z
+    in x is the first entry of exactly one of them."""
+    pairs = [frozen_pair(p) for p in y]
+    if None in pairs:
+        return False
+    return all(z in x and e in z for z, e in pairs) and all(
+        sum(1 for z2, _ in pairs if z2 == z) == 1 for z in x)
+
+
 def relations_to_check():
     """(n, pairs) over the field range(n): every relation for n <= 3, every
     asymmetric one for n = 4 and every tournament for n = 5."""
@@ -504,6 +547,16 @@ def relations_to_check():
         for flips in itertools.product(ways, repeat=len(edges)):
             yield n, [(b, a) if flip else (a, b)
                       for (a, b), flip in zip(edges, flips) if flip is not None]
+
+
+def strict_partial_orders(elements):
+    """(field, pairs) for every strict partial order whose field is a subset
+    of at most 4 of the elements, the field a tuple in the elements' order
+    (on a field of n elements there are 1, 1, 3, 19 and 219 such orders)."""
+    for n, rel in relations_to_check():
+        if n <= 4 and is_strict_partial_order(range(n), rel):
+            for field in itertools.combinations(elements, n):
+                yield field, {(field[a], field[b]) for a, b in rel}
 
 
 # -- formula generator ----------------------------------------------------------------

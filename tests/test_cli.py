@@ -517,6 +517,21 @@ class TestSetCommands:
         assert captured.out == ""
         assert "--env names variable x twice" in captured.err
 
+    @pytest.mark.parametrize(
+        "carrier, problem",
+        [
+            (" ; ", "--carrier names no member"),
+            ("{};{}", "--carrier names member {} twice"),
+            ("{{}} ; {} ; { {} }", "--carrier names member {{}} twice"),
+        ],
+        ids=["no-member", "repeated-member", "repeated-member-spelled-apart"],
+    )
+    def test_eval_carrier_of_no_or_repeated_members_is_a_usage_error(self, carrier,
+                                                                    problem, capsys):
+        """A carrier is a set: it names at least one member, each once."""
+        assert main(["eval", "ALL x EX y (x in y)", "--carrier", carrier]) == 2
+        assert capsys.readouterr() == ("", f"eval: {problem}\n")
+
     def test_eval_prenex_needs_carrier(self, capsys):
         assert main(["eval", "ALL x EX y (x in y)"]) == 2
         assert main(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import frozen_text, to_frozen
+from oracles import frozen_pair, frozen_text, to_frozen
 from otmlab.codes import decode, encode
 from otmlab.errors import ParseError, RepresentationOverflow
 from otmlab.hfsets import (
@@ -16,6 +16,7 @@ from otmlab.hfsets import (
     hf,
     kpair,
     kpair_parts,
+    pairs_of,
     parse_set_literal,
     rank,
     set_difference,
@@ -131,6 +132,23 @@ class TestStructure:
     def test_kpair_rejects_non_pairs(self):
         assert kpair_parts(PAIR01) is None
         assert kpair_parts(EMPTY) is None
+
+    def test_pairs_of_reads_every_set_of_rank_4_as_defined(self):
+        """On every set of rank <= 4: the (a, b) of each member, in order, or
+        None when some member is not a pair.  Each member has rank <= 3, so
+        the oracle reads each of the 16 such sets once."""
+        want_of = {m: frozen_pair(to_frozen(m)) for m in universe_rank_le(3)}
+        read = 0
+        for r in universe_rank_le(4):
+            want = [want_of[m] for m in r.elements]
+            got = pairs_of(r)
+            if None in want:
+                assert got is None, r
+            else:
+                assert [(to_frozen(a), to_frozen(b)) for a, b in got] == want, r
+                read += 1
+        # the pairs of rank <= 3 are (a, b) for a, b in {0, {0}}
+        assert read == 2**4
 
     def test_union_difference(self):
         fam = hf([PAIR01, SSE])

@@ -34,10 +34,8 @@ from otmlab.relations import (
     PRINCIPLES,
     Canonification,
     Relation,
-    decode_poset,
     encode_order,
     encode_poset,
-    maximal_elements,
 )
 from otmlab.reductions import (
     DEFAULT_CAP,
@@ -731,13 +729,13 @@ class TestNativeRegistry:
         keeps each poset element comparable with those kept before it."""
         rng = random.Random(3)
         three = hf([EMPTY, SE, SSE])
-        posets = [encode_poset(three, rel) for rel in
+        posets = {encode_poset(three, rel): rel for rel in
                   ([], [(EMPTY, SE)], [(EMPTY, SE), (SE, SSE), (EMPTY, SSE)],
-                   [(EMPTY, SSE), (SE, SSE)])]
+                   [(EMPTY, SSE), (SE, SSE)])}
         run = {name: NATIVE_REGISTRY[name] for name in
                ("pp-from-wo", "mpp-from-wo", "ac-from-wo", "acp-from-wo",
                 "zl-from-wo", "hmp-from-wo")}
-        for x in [x for x in U3 if len(x)] + posets:
+        for x in [x for x in U3 if len(x)] + list(posets):
             field = list(NATIVE_REGISTRY["downclose"](x).elements)
             for _ in range(3):
                 rng.shuffle(field)
@@ -750,14 +748,43 @@ class TestNativeRegistry:
                     assert run["ac-from-wo"](w) is hf(picks.values())
                     assert run["acp-from-wo"](w) is hf(kpair(z, e) for z, e in picks.items())
                 if x in posets:
-                    f, r = decode_poset(x)
-                    maxima = maximal_elements(f, r)
+                    r = posets[x]
+                    maxima = oracles.poset_maximal(three, r)
                     assert run["zl-from-wo"](w) is [e for e in field if e in maxima][0]
                     chain = []
                     for e in field:
-                        if e in f and all((e, c) in r or (c, e) in r for c in chain):
+                        if e in three and all((e, c) in r or (c, e) in r for c in chain):
                             chain.append(e)
                     assert run["hmp-from-wo"](w) is hf(chain)
+
+    def test_poset_stages_answer_every_small_poset_as_defined(self):
+        """On every strict partial order over a field of 0-4 sets of rank <= 2,
+        maximal-elements returns the maximal elements, and on two seeded
+        shuffled orders of downclose(c), zl-from-wo the first of them the
+        order meets and hmp-from-wo the chain that keeps each field element
+        related to every element kept before it, all by the oracle."""
+        rng = random.Random(5)
+        frozen = oracles.to_frozen
+        stage = NATIVE_REGISTRY
+        for els, pairs in oracles.strict_partial_orders(U2):
+            c = encode_poset(hf(els), pairs)
+            field = [frozen(e) for e in els]
+            rel = {(frozen(a), frozen(b)) for a, b in pairs}
+            maxima = oracles.poset_maximal(field, rel)
+            assert frozen(stage["maximal-elements"](c)) == maxima
+            order = list(stage["downclose"](c).elements)
+            for _ in range(2):
+                rng.shuffle(order)
+                w = encode_order(order)
+                scanned = [frozen(e) for e in order]
+                if maxima:
+                    first = [e for e in scanned if e in maxima][0]
+                    assert frozen(stage["zl-from-wo"](w)) == first
+                chain = []
+                for e in scanned:
+                    if e in field and all((e, d) in rel or (d, e) in rel for d in chain):
+                        chain.append(e)
+                assert frozen(stage["hmp-from-wo"](w)) == frozenset(chain)
 
     # (stage, input, oracle, the failure text a report records for it)
     REFUSALS = {

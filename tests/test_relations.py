@@ -29,7 +29,6 @@ from otmlab.relations import (
     encode_order,
     encode_poset,
     enumerate_canonifications,
-    maximal_elements,
     relation_from_formula,
 )
 
@@ -104,10 +103,55 @@ class TestEncodedStructures:
     def test_maximal_structures(self):
         three = hf([EMPTY, SE, SSE])
         pairs = [(EMPTY, SE)]
-        assert set(maximal_elements(three, pairs)) == {SE, SSE}
+        assert decode_poset(encode_poset(three, pairs)).maximal() == [SE, SSE]
         chains = PRINCIPLES["HMP"].witness_set(encode_poset(three, pairs))
         assert hf([EMPTY, SE]) in chains and singleton(SSE) in chains
         assert len(chains) == 2
+
+
+class TestAgainstDefinitions:
+    def test_zl_and_hmp_answer_every_small_poset_as_defined(self):
+        """On every strict partial order over a field of 0-4 sets of rank <= 2
+        (318 posets), ZL's answers are the maximal elements and HMP's the
+        maximal chains, as the oracle finds them by their definitions."""
+        ZL, HMP = PRINCIPLES["ZL"], PRINCIPLES["HMP"]
+        frozen = oracles.to_frozen
+        count = chains = 0
+        for els, pairs in oracles.strict_partial_orders(U2):
+            c = encode_poset(hf(els), pairs)
+            field = [frozen(e) for e in els]
+            rel = {(frozen(a), frozen(b)) for a, b in pairs}
+            maxima = oracles.poset_maximal(field, rel)
+            assert [frozen(e) for e in decode_poset(c).maximal()] == [
+                e for e in field if e in maxima]
+            assert {frozen(y) for y in ZL.witness_set(c)} == maxima
+            answers = HMP.witness_set(c)
+            assert len(answers) == len(set(answers))
+            assert {frozen(y) for y in answers} == oracles.poset_maximal_chains(field, rel)
+            count += 1
+            chains += len(answers)
+        assert count == 318
+        assert chains > count
+
+    def test_acprime_holds_exactly_on_choice_functions(self):
+        """Each candidate of each rank <= 3 instance, with a member that is no
+        pair added, with one pair dropped, with one pair (z, e') added, and
+        with one dropped and one added: AC' holds where the oracle finds a
+        choice function on the instance."""
+        ACP = PRINCIPLES["ACprime"]
+        seen = collections.Counter()
+        for x in U3:
+            extra = [kpair(z, e) for z in x.elements for e in z.elements]
+            for y in ACP.candidates(x):
+                members = list(y.elements)
+                dropped = [hf(members[:i] + members[i + 1:]) for i in range(len(members))]
+                added = [hf(list(v.elements) + [p]) for v in [y] + dropped for p in extra]
+                for v in [y, hf(members + [EMPTY])] + dropped + added:
+                    holds = ACP.holds(x, v)
+                    assert holds == oracles.is_choice_function(
+                        oracles.to_frozen(x), oracles.to_frozen(v)), (x, v)
+                    seen[holds] += 1
+        assert seen == {True: 60, False: 70}
 
 
 class TestCatalog:
