@@ -24,7 +24,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConflictingRules, ParseError, SourceSpan, TotalityError
-from .programs import MOVES, ROLE_ORDER, Program, Transition
+from .programs import MOVES, REQUIRED_ROLES, ROLE_ORDER, Program, Transition
 from .syntax import Token, TokenCursor, scan
 
 __all__ = ["parse_program", "format_program", "load_program"]
@@ -81,7 +81,7 @@ class _ProgramParser(TokenCursor):
                 self.error("a role not declared twice", r)
             roles.append(r.text)
         semi = self.expect(";")
-        for required in ("in", "work", "out"):
+        for required in REQUIRED_ROLES:
             if required not in roles:
                 raise ParseError(semi.span, f"tape role '{required}'", ";")
         self.roles = tuple(roles)

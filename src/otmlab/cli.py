@@ -28,7 +28,7 @@ from .errors import (
     TotalityError,
     UnboundVariable,
 )
-from .syntax import parse_json
+from .syntax import DIGITS, parse_json
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -49,12 +49,17 @@ def _read_arg_text(value: str) -> str:
     return value
 
 
+def _is_digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits."""
+    return text != "" and DIGITS.issuperset(text)
+
+
 def _budget(spec: str) -> machine.RunBudget:
     """The RunBudget of a `STEPS,JUMPS` spec of ASCII digits."""
     parts = spec.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"budget must be STEPS,JUMPS; got {spec!r}")
-    if not all(part.isascii() and part.isdigit() for part in parts):
+    if not all(_is_digits(part) for part in parts):
         raise argparse.ArgumentTypeError(
             f"budget must be STEPS,JUMPS in ASCII digits only; got {spec!r}"
         )
@@ -66,7 +71,7 @@ def _budget(spec: str) -> machine.RunBudget:
 
 def _count(spec: str) -> int:
     """A non-negative integer written in ASCII digits."""
-    if not (spec.isascii() and spec.isdigit()):
+    if not _is_digits(spec):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer in ASCII digits; got {spec!r}"
         )
@@ -76,7 +81,7 @@ def _count(spec: str) -> int:
 def _seed(spec: str) -> int:
     """An integer written in ASCII digits, with an optional leading '-'."""
     digits = spec.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_digits(digits):
         raise argparse.ArgumentTypeError(
             f"must be an integer in ASCII digits; got {spec!r}"
         )
@@ -87,8 +92,7 @@ def _universe_rank(spec: str) -> int:
     """The N of a `rank:N` universe spec, for the ranks that can be enumerated."""
     top = len(hfsets.RANK_LAYER_BOUNDS) - 1
     kind, _, digits = spec.partition(":")
-    ascii_nat = digits.isascii() and digits.isdigit()
-    if kind != "rank" or not ascii_nat or int(digits) > top:
+    if kind != "rank" or not _is_digits(digits) or int(digits) > top:
         raise argparse.ArgumentTypeError(
             f"universe must be rank:N with 0 <= N <= {top}, got {spec!r}"
         )
@@ -124,6 +128,9 @@ def cmd_run(args) -> int:
     from .asm import load_program
     from .tapes import Tape
 
+    if args.trace_steps and not args.trace:
+        print("run: --trace-steps needs --trace", file=sys.stderr)
+        return EXIT_USAGE
     program = load_program(args.program)
     if args.input is not None:
         value = hfsets.parse_set_literal(_read_arg_text(args.input))
@@ -273,13 +280,12 @@ def cmd_eval(args) -> int:
             for part in _read_arg_text(args.carrier).split(";")
             if part.strip()
         ]
-        repeated = [m for i, m in enumerate(members) if m in members[:i]]
-        if not members or repeated:
-            problem = (f"names member {hfsets.format_set(repeated[0])} twice"
-                       if repeated else "names no member")
-            print(f"eval: --carrier {problem}", file=sys.stderr)
+        try:
+            carrier = logic.Carrier(tuple(members))
+        except ValueError as exc:
+            print(f"eval: --{exc}", file=sys.stderr)
             return EXIT_USAGE
-        result = logic.eval_prenex(formula, logic.Carrier(tuple(members)))
+        result = logic.eval_prenex(formula, carrier)
     else:
         if args.carrier is not None:
             print("eval: --carrier is for prenex statements only", file=sys.stderr)

@@ -28,7 +28,7 @@ from .formulas import (
     Or,
     PrenexStatement,
 )
-from .hfsets import HfSet, ack_enumerate
+from .hfsets import HfSet, ack_enumerate, format_set
 
 __all__ = [
     "Carrier",
@@ -47,9 +47,12 @@ class Carrier:
 
     def __post_init__(self):
         if not self.members:
-            raise ValueError("carrier must be nonempty")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("carrier members must be distinct")
+            raise ValueError("carrier names no member")
+        seen = set()
+        for m in self.members:
+            if m in seen:
+                raise ValueError(f"carrier names member {format_set(m)} twice")
+            seen.add(m)
 
     def __iter__(self):
         return iter(self.members)

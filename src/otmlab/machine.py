@@ -34,7 +34,7 @@ configuration that re-enters its own loop is a proof of divergence.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -136,7 +136,7 @@ def _apply_hook(
         return config
     tapes = list(config.tapes)
     tapes[idx] = replacement
-    return config.replace(tapes=tuple(tapes))
+    return replace(config, tapes=tuple(tapes))
 
 
 # -- certificates ---------------------------------------------------------------
@@ -455,14 +455,22 @@ def initial_configuration(
     return Configuration(program.start_state, heads, tapes, ZERO)
 
 
-def describe(program: Program, config: Configuration) -> dict:
-    """A configuration as text: its time, state name, head positions and, by
-    tape role, the tape's 1-intervals.  The trace's limit and halt records and
-    `otmlab run --json` all carry this shape."""
+def _position(program: Program, config: Configuration) -> dict:
+    """A configuration's time, state name and head positions as text: the
+    fields a trace's step record shares with describe()."""
     return {
         "time": format_ordinal(config.time),
         "state": program.state_name(config.state),
         "heads": [format_ordinal(h) for h in config.heads],
+    }
+
+
+def describe(program: Program, config: Configuration) -> dict:
+    """A configuration as text: its time, state name, head positions and, by
+    tape role, the tape's 1-intervals.  The trace's limit, halt and
+    unresolved records and `otmlab run --json` all carry this shape."""
+    return {
+        **_position(program, config),
         "tapes": {
             role: list(t.interval_strings())
             for role, t in zip(program.tape_roles, config.tapes)
@@ -477,6 +485,11 @@ _LEVEL_LOOKBACK = 16
 
 
 class _Runner:
+    """One run and the budgets it has spent.  Each segment of successor steps
+    (from the start, or from the limit the last one jumped to) starts at the
+    top of run's loop; _record builds every limit, halt and unresolved record
+    of the trace, and _emit_step every step record."""
+
     def __init__(
         self,
         program: Program,
@@ -510,36 +523,21 @@ class _Runner:
                     ]
                 )
         self.trace(
-            {
-                "event": "step",
-                "time": format_ordinal(after.time),
-                "state": self.program.state_name(after.state),
-                "heads": [format_ordinal(h) for h in after.heads],
-                "writes": writes,
-            }
+            {"event": "step", **_position(self.program, after), "writes": writes}
         )
 
-    def _emit_limit(self, config: Configuration, kind: str):
+    def _record(
+        self, event: str, config: Configuration, kind: str = "", reason: str = ""
+    ):
+        """Trace a limit record (with its kind), a halt record or an
+        unresolved record (with its reason): event, kind, the describe()
+        fields of config, then reason."""
         if self.trace is not None:
-            self.trace(
-                {"event": "limit", "kind": kind, **describe(self.program, config)}
-            )
-
-    def _unresolved(self, config: Configuration, reason: str) -> Unresolved:
-        if self.trace is not None:
-            self.trace({"event": "unresolved", **describe(self.program, config),
-                        "reason": reason})
-        return Unresolved(config, reason)
+            head = {"event": event, "kind": kind} if kind else {"event": event}
+            tail = {"reason": reason} if reason else {}
+            self.trace({**head, **describe(self.program, config), **tail})
 
     # .. detection ..
-
-    def _reset_sweep_bases(self, config: Configuration):
-        """Start the sweep-base records of a run segment that begins at
-        config: the history indices of each state, and the tapes each base
-        tried so far blocks, by history index."""
-        self._by_state: Dict[int, List[int]] = defaultdict(list)
-        self._by_state[config.state].append(0)
-        self._blocked: Dict[int, Tuple[int, ...]] = {}
 
     def _detect(
         self, history: List[Configuration], index: Dict[tuple, int]
@@ -630,31 +628,38 @@ class _Runner:
     def run(self, config: Configuration) -> RunOutcome:
         program = self.program
         config = _apply_hook(program, config, self.hook)
-        history: List[Configuration] = [config]
-        index: Dict[tuple, int] = {config.key(): 0}
-        self._reset_sweep_bases(config)
         entries: List[Tuple[Configuration, _Summary]] = []
 
         while True:
-            if config.state in program.halt_states:
-                if self.trace is not None:
-                    self.trace({"event": "halt", **describe(program, config)})
-                return Halted(config)
-            if self.steps >= self.budget.max_successor_steps:
-                return self._unresolved(config, "successor step budget exhausted")
+            # the segment's run, each configuration's index in it, the indices
+            # of each state, and the tapes each sweep base tried so far blocks
+            history: List[Configuration] = [config]
+            index: Dict[tuple, int] = {config.key(): 0}
+            self._by_state: Dict[int, List[int]] = defaultdict(list)
+            self._by_state[config.state].append(0)
+            self._blocked: Dict[int, Tuple[int, ...]] = {}
 
-            before = config
-            config = _apply_hook(program, step(program, before), self.hook)
-            self.steps += 1
-            self._emit_step(before, config)
-            history.append(config)
+            while True:
+                if config.state in program.halt_states:
+                    self._record("halt", config)
+                    return Halted(config)
+                if self.steps >= self.budget.max_successor_steps:
+                    reason = "successor step budget exhausted"
+                    self._record("unresolved", config, reason=reason)
+                    return Unresolved(config, reason)
 
-            found = self._detect(history, index)
-            if found is None:
+                before = config
+                config = _apply_hook(program, step(program, before), self.hook)
+                self.steps += 1
+                self._emit_step(before, config)
+                history.append(config)
+
+                found = self._detect(history, index)
+                if found is not None:
+                    break
                 n = len(history) - 1
                 index[config.key()] = n
                 self._by_state[config.state].append(n)
-                continue
             kind, cert, limit, tail = found
             # the segment's summary is read off the run it recorded
             stats = _combine_stats([_Summary.of(history), tail])
@@ -662,7 +667,9 @@ class _Runner:
             # jump to the loop's limit; a new limit may close a loop of limits
             while True:
                 if self.jumps >= self.budget.max_limit_jumps:
-                    return self._unresolved(config, "limit jump budget exhausted")
+                    reason = "limit jump budget exhausted"
+                    self._record("unresolved", config, reason=reason)
+                    return Unresolved(config, reason)
                 self.jumps += 1
                 hooked = _apply_hook(program, limit, self.hook)
                 if hooked is not limit:
@@ -672,19 +679,15 @@ class _Runner:
                         stats.acc[i] = stats.acc[i].intersect(t)
                     limit = hooked
                 if limit.key() == cert.base.key():
-                    self._emit_limit(limit, "diverges")
+                    self._record("limit", limit, "diverges")
                     return Diverges(cert, limit)
-                self._emit_limit(limit, kind)
+                self._record("limit", limit, kind)
                 entries.append((limit, stats))
                 config = limit
                 found = self._detect_limit_level(entries)
                 if found is None:
                     break
                 kind, cert, limit, stats = found
-
-            history = [config]
-            index = {config.key(): 0}
-            self._reset_sweep_bases(config)
 
 
 def run(
@@ -699,12 +702,14 @@ def run(
     """Execute from the standard start: start state, heads at 0, given input,
     all other tapes empty.
 
-    trace, if given, receives a dict per event: a `limit` record at each
-    limit jump (its kind and the describe() fields of the limit), a `halt`
-    record (the describe() fields of the final configuration), an
-    `unresolved` record when a budget runs out (the describe() fields of the
-    last configuration and the reason) and, with trace_steps, a `step` record
-    per successor step (time, state, heads and its writes, each flipped cell
-    as [role, cell, bit])."""
+    trace, if given, receives a dict per event, each limit, halt and
+    unresolved one built in one place with its fields in one order: `event`,
+    a limit's `kind`, the describe() fields (`time`, `state`, `heads`,
+    `tapes`), and an unresolved run's `reason`.  A `limit` record comes at
+    each limit jump (kind `diverges` at the limit that repeats its loop), a
+    `halt` record gives the final configuration, and an `unresolved` record
+    the last one when a budget runs out.  With trace_steps a `step` record
+    follows each successor step: `event`, `time`, `state`, `heads` and its
+    `writes`, each flipped cell as [role, cell, bit]."""
     config = initial_configuration(program, input_tape)
     return _Runner(program, budget, miracle_hook, trace, trace_steps).run(config)

@@ -118,12 +118,6 @@ class Ordinal:
             return Ordinal(self.terms[:-1] + ((exp, coef - 1),))
         return Ordinal(self.terms[:-1])
 
-    def limit_part(self) -> "Ordinal":
-        """Drop the finite tail: the largest limit-or-zero ordinal <= self."""
-        if self.terms and self.terms[-1][0].is_zero:
-            return Ordinal(self.terms[:-1])
-        return self
-
     # -- comparisons --------------------------------------------------------
 
     def __hash__(self):
@@ -141,24 +135,8 @@ class Ordinal:
     def __ge__(self, other):
         return self._key >= other._key
 
-    # -- arithmetic sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
     def __repr__(self):
         return format_ordinal(self)
-
-
-def _coerce(value) -> Ordinal:
-    if isinstance(value, Ordinal):
-        return value
-    if isinstance(value, int):
-        return from_int(value)
-    raise TypeError(f"cannot use {value!r} as an ordinal")
 
 
 def from_int(n: int) -> Ordinal:

@@ -16,11 +16,11 @@ from .errors import TotalityError
 from .ordinals import Ordinal, ZERO
 from .tapes import Tape
 
-__all__ = ["ROLE_ORDER", "Transition", "Program", "Configuration"]
+__all__ = ["ROLE_ORDER", "REQUIRED_ROLES", "Transition", "Program", "Configuration"]
 
 ROLE_ORDER = ("in", "work", "out", "miracle")
 
-_REQUIRED_ROLES = ("in", "work", "out")
+REQUIRED_ROLES = ("in", "work", "out")
 
 MOVES = ("L", "R", "S")
 
@@ -45,7 +45,7 @@ class Program:
         for role in self.tape_roles:
             if role not in ROLE_ORDER:
                 raise ValueError(f"unknown tape role {role!r}")
-        for role in _REQUIRED_ROLES:
+        for role in REQUIRED_ROLES:
             if self.tape_roles.count(role) != 1:
                 raise ValueError(f"tape role {role!r} must appear exactly once")
         if self.tape_roles.count("miracle") > 1:
@@ -96,13 +96,3 @@ class Configuration:
     def key(self):
         """Identity modulo time (what loop detection compares)."""
         return (self.state, self.heads, self.tapes)
-
-    def replace(self, **kwargs) -> "Configuration":
-        data = {
-            "state": self.state,
-            "heads": self.heads,
-            "tapes": self.tapes,
-            "time": self.time,
-        }
-        data.update(kwargs)
-        return Configuration(**data)

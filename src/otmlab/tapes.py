@@ -74,10 +74,6 @@ class Tape:
             for lo, hi in self.ones
         )
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.bounds
-
     def read(self, cell: Ordinal) -> int:
         return bisect_right(self.bounds, cell._key, key=_key) & 1
 

@@ -141,6 +141,89 @@ class TestRun:
                  "unresolved": {"event": "unresolved"}}[kind]
         assert last == {**event, **expected}
 
+    # (program, budget, extra options, the exact lines of the --trace file)
+    TRACE_LINES = {
+        "steps": ("demos/right_sweep.otm", "100000,64", ["--trace-steps"], [
+            '{"event": "step", "time": "1", "state": "qa", "heads": ["0", "0", "0"], '
+            '"writes": [["in", "0", 1]]}',
+            '{"event": "step", "time": "2", "state": "qb", "heads": ["0", "0", "0"], '
+            '"writes": []}',
+            '{"event": "step", "time": "3", "state": "qc", "heads": ["0", "0", "0"], '
+            '"writes": [["in", "0", 0]]}',
+            '{"event": "step", "time": "4", "state": "qa", "heads": ["0", "1", "0"], '
+            '"writes": [["in", "0", 1], ["work", "0", 1]]}',
+            '{"event": "limit", "kind": "sweep", "time": "w", "state": "qa", '
+            '"heads": ["0", "w", "0"], "tapes": {"in": [], "work": ["[0,w)"], "out": []}}',
+            '{"event": "step", "time": "w+1", "state": "qd", "heads": ["0", "w", "0"], '
+            '"writes": []}',
+            '{"event": "step", "time": "w+2", "state": "done", "heads": ["0", "w", "0"], '
+            '"writes": []}',
+            '{"event": "halt", "time": "w+2", "state": "done", "heads": ["0", "w", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w)"], "out": []}}',
+        ]),
+        "step-budget-after-a-limit": ("demos/right_sweep.otm", "5,1", [], [
+            '{"event": "limit", "kind": "sweep", "time": "w", "state": "qa", '
+            '"heads": ["0", "w", "0"], "tapes": {"in": [], "work": ["[0,w)"], "out": []}}',
+            '{"event": "unresolved", "time": "w+1", "state": "qd", "heads": ["0", "w", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w)"], "out": []}, '
+            '"reason": "successor step budget exhausted"}',
+        ]),
+        "step-budget": ("demos/right_sweep.otm", "2,1", [], [
+            '{"event": "unresolved", "time": "2", "state": "qb", "heads": ["0", "0", "0"], '
+            '"tapes": {"in": ["[0,1)"], "work": [], "out": []}, '
+            '"reason": "successor step budget exhausted"}',
+        ]),
+        "diverges": (FINAL_RECORDS["diverges"][0], "2000,2", [], [
+            '{"event": "limit", "kind": "diverges", "time": "w", "state": "q1", '
+            '"heads": ["0", "1", "0"], "tapes": {"in": [], "work": ["[0,1)"], "out": []}}',
+        ]),
+        "tower": ("tapes in work out; state q0;\n"
+                  "rule q0 -> write work=1 move work=R goto q0;\n", "1000,5", [], [
+            '{"event": "limit", "kind": "sweep", "time": "w", "state": "q0", '
+            '"heads": ["0", "w", "0"], "tapes": {"in": [], "work": ["[0,w)"], "out": []}}',
+            '{"event": "limit", "kind": "sweep", "time": "w*2", "state": "q0", '
+            '"heads": ["0", "w*2", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w*2)"], "out": []}}',
+            '{"event": "limit", "kind": "limit-sweep", "time": "w^2", "state": "q0", '
+            '"heads": ["0", "w^2", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w^2)"], "out": []}}',
+            '{"event": "limit", "kind": "limit-sweep", "time": "w^3", "state": "q0", '
+            '"heads": ["0", "w^3", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w^3)"], "out": []}}',
+            '{"event": "limit", "kind": "limit-sweep", "time": "w^4", "state": "q0", '
+            '"heads": ["0", "w^4", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w^4)"], "out": []}}',
+            '{"event": "unresolved", "time": "w^4", "state": "q0", '
+            '"heads": ["0", "w^4", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w^4)"], "out": []}, '
+            '"reason": "limit jump budget exhausted"}',
+        ]),
+        "jump-budget": ("tapes in work out; state q0;\n"
+                        "rule q0 -> write work=1 move work=R goto q0;\n", "1000,1", [], [
+            '{"event": "limit", "kind": "sweep", "time": "w", "state": "q0", '
+            '"heads": ["0", "w", "0"], "tapes": {"in": [], "work": ["[0,w)"], "out": []}}',
+            '{"event": "unresolved", "time": "w+1", "state": "q0", '
+            '"heads": ["0", "w+1", "0"], '
+            '"tapes": {"in": [], "work": ["[0,w+1)"], "out": []}, '
+            '"reason": "limit jump budget exhausted"}',
+        ]),
+    }
+
+    @pytest.mark.parametrize("kind", list(TRACE_LINES))
+    def test_trace_lines_are_pinned_byte_for_byte(self, kind, tmp_path, monkeypatch,
+                                                  capsys):
+        """The --trace file is JSON without sorted keys, so its field order is
+        part of what it says: event, a limit's kind, time, state, heads,
+        tapes, an unresolved run's reason; a step's writes come last."""
+        program, budget, extra, lines = self.TRACE_LINES[kind]
+        if not program.endswith(".otm"):
+            (tmp_path / "p.otm").write_text(program)
+            program = str(tmp_path / "p.otm")
+        monkeypatch.chdir(ROOT)
+        trace = tmp_path / "trace.jsonl"
+        main(["run", program, "--budget", budget, "--trace", str(trace), *extra])
+        assert trace.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.otm"
         p.write_text("tapes in work out; state q0;\nrule q0 work=0 -> goto q0;\n")
@@ -540,22 +623,28 @@ class TestSetCommands:
         assert capsys.readouterr().out.strip().endswith("false")
 
     @pytest.mark.parametrize(
-        "argv, option",
+        "argv, message",
         [
-            (["canon", "PP", "--map", '[["{{}}","{}"]]', "--rule", "ack-max"], "--rule"),
+            (["canon", "PP", "--map", '[["{{}}","{}"]]', "--rule", "ack-max"],
+             "otmlab canon: error: argument --rule: not allowed with argument --map"),
             (["eval", "x in y", "--env", "x={}", "--env", "y={{}}", "--carrier", "{}"],
-             "--carrier"),
+             "eval: --carrier is for prenex statements only"),
             (["eval", "ALL x EX y (x in y)", "--carrier", "{} ; {{}}", "--env", "x={}"],
-             "--env"),
+             "eval: prenex statements bind every variable; drop --env"),
+            (["run", "demos/right_sweep.otm", "--trace-steps"],
+             "run: --trace-steps needs --trace"),
         ],
-        ids=["canon-map-and-rule", "eval-delta0-carrier", "eval-prenex-env"],
+        ids=["canon-map-and-rule", "eval-delta0-carrier", "eval-prenex-env",
+             "run-trace-steps-without-trace"],
     )
-    def test_an_option_the_command_would_ignore_is_a_usage_error(self, argv, option,
-                                                                capsys):
+    def test_an_option_the_command_would_ignore_is_a_usage_error(self, argv, message,
+                                                                monkeypatch, capsys):
+        """The last line of stderr names the option and why it is refused."""
+        monkeypatch.chdir(ROOT)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert option in captured.err
+        assert captured.err.splitlines()[-1] == message
 
     def test_canon_ok_and_fail(self, capsys):
         assert main(["canon", "PP", "--rule", "ack-min", "--universe", "rank:3"]) == 0

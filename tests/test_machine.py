@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -18,9 +19,9 @@ from otmlab.machine import (
     run,
     step,
 )
-from otmlab.ordinals import OMEGA, ZERO, format_ordinal, from_int, parse_ordinal
+from otmlab.ordinals import OMEGA, ZERO, add, format_ordinal, from_int, parse_ordinal
 from otmlab.programs import Program, Transition
-from otmlab.tapes import Tape
+from otmlab.tapes import EMPTY_TAPE, Tape
 
 W = OMEGA
 
@@ -161,9 +162,7 @@ class TestStep:
             "tapes in work out; state q0; state h halt;\n"
             "rule q0 -> move work=L goto h;"
         )
-        c = initial_configuration(p).replace(
-            heads=(ZERO, W, ZERO)
-        )
+        c = dataclasses.replace(initial_configuration(p), heads=(ZERO, W, ZERO))
         nxt = step(p, c)
         assert nxt.heads[1] == ZERO
 
@@ -346,7 +345,7 @@ class TestLimits:
         out = run(p, budget=RunBudget(10, 1))
         assert isinstance(out, Halted)
         assert out.final.time == ZERO
-        assert all(t.is_empty for t in out.final.tapes)
+        assert all(t == EMPTY_TAPE for t in out.final.tapes)
 
     def test_miracle_hook_fires_once_per_arrival(self):
         # the loop a -> b -> a -> qm -> a sweeps the work tape and certifies a
@@ -467,7 +466,7 @@ class TestResolveLimit:
         start = initial_configuration(p)
         tapes = list(start.tapes)
         tapes[wi] = Tape([beyond])
-        base = start.replace(tapes=tuple(tapes))
+        base = dataclasses.replace(start, tapes=tuple(tapes))
         cert = LoopCertificate(
             base=base, period=1, strides=(ZERO, from_int(1), ZERO)
         )
@@ -494,7 +493,7 @@ class TestResolveLimit:
         start = initial_configuration(p)
         tapes = list(start.tapes)
         tapes[p.tape_index("work")] = Tape([(from_int(cell), from_int(cell + 1))])
-        return start.replace(tapes=tuple(tapes))
+        return dataclasses.replace(start, tapes=tuple(tapes))
 
     # each certificate below fails two checks; resolve_limit reports the one
     # it makes first, whatever the executor's detection checks first
@@ -636,7 +635,7 @@ class TestDeterminismAndTrace:
 
         monkeypatch.setattr("otmlab.machine.format_ordinal", refuse)
         final = run(parse_program(RIGHT_SWEEP), budget=RunBudget(2000, 2))
-        assert isinstance(final, Halted) and final.final.time is W + 2
+        assert isinstance(final, Halted) and final.final.time is add(W, from_int(2))
 
 
 class TestAsmErrors:

@@ -157,7 +157,7 @@ def _probes(*tapes):
 def _assert_same(tape, ref, probes):
     assert tape.ones == ref.ones
     assert all(x._key < y._key for x, y in zip(tape.bounds, tape.bounds[1:]))
-    assert tape.is_empty == (not ref.ones)
+    assert (tape is EMPTY_TAPE) == (not ref.ones)
     for cell in probes:
         assert tape.read(cell) == ref.read(cell), cell
     for lo in probes:
