@@ -128,7 +128,10 @@ def cmd_run(args) -> int:
     from .asm import load_program
     from .tapes import Tape
 
-    if args.trace_steps and not args.trace:
+    if args.trace == "":
+        print("run: --trace needs a file path", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trace_steps and args.trace is None:
         print("run: --trace-steps needs --trace", file=sys.stderr)
         return EXIT_USAGE
     program = load_program(args.program)
@@ -142,7 +145,7 @@ def cmd_run(args) -> int:
         input_tape = Tape()
     trace_fh = None
     trace_cb = None
-    if args.trace:
+    if args.trace is not None:
         trace_fh = open(args.trace, "w", encoding="utf-8")
 
         def trace_cb(record):

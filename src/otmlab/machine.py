@@ -305,13 +305,34 @@ def _strides(base: Configuration, end: Configuration) -> Optional[Tuple[Ordinal,
 
 def _blocked_tapes(base: Configuration) -> Tuple[int, ...]:
     """The tapes base blocks: those not constant on [h, h+w) from their head
-    h.  A sweep from base with stride d >= 1 has its limit h + d*w at or
-    beyond h + w, so it is never constant ahead of a blocked tape's sweep."""
-    return tuple(
-        i
-        for i, (tape, h) in enumerate(zip(base.tapes, base.heads))
-        if tape.constant_on(h, add(h, OMEGA)) is None
-    )
+    h, each read with one Tape.constant_ahead.  A sweep from base with stride
+    d >= 1 has its limit h + d*w at or beyond h + w, so it is never constant
+    ahead of a blocked tape's sweep."""
+    blocked = []
+    for i, tape in enumerate(base.tapes):
+        if tape.constant_ahead(base.heads[i]) is None:
+            blocked.append(i)
+    return tuple(blocked)
+
+
+def _sweep_prefilter(
+    base: Configuration, end: Configuration
+) -> Optional[Tuple[Ordinal, ...]]:
+    """The strides of the sweep from base to end, or None when it fails a
+    check of _resolve_loop that reads no segment summary: _strides finds no
+    translation, or a stationary tape changed content.  The third such check,
+    that a swept tape is constant ahead of its sweep, is _detect's screen: a
+    head moves right at most one cell a step, so every stride here is finite
+    and every sweep limit is h0 + w, and a swept tape is constant ahead of
+    its sweep exactly when base does not block it."""
+    strides = _strides(base, end)
+    if strides is None:
+        return None
+    for i, d in enumerate(strides):
+        tape = base.tapes[i]
+        if d.is_zero and tape is not end.tapes[i] and tape != end.tapes[i]:
+            return None
+    return strides
 
 
 def _limit_time(base: Configuration, end: Configuration) -> Ordinal:
@@ -509,8 +530,6 @@ class _Runner:
     # .. trace helpers ..
 
     def _emit_step(self, before: Configuration, after: Configuration):
-        if self.trace is None or not self.trace_steps:
-            return
         writes = []
         for i, (old, new) in enumerate(zip(before.tapes, after.tapes)):
             if old is not new and old != new:
@@ -544,7 +563,13 @@ class _Runner:
     ) -> Optional[Tuple[str, LoopCertificate, Configuration, _Summary]]:
         """The first loop the recorded run certifies, as (kind, certificate,
         limit, tail): an exact recurrence first, then sweeps from the bases
-        in the end's state, by increasing period.  None when there is none."""
+        in the end's state, by increasing period.  None when there is none.
+
+        The screen runs in this loop, before any call: a base whose blocked
+        tapes (found once per base by _blocked_tapes) include one whose head
+        the end has moved is skipped by identity tests alone.  Only a base
+        that passes it reaches _sweep_prefilter, and only a candidate that
+        passes that builds the segment's _HeadBounds."""
         end = history[-1]
         i = index.get(end.key())
         if i is not None:
@@ -554,15 +579,31 @@ class _Runner:
             cert = LoopCertificate(base, len(history) - 1 - i, strides)
             return "cycle", cert, limit, tail
         n = len(history) - 1
-        bounds = _HeadBounds(history)
+        end_heads = end.heads
+        blocked_of = self._blocked
+        bounds = None
         for b in reversed(self._by_state.get(end.state, ())):
             period = n - b
             if period > _SWEEP_MAX_PERIOD:
                 break
             base = history[b]
-            strides = self._sweep_prefilter(b, base, end)
+            # the screen: the end moved the head of a tape base blocks
+            blocked = blocked_of.get(b)
+            if blocked is None:
+                blocked = blocked_of[b] = _blocked_tapes(base)
+            base_heads = base.heads
+            moved = False
+            for t in blocked:
+                if end_heads[t] is not base_heads[t]:
+                    moved = True
+                    break
+            if moved:
+                continue
+            strides = _sweep_prefilter(base, end)
             if strides is None:
                 continue
+            if bounds is None:
+                bounds = _HeadBounds(history)
             # the visited bounds grow with the period, so each candidate only
             # folds in the positions the previous one did not cover
             unit = _Summary(history[b:], *bounds.upto(period))
@@ -573,31 +614,6 @@ class _Runner:
             cert = LoopCertificate(base, period, strides)
             return "sweep", cert, limit, tail
         return None
-
-    def _sweep_prefilter(
-        self, b: int, base: Configuration, end: Configuration
-    ) -> Optional[Tuple[Ordinal, ...]]:
-        """The strides of the sweep from base = history[b] to end, or None
-        when it fails a check of _resolve_loop that reads no segment summary:
-        _strides finds no translation, a swept tape is not constant ahead of
-        its sweep, or a stationary tape changed content.  A head moves right
-        at most one cell a step, so every stride here is finite and every sweep
-        limit is h0 + w: a swept tape is constant ahead of its sweep exactly
-        when base does not block it."""
-        blocked = self._blocked.get(b)
-        if blocked is None:
-            blocked = self._blocked[b] = _blocked_tapes(base)
-        for i in blocked:
-            if end.heads[i] is not base.heads[i]:
-                return None
-        strides = _strides(base, end)
-        if strides is None:
-            return None
-        for i, d in enumerate(strides):
-            tape = base.tapes[i]
-            if d.is_zero and tape is not end.tapes[i] and tape != end.tapes[i]:
-                return None
-        return strides
 
     def _detect_limit_level(
         self, entries: List[Tuple[Configuration, _Summary]]
@@ -628,6 +644,10 @@ class _Runner:
     def run(self, config: Configuration) -> RunOutcome:
         program = self.program
         config = _apply_hook(program, config, self.hook)
+        # decided once per run: whether a successor step can meet the hook,
+        # and whether it is traced
+        has_hook = self.hook is not None and program.miracle_state is not None
+        traces_steps = self.trace is not None and self.trace_steps
         entries: List[Tuple[Configuration, _Summary]] = []
 
         while True:
@@ -649,9 +669,12 @@ class _Runner:
                     return Unresolved(config, reason)
 
                 before = config
-                config = _apply_hook(program, step(program, before), self.hook)
+                config = step(program, before)
+                if has_hook:
+                    config = _apply_hook(program, config, self.hook)
                 self.steps += 1
-                self._emit_step(before, config)
+                if traces_steps:
+                    self._emit_step(before, config)
                 history.append(config)
 
                 found = self._detect(history, index)

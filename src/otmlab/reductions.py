@@ -526,11 +526,12 @@ class _Order:
     field element: the instance x of an answer over downclose(x)."""
 
     def __init__(self, w: HfSet):
-        if pairs_of(w) is None:
-            raise WitnessExecutionError("order value is not a set of pairs")
         self.field = set_union(set_union(w))
         ordered = decode_linear_order(w, self.field)
         if ordered is None:
+            # the pairs are read again only to say what is wrong
+            if pairs_of(w) is None:
+                raise WitnessExecutionError("order value is not a set of pairs")
             raise WitnessExecutionError("oracle answer is not a linear order")
         tops = [u for u in self.field.elements if not any(u in v for v in self.field.elements)]
         if len(tops) != 1:

@@ -16,11 +16,12 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Iterable, Optional, Tuple
 
-from .ordinals import Ordinal, format_ordinal, succ
+from .ordinals import OMEGA, Ordinal, add, format_ordinal, succ
 
 __all__ = ["Tape", "EMPTY_TAPE"]
 
 _key = attrgetter("_key")
+_OMEGA_KEY = OMEGA._key
 
 
 def _normalize(intervals: Iterable[Tuple[Ordinal, Ordinal]]) -> Tuple[Ordinal, ...]:
@@ -112,6 +113,18 @@ class Tape:
         k = bisect_right(b, lo._key, key=_key)
         if k < len(b) and b[k]._key < hi._key:
             return None
+        return k & 1
+
+    def constant_ahead(self, h: Ordinal) -> Optional[int]:
+        """The single bit covering the w cells [h, h+w) from h, or None if
+        they are mixed: constant_on(h, add(h, OMEGA)) in one bisect, without
+        the addition when h is finite (n + w = w)."""
+        b = self.bounds
+        k = bisect_right(b, h._key, key=_key)
+        if k < len(b):
+            end = OMEGA if h._key < _OMEGA_KEY else add(h, OMEGA)
+            if b[k]._key < end._key:
+                return None
         return k & 1
 
     def intersect(self, other: "Tape") -> "Tape":

@@ -633,9 +633,14 @@ class TestSetCommands:
              "eval: prenex statements bind every variable; drop --env"),
             (["run", "demos/right_sweep.otm", "--trace-steps"],
              "run: --trace-steps needs --trace"),
+            (["run", "demos/right_sweep.otm", "--trace", ""],
+             "run: --trace needs a file path"),
+            (["run", "demos/right_sweep.otm", "--trace", "", "--trace-steps"],
+             "run: --trace needs a file path"),
         ],
         ids=["canon-map-and-rule", "eval-delta0-carrier", "eval-prenex-env",
-             "run-trace-steps-without-trace"],
+             "run-trace-steps-without-trace", "run-empty-trace-path",
+             "run-empty-trace-path-with-steps"],
     )
     def test_an_option_the_command_would_ignore_is_a_usage_error(self, argv, message,
                                                                 monkeypatch, capsys):

@@ -582,8 +582,13 @@ def test_detection_matches_the_unfiltered_scan(monkeypatch):
     """At every step, _Runner._detect, which tries only bases in the end's
     state and rejects most of them before building a summary, decides what
     the unfiltered scan of oracles.reference_detect decides.  The runs
-    include programs that move heads left, hand-written limit-level loops
-    and a miracle hook that rewrites its tape."""
+    include programs that move heads left, hand-written limit-level loops,
+    a miracle hook that rewrites its tape and the shipped .otm stages, whose
+    bases block a tape, so the blocked-head screen rejects almost all of
+    their candidates."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import stages as bench_stages
+
     detect = machine._Runner._detect
     seen = collections.Counter()
 
@@ -621,9 +626,15 @@ def test_detection_matches_the_unfiltered_scan(monkeypatch):
             budget=RunBudget(60, 2),
             miracle_hook=lambda tape: Tape(),
         )
+    hand = seen.copy()
+    sets = [x for x in hfsets.universe_rank_le(2) if len(x)]
+    for _, program, x, _ in bench_stages.stage_runs(sets):
+        run(program, codes.code_to_tape(codes.encode(x)))
+    staged = seen - hand
     assert seeded["sweep"] >= 5 and seeded["none"] >= 1000, seeded
     assert left["sweep"] >= 20 and left["cycle"] >= 10, left
-    assert seen["sweep"] >= seeded["sweep"] + left["sweep"] + 6, seen
+    assert hand["sweep"] >= seeded["sweep"] + left["sweep"] + 6, hand
+    assert staged["sweep"] >= 3 and staged["none"] >= 400, staged
 
 
 def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypatch):

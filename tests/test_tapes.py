@@ -209,6 +209,20 @@ class TestAgainstPairListReference:
             assert tape.ones == ref.ones
         _assert_same(tape, ref, _probes(tape))
 
+    @given(INTERVALS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_constant_ahead_reads_the_w_cells_from_a_head(self, xs, data):
+        """constant_ahead(h) is constant_on(h, h + w), for finite heads at
+        and next to the tape's boundaries and for transfinite ones."""
+        tape, ref = Tape(xs), PairTape(xs)
+        heads = [from_int(data.draw(st.integers(0, 8)))]
+        heads += [c for c in _near(tape) if c.is_natural]
+        heads += [W, add(W, from_int(3)), mul(W, from_int(2)), W2]
+        for h in heads:
+            want = tape.constant_on(h, add(h, W))
+            assert want == ref.constant_on(h, add(h, W)), h
+            assert tape.constant_ahead(h) == want, h
+
     @given(st.lists(st.integers(0, 40), min_size=4, max_size=30), st.data())
     @settings(max_examples=100, deadline=None)
     def test_fills_across_many_intervals(self, starts, data):
