@@ -18,14 +18,18 @@ of 0, 1, ..., n-1 prove such a relation total and transitive.
 Each relation states its solutions once, in `holds`, and lists candidates
 that include every solution; its witness set (the finite range a
 verification sweep quantifies canonifications over) is the candidates that
-`holds` accepts.
+`holds` accepts.  Three principles are built from PP rather than stated
+again.  PP2 and PPfin are restrictions of PP, made by dataclasses.replace:
+PP2 to the 2-element sets, PPfin to the finite sets, which on hereditarily
+finite sets is all of PP's domain.  ACprime is parallel(PP): its answers are
+the choice functions on a family of PP instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -34,7 +38,6 @@ from .formulas import Delta0Formula, parse_delta0
 from .hfsets import (
     EMPTY,
     HfSet,
-    ack_enumerate,
     ack_sorted,
     hf,
     kpair,
@@ -42,7 +45,6 @@ from .hfsets import (
     pairs_of,
     set_union,
 )
-from .logic import eval_delta0
 
 __all__ = [
     "Relation",
@@ -50,14 +52,13 @@ __all__ = [
     "check_canonification",
     "choice_rules",
     "enumerate_canonifications",
-    "relation_from_formula",
+    "parallel",
     "PRINCIPLES",
     "Poset",
     "encode_poset",
     "decode_poset",
     "encode_order",
     "decode_linear_order",
-    "ack_order_on",
 ]
 
 
@@ -91,6 +92,35 @@ class Relation:
 
     def __repr__(self):
         return f"Relation({self.name})"
+
+
+def parallel(r: Relation, name: str, note: str) -> Relation:
+    """r in parallel: an instance is a set of r-instances, and an answer a set
+    of pairs (z, e) that is a function on the instance with an r-answer e at
+    each member z.  The candidates are the product of r's over the members."""
+    domain, holds, candidates = r.domain, r.holds, r.candidates
+
+    def parallel_holds(x, y):
+        pairs = pairs_of(y)
+        return (
+            pairs is not None
+            and len(dict(pairs)) == len(pairs) == len(x)
+            and all(z in x and holds(z, e) for z, e in pairs)
+        )
+
+    def parallel_candidates(x):
+        return [
+            hf(kpair(z, e) for z, e in zip(x.elements, choice))
+            for choice in itertools.product(*map(candidates, x.elements))
+        ]
+
+    return Relation(
+        name=name,
+        domain=lambda x: all(domain(z) for z in x.elements),
+        holds=parallel_holds,
+        candidates=parallel_candidates,
+        note=note,
+    )
 
 
 @dataclass(frozen=True)
@@ -184,22 +214,6 @@ def enumerate_canonifications(
     return "sampled", canons, product_size
 
 
-def relation_from_formula(name: str, psi: Delta0Formula) -> Relation:
-    """The relation {(x, y) : psi(x, y)}, whose candidate witnesses are the
-    first 256 sets in Ackermann order."""
-
-    def holds(x, y):
-        return eval_delta0(psi, {"x": x, "y": y})
-
-    return Relation(
-        name=name,
-        domain=lambda x: True,
-        holds=holds,
-        candidates=lambda x: (ack_enumerate(k) for k in range(256)),
-        matrix=psi,
-    )
-
-
 # -- structured instances --------------------------------------------------------
 
 
@@ -281,11 +295,6 @@ def decode_linear_order(y: HfSet, f: HfSet) -> Optional[List[HfSet]]:
     return sorted(f.elements, key=below.get)
 
 
-def ack_order_on(x: HfSet) -> HfSet:
-    """The canonical well-order of x: order-by-Ackermann-index, encoded."""
-    return encode_order(list(x.elements))
-
-
 # -- the catalog -----------------------------------------------------------------
 
 
@@ -312,17 +321,9 @@ def _subsets(x: HfSet) -> List[HfSet]:
     return out
 
 
-def _members(x: HfSet) -> Tuple[HfSet, ...]:
-    return x.elements
-
-
 def _poset_field(c: HfSet) -> HfSet:
     poset = decode_poset(c)
     return poset.field if poset is not None else EMPTY
-
-
-def _pp_holds(x, y):
-    return y in x
 
 
 def _mpp_holds(x, y):
@@ -352,25 +353,6 @@ def _ac_holds(x, y):
 def _ac_candidates(x):
     picks = [list(z.elements) for z in x.elements]
     return [hf(choice) for choice in itertools.product(*picks)]
-
-
-def _acp_holds(x, y):
-    """y is a function on x with y(z) in z."""
-    pairs = pairs_of(y)
-    return (
-        pairs is not None
-        and len(dict(pairs)) == len(pairs) == len(x)
-        and all(z in x and e in z for z, e in pairs)
-    )
-
-
-def _acp_candidates(x):
-    members = list(x.elements)
-    picks = [list(z.elements) for z in members]
-    return [
-        hf(kpair(z, e) for z, e in zip(members, choice))
-        for choice in itertools.product(*picks)
-    ]
 
 
 def _wo_holds(x, y):
@@ -410,7 +392,14 @@ def _hmp_holds(c, y):
     )
 
 
-_PP_MATRIX = parse_delta0("(ex u in x (u = u)) -> y in x")
+_PP = Relation(
+    name="PP",
+    domain=_nonempty,
+    holds=lambda x, y: y in x,
+    candidates=lambda x: x.elements,
+    matrix=parse_delta0("(ex u in x (u = u)) -> y in x"),
+    note="every nonempty set contains an element",
+)
 
 PRINCIPLES: Dict[str, Relation] = {
     "ZERO": Relation(
@@ -420,29 +409,12 @@ PRINCIPLES: Dict[str, Relation] = {
         candidates=lambda x: [EMPTY],
         note="the trivially effective bottom relation V x {0}",
     ),
-    "PP": Relation(
-        name="PP",
-        domain=_nonempty,
-        holds=_pp_holds,
-        candidates=_members,
-        matrix=_PP_MATRIX,
-        note="every nonempty set contains an element",
-    ),
-    "PP2": Relation(
-        name="PP2",
-        domain=lambda x: len(x) == 2,
-        holds=_pp_holds,
-        candidates=_members,
-        note="every 2-element set contains an element",
-    ),
-    "PPfin": Relation(
-        name="PPfin",
-        domain=_nonempty,
-        holds=_pp_holds,
-        candidates=_members,
-        note="every nonempty finite set contains an element; on the "
-        "hereditarily finite universe the domain coincides with PP",
-    ),
+    "PP": _PP,
+    "PP2": replace(_PP, name="PP2", domain=lambda x: len(x) == 2, matrix=None,
+                   note="every 2-element set contains an element"),
+    "PPfin": replace(_PP, name="PPfin",
+                     note="every nonempty finite set contains an element; on the "
+                     "hereditarily finite universe the domain coincides with PP"),
     "MPP": Relation(
         name="MPP",
         domain=_nonempty,
@@ -466,13 +438,7 @@ PRINCIPLES: Dict[str, Relation] = {
         candidates=_ac_candidates,
         note="transversals for disjoint families",
     ),
-    "ACprime": Relation(
-        name="ACprime",
-        domain=lambda x: all(len(z) > 0 for z in x.elements),
-        holds=_acp_holds,
-        candidates=_acp_candidates,
-        note="choice functions for families of nonempty sets",
-    ),
+    "ACprime": parallel(_PP, "ACprime", "choice functions for families of nonempty sets"),
     "WO": Relation(
         name="WO",
         domain=lambda x: True,

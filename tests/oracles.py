@@ -820,3 +820,14 @@ def reference_step(program, config):
     )
     heads = tuple(_reference_move_head(h, m) for h, m in zip(config.heads, tr.moves))
     return Configuration(tr.next_state, heads, tapes, add(config.time, ONE))
+
+
+def choice_functions(x: frozenset) -> set:
+    """Every choice function on the family x, as a set of pairs
+    {{z}, {z, e}} with e in z, by recursion on x: each choice e in one member
+    z joins each choice function on the other members."""
+    if not x:
+        return {frozenset()}
+    z = next(iter(x))
+    rest = choice_functions(x - {z})
+    return {f | {frozenset({frozenset({z}), frozenset({z, e})})} for e in z for f in rest}

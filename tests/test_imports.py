@@ -77,6 +77,14 @@ def test_a_subcommand_without_logic_loads_no_verifier(argv, runs):
     assert loaded & VERIFIER == set()
 
 
+def test_the_verifier_loads_relations_and_formulas_but_not_logic():
+    # `check` imports reductions; the principles' matrices are formulas that
+    # only tests evaluate
+    loaded = _imported("otmlab.reductions")
+    assert {"reductions", "relations", "formulas"} <= loaded
+    assert "logic" not in loaded
+
+
 def test_eval_loads_the_logic_it_runs():
     # the control: the probe sees a lazily imported layer
     status, loaded = _fresh(RUN_MAIN, "eval", "x in y", "--env", "x={}", "--env", "y={{}}")

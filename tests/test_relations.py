@@ -1,12 +1,12 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
 
 import oracles
 from otmlab.errors import EmptyWitnessSet, OracleDomainError
-from otmlab.formulas import parse_delta0
 from otmlab.hfsets import (
     EMPTY,
     ack_enumerate,
@@ -21,7 +21,7 @@ from otmlab.reductions import builtin_witnesses
 from otmlab.relations import (
     PRINCIPLES,
     Canonification,
-    ack_order_on,
+    Relation,
     check_canonification,
     choice_rules,
     decode_linear_order,
@@ -29,7 +29,6 @@ from otmlab.relations import (
     encode_order,
     encode_poset,
     enumerate_canonifications,
-    relation_from_formula,
 )
 
 SE = singleton(EMPTY)
@@ -37,6 +36,14 @@ SSE = singleton(SE)
 PAIR01 = hf([EMPTY, SE])
 U3 = universe_rank_le(3)
 U2 = universe_rank_le(2)
+# no answer at any instance
+NEVER = Relation("never", domain=lambda x: True, holds=lambda x, y: y in x and x in y,
+                 candidates=lambda x: x.elements)
+
+
+@pytest.fixture(scope="module")
+def u4():
+    return universe_rank_le(4)
 
 
 class TestEncodedStructures:
@@ -98,7 +105,7 @@ class TestEncodedStructures:
 
     def test_ack_order_is_a_well_order(self):
         for x in U3:
-            assert decode_linear_order(ack_order_on(x), x) == list(x.elements)
+            assert decode_linear_order(encode_order(list(x.elements)), x) == list(x.elements)
 
     def test_maximal_structures(self):
         three = hf([EMPTY, SE, SSE])
@@ -153,6 +160,34 @@ class TestAgainstDefinitions:
                     seen[holds] += 1
         assert seen == {True: 60, False: 70}
 
+    def test_acprime_answers_are_the_choice_functions(self, u4):
+        """On the 8 families of rank <= 3 and the 1,224 of rank 4 with at
+        most 8 answers (12 and 7,044 answers), AC''s answers are the choice
+        functions the oracle builds.  The bound keeps the test near 1 s: the
+        2,832 families with at most 16 answers take about four times as long,
+        and all 32,768 rank-4 families have 14.9 million answers."""
+        ACP, frozen = PRINCIPLES["ACprime"], oracles.to_frozen
+        seen = collections.Counter()
+        for x in u4:
+            if ACP.domain(x) and math.prod(len(z) for z in x.elements) <= 8:
+                answers = {frozen(y) for y in ACP.answers(x)}
+                assert answers == oracles.choice_functions(frozen(x)), x
+                seen[x in U3, "families"] += 1
+                seen[x in U3, "answers"] += len(answers)
+        assert seen == {(True, "families"): 8, (True, "answers"): 12,
+                        (False, "families"): 1224, (False, "answers"): 7044}
+
+    def test_pp_restrictions_and_acprime_have_the_defined_domains(self, u4):
+        """On every set of rank <= 4, read through its Ackermann index k,
+        whose 1 bits are the indices of its members, {} being bit 0: PP2 asks
+        for exactly two members, PP and PPfin for one, and AC' for no empty
+        member."""
+        P = PRINCIPLES
+        for k, x in enumerate(u4):
+            assert P["PP2"].domain(x) == (bin(k).count("1") == 2), x
+            assert P["PP"].domain(x) == P["PPfin"].domain(x) == (k != 0), x
+            assert P["ACprime"].domain(x) == (k % 2 == 0), x
+
 
 class TestCatalog:
     def test_pp_examples(self):
@@ -172,17 +207,19 @@ class TestCatalog:
         with pytest.raises(OracleDomainError, match=r"^canonification undefined at \{\{\}\}$"):
             Canonification({})(SE)
 
-    def test_pp_matrix_matches_predicate(self):
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, r in PRINCIPLES.items() if r.matrix is not None))
+    def test_pp_matrix_matches_predicate(self, name):
         from otmlab.logic import eval_delta0
 
-        PP = PRINCIPLES["PP"]
+        relation = PRINCIPLES[name]
         for x in U3:
-            for y in universe_rank_le(2):
-                assert eval_delta0(PP.matrix, {"x": x, "y": y}) == PP.satisfied(x, y)
+            for y in U2:
+                assert eval_delta0(relation.matrix, {"x": x, "y": y}) == relation.satisfied(x, y)
 
     def test_wo_ack_order_canonification(self):
         WO = PRINCIPLES["WO"]
-        canon = Canonification({x: ack_order_on(x) for x in U3})
+        canon = Canonification({x: encode_order(list(x.elements)) for x in U3})
         ok, _ = check_canonification(canon, WO, U3)
         assert ok
 
@@ -258,12 +295,14 @@ def _catalog_instances(name):
 
 def _pair_set_answers(name, x):
     """For principles whose answers are sets of Kuratowski pairs: every set of
-    candidate pairs, with and without a junk pair from outside the field, on
+    candidate pairs, with and without a junk pair from outside the field (for
+    AC', also a pair (w, e) with e in w for a w outside the family), on
     instances with at most 4 field elements (none for the other principles)."""
     if name == "WO" and len(x) <= 4:
         pairs = [kpair(a, b) for a in x.elements for b in x.elements if a is not b]
     elif name == "ACprime" and len(x) + len(set_union(x)) <= 4:
         pairs = [kpair(z, e) for z in x.elements for e in set_union(x).elements]
+        pairs.append(kpair(singleton(x), x))
     else:
         return []
     pairs.append(kpair(x, x))
@@ -325,11 +364,8 @@ class TestEnumeration:
         assert [c.mapping for c in again[1]] == [c.mapping for c in canons]
 
     def test_empty_witness_set_raises(self):
-        never = relation_from_formula(
-            "never", parse_delta0("y in x & x in y")
-        )
         with pytest.raises(EmptyWitnessSet):
-            enumerate_canonifications(never, [SE], cap=10, seed=0, sample_size=0)
+            enumerate_canonifications(NEVER, [SE], cap=10, seed=0, sample_size=0)
 
 
 class TestAnswers:
@@ -340,11 +376,8 @@ class TestAnswers:
                 assert relation.answers(x) == sorted(set(ws), key=ack_index)
 
     def test_no_answer_raises(self):
-        never = relation_from_formula(
-            "never", parse_delta0("y in x & x in y")
-        )
         with pytest.raises(EmptyWitnessSet) as err:
-            never.answers(SE)
+            NEVER.answers(SE)
         assert err.value.instance is SE
 
     def test_choice_rules(self):
@@ -369,11 +402,3 @@ class TestAnswers:
             assert [canon(x) for x in instances] == [
                 rng.choice(PP.answers(x)) for x in instances
             ]
-
-
-class TestFormulaRelations:
-    def test_r_psi(self):
-        member = relation_from_formula("member", parse_delta0("y in x"))
-        assert member.holds(SE, EMPTY)
-        assert not member.holds(SE, SE)
-        assert member.witness_set(SE) == [EMPTY]
