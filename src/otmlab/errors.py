@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from dataclasses import dataclass
+
 
 class OtmLabError(Exception):
     """Base class for all otmlab errors."""
@@ -15,27 +17,17 @@ class MalformedCertificate(OtmLabError):
     """The period a loop certificate covers contradicts the certified behaviour."""
 
 
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Position of a token inside a source text (1-based line/column)."""
 
-    __slots__ = ("line", "column", "length")
+    line: int
+    column: int
+    length: int
 
-    def __init__(self, line, column, length):
-        if line < 1 or column < 1:
+    def __post_init__(self):
+        if self.line < 1 or self.column < 1:
             raise ValueError("line and column are 1-based")
-        self.line = line
-        self.column = column
-        self.length = length
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SourceSpan)
-            and (self.line, self.column, self.length)
-            == (other.line, other.column, other.length)
-        )
-
-    def __repr__(self):
-        return f"SourceSpan({self.line}, {self.column}, {self.length})"
 
 
 class ParseError(OtmLabError):

@@ -279,10 +279,8 @@ def _fmt(node: Node, parent_prec: int) -> str:
     return s
 
 
-def format_formula(obj: Union[Node, Delta0Formula, PrenexStatement]) -> str:
+def format_formula(obj: Union[Delta0Formula, PrenexStatement]) -> str:
     if isinstance(obj, PrenexStatement):
         prefix = " ".join(f"ALL {a} EX {e}" for a, e in obj.blocks)
         return f"{prefix} ({_fmt(obj.matrix.root, 0)})"
-    if isinstance(obj, Delta0Formula):
-        return _fmt(obj.root, 0)
-    return _fmt(obj, 0)
+    return _fmt(obj.root, 0)

@@ -1,7 +1,8 @@
 """Truth evaluation over hereditarily finite sets.
 
 eval_delta0 is the native stand-in for a tape-level bounded-truth program:
-it decides any bounded formula over given set values.  search_witness runs
+it decides any bounded formula over given set values, and every free
+variable needs a value, whatever the formula's shape.  search_witness runs
 the enumerate-and-check loop (canonical Ackermann enumeration plus the truth
 evaluator).  eval_prenex and the canonification checker, which checks
 Skolem functions for a prefix of a statement's quantifier blocks, relativize
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import Exhausted, RangeEscape, UnboundVariable
 from .formulas import (
@@ -64,24 +65,21 @@ class Carrier:
         return x in self.members
 
 
-def eval_delta0(formula: Union[Delta0Formula, Node], env: Dict[str, HfSet]) -> bool:
-    """Tarskian evaluation; bounded quantifiers range over the bound's elements."""
-    root = formula.root if isinstance(formula, Delta0Formula) else formula
-    return _eval(root, env)
-
-
-def _lookup(env: Dict[str, HfSet], name: str) -> HfSet:
-    try:
-        return env[name]
-    except KeyError:
-        raise UnboundVariable(name) from None
+def eval_delta0(formula: Delta0Formula, env: Dict[str, HfSet]) -> bool:
+    """Tarskian evaluation; bounded quantifiers range over the bound's elements.
+    The bindings are checked before any node is read: UnboundVariable names
+    the first free variable, in sorted order, that env leaves out."""
+    for name in formula.free:
+        if name not in env:
+            raise UnboundVariable(name)
+    return _eval(formula.root, env)
 
 
 def _eval(node: Node, env: Dict[str, HfSet]) -> bool:
     if isinstance(node, Member):
-        return _lookup(env, node.left) in _lookup(env, node.right)
+        return env[node.left] in env[node.right]
     if isinstance(node, Equal):
-        return _lookup(env, node.left) is _lookup(env, node.right)
+        return env[node.left] is env[node.right]
     if isinstance(node, Not):
         return not _eval(node.body, env)
     if isinstance(node, And):
@@ -91,22 +89,17 @@ def _eval(node: Node, env: Dict[str, HfSet]) -> bool:
     if isinstance(node, Implies):
         return (not _eval(node.left, env)) or _eval(node.right, env)
     if isinstance(node, BoundedAll):
-        domain = _lookup(env, node.bound)
-        return all(_eval(node.body, {**env, node.var: w}) for w in domain)
+        return all(_eval(node.body, {**env, node.var: w}) for w in env[node.bound])
     if isinstance(node, BoundedEx):
-        domain = _lookup(env, node.bound)
-        return any(_eval(node.body, {**env, node.var: w}) for w in domain)
+        return any(_eval(node.body, {**env, node.var: w}) for w in env[node.bound])
     raise TypeError(f"not a formula node: {node!r}")
 
 
 def search_witness(psi: Delta0Formula, a: HfSet, budget: int) -> HfSet:
     """Least witness in Ackermann order: the first b among the canonical
-    enumeration with psi(a, b).  Raises Exhausted after `budget` candidates."""
-    if set(psi.free) != {"a", "b"}:
-        raise UnboundVariable(
-            "witness search needs free variables ['a', 'b'], "
-            f"formula has {list(psi.free)}"
-        )
+    enumeration with psi(a, b).  Raises Exhausted after `budget` candidates,
+    and UnboundVariable for a free variable other than a and b; a psi that
+    leaves out a or b is searched like any other."""
     for k in range(budget):
         b = ack_enumerate(k)
         if eval_delta0(psi, {"a": a, "b": b}):

@@ -564,6 +564,8 @@ class _Runner:
         """The first loop the recorded run certifies, as (kind, certificate,
         limit, tail): an exact recurrence first, then sweeps from the bases
         in the end's state, by increasing period.  None when there is none.
+        The end's configuration key is hashed once: index maps it to the
+        end's position unless an earlier configuration holds it.
 
         The screen runs in this loop, before any call: a base whose blocked
         tapes (found once per base by _blocked_tapes) include one whose head
@@ -571,14 +573,14 @@ class _Runner:
         that passes it reaches _sweep_prefilter, and only a candidate that
         passes that builds the segment's _HeadBounds."""
         end = history[-1]
-        i = index.get(end.key())
-        if i is not None:
+        n = len(history) - 1
+        i = index.setdefault(end.key(), n)
+        if i != n:
             base = history[i]
             strides = (ZERO,) * len(end.heads)
             limit, tail = _resolve_loop(base, end, strides, _Summary.of(history[i:]))
-            cert = LoopCertificate(base, len(history) - 1 - i, strides)
+            cert = LoopCertificate(base, n - i, strides)
             return "cycle", cert, limit, tail
-        n = len(history) - 1
         end_heads = end.heads
         blocked_of = self._blocked
         bounds = None
@@ -680,9 +682,7 @@ class _Runner:
                 found = self._detect(history, index)
                 if found is not None:
                     break
-                n = len(history) - 1
-                index[config.key()] = n
-                self._by_state[config.state].append(n)
+                self._by_state[config.state].append(len(history) - 1)
             kind, cert, limit, tail = found
             # the segment's summary is read off the run it recorded
             stats = _combine_stats([_Summary.of(history), tail])

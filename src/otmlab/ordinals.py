@@ -224,9 +224,7 @@ def sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
         raise ValueError(f"cannot subtract: {b} > {a}")
     if c > 0:
         return Ordinal(ta[k:])
-    if ca == cb:
-        # same (exp, coef) would have advanced k; coefficients must differ
-        raise AssertionError("unreachable")
+    # ea is eb, so ca > cb: equal terms would have advanced k
     return Ordinal(((ea, ca - cb),) + ta[k + 1 :])
 
 

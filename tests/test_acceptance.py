@@ -14,7 +14,7 @@ import pytest
 import oracles
 from otmlab.asm import parse_program
 from otmlab.codes import decode, encode, encode_with_order, is_valid, SetCode
-from otmlab.formulas import parse_formula
+from otmlab.formulas import Delta0Formula, parse_formula
 from otmlab.hfsets import (
     EMPTY,
     ack_enumerate,
@@ -283,15 +283,17 @@ def test_criterion_6_delta0_truth():
             {k: oracles.to_frozen(v) for k, v in env.items()} for env in envs
         ]
         for node in oracles.generate_formulas(5):
+            formula = Delta0Formula.of(node)
             for env, fenv in zip(envs, fenvs):
-                assert eval_delta0(node, env) == oracles.naive_eval(node, fenv)
+                assert eval_delta0(formula, env) == oracles.naive_eval(node, fenv)
         rng = random.Random(4242)
         pool = universe_rank_le(3)
         for _ in range(1000):
             node = oracles.random_formula(rng, rng.randint(6, 14))
+            formula = Delta0Formula.of(node)
             env = {"x": rng.choice(pool), "y": rng.choice(pool)}
             fenv = {k: oracles.to_frozen(v) for k, v in env.items()}
-            assert eval_delta0(node, env) == oracles.naive_eval(node, fenv)
+            assert eval_delta0(formula, env) == oracles.naive_eval(node, fenv)
 
 
 def test_criterion_7_reduction_suite():

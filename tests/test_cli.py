@@ -591,6 +591,24 @@ class TestSetCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    @pytest.mark.parametrize(
+        "formula, name",
+        [
+            ("x = x | y in y", "y"),
+            ("y in y | x = x", "y"),
+            ("x in x -> y in y", "y"),
+            ("all z in x (z in q)", "q"),
+            ("all z in x (q in z)", "q"),
+            ("ex z in x (z = q) & x = x", "q"),
+        ],
+    )
+    def test_eval_unbound_variable_is_a_usage_error(self, formula, name, capsys):
+        """Every free variable needs an --env value, whether or not evaluation
+        would read it: here a disjunct that is never reached or a quantifier
+        over the empty set."""
+        assert main(["eval", formula, "--env", "x={}"]) == 2
+        assert capsys.readouterr() == ("", f"otmlab: unbound variable {name!r}\n")
+
     def test_eval_env_naming_a_variable_twice_is_a_usage_error(self, capsys):
         """A second binding of x is not read as replacing the first."""
         argv = ["eval", "x in y", "--env", "x={}", "--env", " x ={{}}",

@@ -593,8 +593,10 @@ def test_detection_matches_the_unfiltered_scan(monkeypatch):
     seen = collections.Counter()
 
     def compared(self, history, index):
-        found = detect(self, history, index)
+        # the reference reads index as it was before the step; _detect adds
+        # the end to it
         want = oracles.reference_detect(history, index, machine._SWEEP_MAX_PERIOD)
+        found = detect(self, history, index)
         assert _decision(found) == _decision(want)
         seen[found[0] if found else "none"] += 1
         return found

@@ -69,6 +69,14 @@ class TestSearchWitness:
         psi = parse_delta0("a in b")
         assert search_witness(psi, EMPTY, 100) is SE
 
+    def test_a_stray_free_variable_is_named(self):
+        with pytest.raises(UnboundVariable) as err:
+            search_witness(parse_delta0("a in c"), EMPTY, 10)
+        assert err.value.name == "c"
+
+    def test_a_formula_without_a_is_searched(self):
+        assert search_witness(parse_delta0("b = b"), SE, 10) is EMPTY
+
     def test_wellfoundedness_excludes_witnesses(self):
         psi = parse_delta0("a in b & b in a")
         with pytest.raises(Exhausted):
