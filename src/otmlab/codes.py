@@ -71,12 +71,14 @@ def encode_with_order(x: HfSet, domain: Sequence[HfSet]) -> SetCode:
 
 
 def _digraph(code: SetCode) -> Tuple[int, Dict[int, List[int]]]:
-    """(bound, members-per-node); raises InvalidCode on malformed pairs."""
+    """(bound, members-per-node); raises InvalidCode on the least malformed
+    pair.  The pairs are read in increasing order, as a set of ordinals
+    iterates in an order that depends on memory addresses."""
     if not code.bound.is_natural:
         raise InvalidCode("non-finite-bound", f"bound {code.bound}")
     bound = code.bound.to_int()
     members: Dict[int, List[int]] = defaultdict(list)
-    for p in code.pairs:
+    for p in sorted(code.pairs):
         i, j = godel_unpair(p)
         if not (i.is_natural and j.is_natural):
             raise InvalidCode("pair-out-of-bound", f"pair {p} is transfinite")

@@ -1,13 +1,15 @@
 """Transfinite executor: successor steps, head reset, limit resolution.
 
 At successor times the machine behaves classically (with the leftward reset
-rule at limit-indexed cells).  At a limit time the configuration is the
-inferior limit of the run before it, taken separately for the state, each
-head position and each cell.  The executor reaches a limit by certifying that
-a segment base..end of the run repeats, and jumps to the time
-base.time + (end.time - base.time)*w.  One rule resolves every loop: end
-shares base's state and moves each tape's head right by a stride d >= 0.
-The limit takes the least state of the segment and, per tape:
+rule at limit-indexed cells): each step is one lookup in the program's action
+table, which names the cells to flip and the heads to move.  At a limit time
+the configuration is the inferior limit of the run before it, taken
+separately for the state, each head position and each cell.  The executor
+reaches a limit by certifying that a segment base..end of the run repeats,
+and jumps to the time base.time + (end.time - base.time)*w.  One rule
+resolves every loop: end shares base's state and moves each tape's head
+right by a stride d >= 0.  The limit takes the least state of the segment
+and, per tape:
 
   * stride 0 - the content recurs, so the cell and head histories are
     periodic: minima over one segment (tape intersection, least head).
@@ -19,16 +21,18 @@ All-zero strides are an exact repetition: the configuration recurs.  After
 each successor step the executor tries an exact recurrence first, then the
 earlier configurations in the current state as sweep bases by increasing
 period.  A base blocks the tapes that are not constant on the w cells from
-their head, found once per base, and a candidate that moves the head of a
-blocked tape is rejected by identity tests alone, since every sweep limit
-lies at least w cells beyond the base's head.  The rule reads the segment
-through a summary, so it serves every level:
-a period of successor steps the run already recorded (never re-executed), a
-run of earlier limits (which yields w*2, w^2, w^3, ...), or, in resolve_limit,
-which is given a certificate without the run behind it, a replay from the
-certificate's base.  Budgets bound both the successor steps and the number of
-limit jumps; anything uncertified is reported Unresolved, and a limit
-configuration that re-enters its own loop is a proof of divergence.
+their head, found once per base and carried over from the configuration
+before it for each tape whose content and head the step left alone, and a
+candidate that moves the head of a blocked tape is rejected by identity
+tests alone, since every sweep limit lies at least w cells beyond the base's
+head.  The rule reads the segment through a summary, so it serves every
+level: a period of successor steps the run already recorded (never
+re-executed), a run of earlier limits (which yields w*2, w^2, w^3, ...), or,
+in resolve_limit, which is given a certificate without the run behind it, a
+replay from the certificate's base.  Budgets bound both the successor steps
+and the number of limit jumps; anything uncertified is reported Unresolved,
+and a limit configuration that re-enters its own loop is a proof of
+divergence.
 """
 
 from __future__ import annotations
@@ -100,25 +104,27 @@ def _move_head(head: Ordinal, direction: str) -> Ordinal:
 def step(program: Program, config: Configuration) -> Configuration:
     """One successor step.  The state must not be a halt state.
 
-    Only a write that flips its cell calls Tape.write: a tape whose head cell
-    already holds the written bit keeps its Tape object, as does a head that
-    stays (S).  The next time and each rightward move are the cached
-    successors of ordinals.succ."""
+    The program's action table gives, for the state and the bits read, the
+    next state, the cells to flip and the heads to move, so a step touches
+    only those: a tape whose head cell already holds the written bit keeps
+    its Tape object, as does a head that stays (S).  The next time and each
+    rightward move are the cached successors of ordinals.succ."""
     if config.state in program.halt_states:
         raise ValueError(f"cannot step from halt state {config.state}")
     heads, tapes = config.heads, config.tapes
     reads = tuple([t.read(h) for t, h in zip(tapes, heads)])
-    tr = program.transitions[(config.state, reads)]
-    tapes = tuple(
-        [
-            t if w == r else t.write(h, w)
-            for t, h, w, r in zip(tapes, heads, tr.writes, reads)
-        ]
-    )
-    heads = tuple(
-        [h if m == "S" else _move_head(h, m) for h, m in zip(heads, tr.moves)]
-    )
-    return Configuration(tr.next_state, heads, tapes, succ(config.time))
+    next_state, flips, moves = program.actions[(config.state, reads)]
+    if flips:
+        tapes = list(tapes)
+        for i, bit in flips:
+            tapes[i] = tapes[i].write(heads[i], bit)
+        tapes = tuple(tapes)
+    if moves:
+        heads = list(heads)
+        for i, m in moves:
+            heads[i] = _move_head(heads[i], m)
+        heads = tuple(heads)
+    return Configuration(next_state, heads, tapes, succ(config.time))
 
 
 def _apply_hook(
@@ -303,14 +309,25 @@ def _strides(base: Configuration, end: Configuration) -> Optional[Tuple[Ordinal,
     return tuple(strides)
 
 
-def _blocked_tapes(base: Configuration) -> Tuple[int, ...]:
+def _blocked_tapes(
+    base: Configuration,
+    before: Optional[Configuration] = None,
+    known: Optional[Tuple[int, ...]] = None,
+) -> Tuple[int, ...]:
     """The tapes base blocks: those not constant on [h, h+w) from their head
     h, each read with one Tape.constant_ahead.  A sweep from base with stride
     d >= 1 has its limit h + d*w at or beyond h + w, so it is never constant
-    ahead of a blocked tape's sweep."""
+    ahead of a blocked tape's sweep.
+
+    With before, the configuration one step before base, and known, the
+    tapes before blocks, a tape whose Tape object and head base shares with
+    before keeps before's verdict: only the tapes the step changed are read."""
     blocked = []
-    for i, tape in enumerate(base.tapes):
-        if tape.constant_ahead(base.heads[i]) is None:
+    for i, (tape, h) in enumerate(zip(base.tapes, base.heads)):
+        if known is not None and tape is before.tapes[i] and h is before.heads[i]:
+            if i in known:
+                blocked.append(i)
+        elif tape.constant_ahead(h) is None:
             blocked.append(i)
     return tuple(blocked)
 
@@ -568,10 +585,12 @@ class _Runner:
         end's position unless an earlier configuration holds it.
 
         The screen runs in this loop, before any call: a base whose blocked
-        tapes (found once per base by _blocked_tapes) include one whose head
-        the end has moved is skipped by identity tests alone.  Only a base
-        that passes it reaches _sweep_prefilter, and only a candidate that
-        passes that builds the segment's _HeadBounds."""
+        tapes (found once per base by _blocked_tapes, which carries over the
+        verdicts of the configuration before the base when it knows them)
+        include one whose head the end has moved is skipped by identity
+        tests alone.  Only a base that passes it reaches _sweep_prefilter,
+        and only a candidate that passes that builds the segment's
+        _HeadBounds."""
         end = history[-1]
         n = len(history) - 1
         i = index.setdefault(end.key(), n)
@@ -592,7 +611,9 @@ class _Runner:
             # the screen: the end moved the head of a tape base blocks
             blocked = blocked_of.get(b)
             if blocked is None:
-                blocked = blocked_of[b] = _blocked_tapes(base)
+                known = blocked_of.get(b - 1)
+                before = None if known is None else history[b - 1]
+                blocked = blocked_of[b] = _blocked_tapes(base, before, known)
             base_heads = base.heads
             moved = False
             for t in blocked:

@@ -3,10 +3,11 @@
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with ordinal exponents
 e1 > e2 > ... > ek and positive integer coefficients.  The representation is
 unique, so structural equality is ordinal equality.  Instances are interned:
-equal ordinals are the same object, so `==` is the default identity test.
-The hash stays the value hash `hash(terms)`, not the identity hash: the
-iteration order of sets of ordinals (the pairs of a set code, which decoding
-walks and reports the first bad pair of) must not depend on memory addresses.
+equal ordinals are the same object, so `==` and the hash are the default
+identity ones, as for hfsets.HfSet.  Hashing a tuple of ordinals (a
+configuration's heads, a tape's boundaries) then runs in C, with no Python
+call per ordinal.  The iteration order of a set of ordinals depends on memory
+addresses, so code whose output depends on an order sorts first.
 The order is an order key: each instance carries `_key`, the tuple of its
 terms with every exponent replaced by that exponent's key.  Python's
 lexicographic tuple order is CNF order (the first differing (exponent,
@@ -54,7 +55,7 @@ __all__ = [
 class Ordinal:
     """Immutable CNF ordinal.  Use from_int/omega_power/parse_ordinal to build."""
 
-    __slots__ = ("terms", "_hash", "_key", "_succ", "_text")
+    __slots__ = ("terms", "_key", "_succ", "_text")
 
     _intern: dict = {}
 
@@ -71,7 +72,6 @@ class Ordinal:
             prev = exp
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
         object.__setattr__(self, "_key", tuple((e._key, c) for e, c in terms))
         object.__setattr__(self, "_succ", None)
         object.__setattr__(self, "_text", None)
@@ -119,9 +119,6 @@ class Ordinal:
         return Ordinal(self.terms[:-1])
 
     # -- comparisons --------------------------------------------------------
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self._key < other._key

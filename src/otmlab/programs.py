@@ -2,14 +2,17 @@
 
 A Program is an ordinary finite transition table over named states and a
 fixed ordered list of tape roles; the transfinite behaviour all lives in the
-executor.  Configurations are immutable snapshots (state, one ordinal head
-and one sparse tape per role, ordinal time).
+executor.  Each program also keeps one action table, built with the checks
+of its transitions: per (state, reads), the next state, the cells to flip
+and the heads to move, which is all a successor step does.  Configurations
+are immutable snapshots (state, one ordinal head and one sparse tape per
+role, ordinal time).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import TotalityError
@@ -40,6 +43,13 @@ class Program:
     halt_states: FrozenSet[int]
     transitions: Dict[Tuple[int, Tuple[int, ...]], Transition]
     miracle_state: Optional[int] = None
+    # (state, reads) -> (next_state, flips, moves): flips holds the (tape, bit)
+    # pairs whose written bit differs from the one read, moves the (tape, move)
+    # pairs that are not S; Transition stays the public form
+    actions: Dict[
+        Tuple[int, Tuple[int, ...]],
+        Tuple[int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, str], ...]],
+    ] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for role in self.tape_roles:
@@ -55,6 +65,7 @@ class Program:
         if self.miracle_state is not None and "miracle" not in self.tape_roles:
             raise ValueError("a miracle state needs a 'miracle' tape")
         n = len(self.tape_roles)
+        actions = {}
         for (state, reads), tr in self.transitions.items():
             if len(reads) != n or len(tr.writes) != n or len(tr.moves) != n:
                 raise ValueError(f"transition arity mismatch in state {state}")
@@ -62,6 +73,10 @@ class Program:
                 raise ValueError(f"bad move in state {state}")
             if state in self.halt_states:
                 raise ValueError(f"halt state {state} has transitions")
+            flips = tuple([(i, w) for i, w in enumerate(tr.writes) if w != reads[i]])
+            moves = tuple([(i, m) for i, m in enumerate(tr.moves) if m != "S"])
+            actions[(state, reads)] = (tr.next_state, flips, moves)
+        object.__setattr__(self, "actions", actions)
         self.check_total()
 
     @property

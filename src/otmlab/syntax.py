@@ -6,7 +6,8 @@ read character by character through a `CharCursor`.  Each syntax passes its
 differences as data (punctuation, keywords, whitespace), and every syntax
 reports a mistake the same way: a `ParseError` naming the span, what was
 expected and what was found, input nested past Python's recursion limit
-included (`parse_nested`).
+included (`parse_nested`).  JSON inputs are read by `parse_json`, which
+refuses nesting past a fixed depth on every Python version.
 """
 
 from __future__ import annotations
@@ -184,11 +185,31 @@ def parse_nested(cursor, parse: Callable[[], T]) -> T:
         raise ParseError(cursor.span(), "less nesting", "input nested too deeply") from None
 
 
+# the deepest nesting of JSON arrays and objects parse_json accepts; every
+# Python version's json.loads reads this deep without recursing too far
+_JSON_MAX_DEPTH = 100
+
+
 def parse_json(text: str, source: str):
-    """json.loads(text); malformed or too deeply nested JSON is a ValueError naming source."""
+    """json.loads(text); malformed JSON, or JSON whose arrays and objects nest
+    more than 100 deep, is a ValueError naming source.  The depth is checked
+    iteratively on the parsed value: json.loads itself raises RecursionError
+    on deep input under some Python versions and not under others."""
+    too_deep = ValueError(f"{source}: JSON nested too deeply")
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source}: not JSON: {exc}") from None
     except RecursionError:
-        raise ValueError(f"{source}: JSON nested too deeply") from None
+        raise too_deep from None
+    level = [value]
+    for _ in range(_JSON_MAX_DEPTH):
+        level = [
+            child
+            for node in level
+            if isinstance(node, (list, dict))
+            for child in (node.values() if isinstance(node, dict) else node)
+        ]
+        if not level:
+            return value
+    raise too_deep

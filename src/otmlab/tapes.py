@@ -44,7 +44,7 @@ def _normalize(intervals: Iterable[Tuple[Ordinal, Ordinal]]) -> Tuple[Ordinal, .
 class Tape:
     """Immutable sparse 0/1 tape; `bounds` is the sorted boundary tuple."""
 
-    __slots__ = ("bounds", "_hash")
+    __slots__ = ("bounds",)
 
     def __new__(cls, intervals: Iterable[Tuple[Ordinal, Ordinal]] = ()):
         return _tape(_normalize(intervals))
@@ -56,7 +56,9 @@ class Tape:
         return isinstance(other, Tape) and self.bounds == other.bounds
 
     def __hash__(self):
-        return self._hash
+        # not cached: hashing the boundaries runs in C (ordinals hash by
+        # identity), and a tape a run outcome keeps holds no hash object
+        return hash(self.bounds)
 
     def __repr__(self):
         return "Tape(" + ", ".join(self.interval_strings()) + ")"
@@ -162,10 +164,8 @@ def _tape(bounds: Tuple[Ordinal, ...]) -> Tape:
         return EMPTY_TAPE
     tape = object.__new__(Tape)
     object.__setattr__(tape, "bounds", bounds)
-    object.__setattr__(tape, "_hash", hash(bounds))
     return tape
 
 
 EMPTY_TAPE = object.__new__(Tape)
 object.__setattr__(EMPTY_TAPE, "bounds", ())
-object.__setattr__(EMPTY_TAPE, "_hash", hash(()))

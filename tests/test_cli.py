@@ -815,6 +815,20 @@ def test_every_command_takes_sets_deeper_than_the_cap(argv, status, err):
     assert (done.returncode, done.stderr) == (status, err)
 
 
+def test_decode_names_the_least_bad_pair_in_every_process():
+    """A set of ordinals iterates in an order that depends on memory
+    addresses, so decoding reads a code's pairs in increasing order: two
+    fresh interpreters name the same, least transfinite pair."""
+    code = '{"bound":"3","pairs":["w","w*2","w+1","w^2","w^3"]}'
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-m", "otmlab", "decode", code],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "otmlab: invalid code (pair-out-of-bound): pair w is transfinite\n"
+        )
+
+
 def test_a_deep_singleton_chain_encodes_quickly(capsys):
     """A set's order key starts with its rank, so sorting the closure of a
     chain of 400 singletons does not compare the chains level by level (about

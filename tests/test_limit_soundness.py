@@ -699,7 +699,8 @@ def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypa
 
 def test_no_sweep_candidate_moves_the_head_of_a_tape_its_base_blocks(monkeypatch):
     """A base blocks the tapes that are not constant on the w cells from
-    their head.  On the shipped .otm stages, seeded sweep-biased programs and
+    their head, and _detect finds every base's verdict through one
+    _blocked_tapes call, carried over or not.  On the shipped .otm stages, seeded sweep-biased programs and
     left-moving random_program runs, no candidate that reaches _strides from
     _detect moves the head of a tape its base blocks: _detect rejects those
     by head identity before _strides runs."""
@@ -729,8 +730,8 @@ def test_no_sweep_candidate_moves_the_head_of_a_tape_its_base_blocks(monkeypatch
         finally:
             in_detect.pop()
 
-    def counted_blocked(base):
-        blocked = blocked_tapes(base)
+    def counted_blocked(base, before=None, known=None):
+        blocked = blocked_tapes(base, before, known)
         seen["bases"] += 1
         seen["blocking bases"] += bool(blocked)
         return blocked
@@ -753,6 +754,92 @@ def test_no_sweep_candidate_moves_the_head_of_a_tape_its_base_blocks(monkeypatch
     assert stages_seen["bases"] >= 1000 and stages_seen["candidates"] >= 10, stages_seen
     assert seen["candidates"] >= 1000 and seen["moved"] >= 2000, seen
     assert seen["blocking bases"] < seen["bases"], seen
+
+
+# an OTM witness whose run enters the miracle state once per period of a
+# right sweep on its work tape, with the code of {{}} (cell 1) on the miracle
+# tape, and halts at w+2 as demos/right_sweep.otm does
+SWEEPING_MIRACLE = """
+tapes in work out miracle;
+state qs;
+state qa;
+state qb;
+state qm miracle;
+state qc;
+state qd;
+state done halt;
+rule qs -> write in=1 move miracle=R goto qa;
+rule qa in=1 -> goto qb;
+rule qa in=0 -> goto qd;
+rule qb -> write in=0, miracle=1 goto qm;
+rule qm -> goto qc;
+rule qc -> write in=1, work=1 move work=R goto qa;
+rule qd -> goto done;
+"""
+
+
+def test_carried_blocked_verdicts_match_a_fresh_scan(monkeypatch):
+    """At every base _detect reads, the blocked tapes _blocked_tapes returns,
+    with the verdicts of the configuration before the base carried over or
+    not, are the tapes a fresh Tape.constant_ahead scan finds not constant
+    ahead of their head.  Covers the shipped .otm stages, seeded
+    sweep-biased programs, left-moving random_program runs and an OTM
+    witness run whose miracle hook rewrites a tape inside the swept loop."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import limits as bench_limits
+    import stages as bench_stages
+    from otmlab.reductions import ReductionWitness, run_with_miracle
+
+    blocked_tapes = machine._blocked_tapes
+    seen = collections.Counter()
+    group = []
+
+    def checked_blocked(base, before=None, known=None):
+        blocked = blocked_tapes(base, before, known)
+        fresh = tuple(
+            i for i, (tape, h) in enumerate(zip(base.tapes, base.heads))
+            if tape.constant_ahead(h) is None
+        )
+        assert blocked == fresh, (blocked, fresh)
+        seen[group[-1], "bases"] += 1
+        if known is not None:
+            assert ordinals.succ(before.time) is base.time
+            seen[group[-1], "bases with before"] += 1
+            seen[group[-1], "tapes carried"] += sum(
+                tape is old and h is h_old
+                for tape, old, h, h_old in zip(
+                    base.tapes, before.tapes, base.heads, before.heads
+                )
+            )
+        return blocked
+
+    monkeypatch.setattr(machine, "_blocked_tapes", checked_blocked)
+
+    group.append("stages")
+    sets = [x for x in hfsets.universe_rank_le(3) if len(x)]
+    for _, program, x, _ in bench_stages.stage_runs(sets):
+        run(program, codes.code_to_tape(codes.encode(x)))
+    group.append("sweepish")
+    rng = random.Random(bench_limits.POOL_SEED)
+    for _ in range(20):
+        run(sweepish_program(rng), random_input(rng), bench_limits.BUDGET)
+    group.append("random")
+    rng = random.Random(2)
+    for _ in range(40):
+        run(random_program(rng), random_input(rng), RunBudget(60, 4))
+    group.append("miracle")
+    witness = ReductionWitness(name="sweeping_miracle", kind="OTM", source="ZERO",
+                               target="PP", otm=parse_program(SWEEPING_MIRACLE))
+    single = hfsets.hf([hfsets.EMPTY])
+    # the oracle's answer is written back as a new Tape object equal to the
+    # one it replaces, so the next base reads that tape afresh
+    y, calls = run_with_miracle(witness, lambda s: s, single)
+    assert y is hfsets.EMPTY and calls >= 1
+    for name in group:
+        assert seen[name, "tapes carried"] > 0, (name, seen)
+    # most stage bases follow a base whose verdicts they carry
+    assert seen["stages", "bases"] >= 1000, seen
+    assert 2 * seen["stages", "bases with before"] > seen["stages", "bases"], seen
 
 
 def test_step_matches_the_reference_step(monkeypatch):

@@ -339,3 +339,11 @@ class TestSyntax:
 
     def test_interning_makes_equality_identity(self):
         assert parse_ordinal("w^2+3") is parse_ordinal("w^2+3")
+
+    def test_equality_and_hash_are_identity(self):
+        """Interned ordinals keep object's identity hash, so hashing a tuple
+        of them makes no Python call per ordinal."""
+        assert Ordinal.__hash__ is object.__hash__
+        assert Ordinal.__eq__ is object.__eq__
+        assert parse_ordinal("w+1") is add(OMEGA, ONE)
+        assert hash(parse_ordinal("w+1")) == hash(succ(OMEGA))
