@@ -183,10 +183,11 @@ def cmd_run(args) -> int:
     return status
 
 
-def _load_witness(spec: str):
+def _load_witness(spec: str, builtin: dict):
+    """The witness spec names: one of builtin (the catalog by name), a
+    manifest file, or a shipped manifest."""
     from . import reductions
 
-    builtin = reductions.builtin_witnesses()
     if spec in builtin:
         return builtin[spec]
     path = Path(spec)
@@ -208,12 +209,13 @@ def cmd_check(args) -> int:
         print("check: provide a witness (name or manifest) or --all, not both",
               file=sys.stderr)
         return EXIT_USAGE
-    names = sorted(reductions.builtin_witnesses()) if args.all else [args.witness]
+    builtin = reductions.builtin_witnesses()
+    names = sorted(builtin) if args.all else [args.witness]
     universe = hfsets.universe_rank_le(args.universe)
     checked = []
     cap = reductions.DEFAULT_CAP if args.cap is None else args.cap
     for name in names:
-        witness = _load_witness(name)
+        witness = _load_witness(name, builtin)
         report = reductions.verify_reduction(
             witness,
             universe,

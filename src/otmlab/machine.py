@@ -20,19 +20,19 @@ and, per tape:
 All-zero strides are an exact repetition: the configuration recurs.  After
 each successor step the executor tries an exact recurrence first, then the
 earlier configurations in the current state as sweep bases by increasing
-period.  A base blocks the tapes that are not constant on the w cells from
-their head, found once per base and carried over from the configuration
-before it for each tape whose content and head the step left alone, and a
-candidate that moves the head of a blocked tape is rejected by identity
-tests alone, since every sweep limit lies at least w cells beyond the base's
-head.  The rule reads the segment through a summary, so it serves every
-level: a period of successor steps the run already recorded (never
-re-executed), a run of earlier limits (which yields w*2, w^2, w^3, ...), or,
-in resolve_limit, which is given a certificate without the run behind it, a
-replay from the certificate's base.  Budgets bound both the successor steps
-and the number of limit jumps; anything uncertified is reported Unresolved,
-and a limit configuration that re-enters its own loop is a proof of
-divergence.
+period.  Beside each configuration it records the tapes the configuration
+blocks as a base, those not constant on the w cells from their head, each
+verdict carried over from the configuration before it for a tape whose
+content and head the step left alone.  A candidate that moves the head of a
+blocked tape is rejected by identity tests alone, since every sweep limit
+lies at least w cells beyond the base's head.  The rule reads the segment
+through a summary, so it serves every level: a period of successor steps
+the run already recorded (never re-executed), a run of earlier limits
+(which yields w*2, w^2, w^3, ...), or, in resolve_limit, which is given a
+certificate without the run behind it, a replay from the certificate's
+base.  Budgets bound both the successor steps and the number of limit
+jumps; anything uncertified is reported Unresolved, and a limit
+configuration that re-enters its own loop is a proof of divergence.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import MalformedCertificate
 from .ordinals import (
@@ -177,39 +177,27 @@ def _replay_period(
 # those minima would need infinitely many intervals).
 
 
-def _widen(lo: List[Ordinal], hi: List[Ordinal], heads: Sequence[Ordinal]):
-    """Widen each tape's visited bounds [lo, hi) to cover its head position.
-    A new least position lies below hi, so it is never a new greatest one."""
-    for i, h in enumerate(heads):
-        if compare(h, lo[i]) < 0:
-            lo[i] = h
-        elif compare(h, hi[i]) >= 0:
-            hi[i] = succ(h)
+def _widen(lo: List[Ordinal], hi: List[Ordinal], configs: Iterable[Configuration]):
+    """Widen each tape's visited bounds [lo, hi) to cover its head position in
+    each of configs.  A new least position lies below hi, so it is never a
+    new greatest one: given newest first, a head that moves right costs one
+    compare a configuration."""
+    for c in configs:
+        for i, h in enumerate(c.heads):
+            if compare(h, lo[i]) < 0:
+                lo[i] = h
+            elif compare(h, hi[i]) >= 0:
+                hi[i] = succ(h)
 
 
-class _HeadBounds:
-    """The visited bounds [lo, hi) of the last k steps of a run,
-    history[-1-k:-1], per tape.  k only grows, one configuration at a time,
-    and only as far as a caller asks."""
-
-    __slots__ = ("_history", "_k", "_lo", "_hi")
-
-    def __init__(self, history: Sequence[Configuration]):
-        self._history = history
-        self._k = 0
-
-    def upto(self, k: int) -> Tuple[List[Ordinal], List[Ordinal]]:
-        """(visited_lo, visited_hi) over the last k steps, k >= 1."""
-        history = self._history
-        if self._k == 0:
-            heads = history[-2].heads
-            self._lo = list(heads)
-            self._hi = [succ(h) for h in heads]
-            self._k = 1
-        while self._k < k:
-            self._k += 1
-            _widen(self._lo, self._hi, history[-1 - self._k].heads)
-        return list(self._lo), list(self._hi)
+def _visited_bounds(
+    configs: Sequence[Configuration],
+) -> Tuple[List[Ordinal], List[Ordinal]]:
+    """Per tape, the bounds [lo, hi) of its head positions in configs."""
+    lo = list(configs[-1].heads)
+    hi = [succ(h) for h in lo]
+    _widen(lo, hi, configs[-2::-1])
+    return lo, hi
 
 
 class _Summary:
@@ -233,7 +221,7 @@ class _Summary:
 
     @classmethod
     def of(cls, configs: Sequence[Configuration]) -> "_Summary":
-        return cls(configs, *_HeadBounds(configs).upto(len(configs) - 1))
+        return cls(configs, *_visited_bounds(configs[:-1]))
 
     def within(self, i: int, lo: Ordinal, hi: Ordinal) -> bool:
         """Whether every position head i was stepped from lies in [lo, hi).
@@ -330,26 +318,6 @@ def _blocked_tapes(
         elif tape.constant_ahead(h) is None:
             blocked.append(i)
     return tuple(blocked)
-
-
-def _sweep_prefilter(
-    base: Configuration, end: Configuration
-) -> Optional[Tuple[Ordinal, ...]]:
-    """The strides of the sweep from base to end, or None when it fails a
-    check of _resolve_loop that reads no segment summary: _strides finds no
-    translation, or a stationary tape changed content.  The third such check,
-    that a swept tape is constant ahead of its sweep, is _detect's screen: a
-    head moves right at most one cell a step, so every stride here is finite
-    and every sweep limit is h0 + w, and a swept tape is constant ahead of
-    its sweep exactly when base does not block it."""
-    strides = _strides(base, end)
-    if strides is None:
-        return None
-    for i, d in enumerate(strides):
-        tape = base.tapes[i]
-        if d.is_zero and tape is not end.tapes[i] and tape != end.tapes[i]:
-            return None
-    return strides
 
 
 def _limit_time(base: Configuration, end: Configuration) -> Ordinal:
@@ -584,13 +552,16 @@ class _Runner:
         The end's configuration key is hashed once: index maps it to the
         end's position unless an earlier configuration holds it.
 
-        The screen runs in this loop, before any call: a base whose blocked
-        tapes (found once per base by _blocked_tapes, which carries over the
-        verdicts of the configuration before the base when it knows them)
-        include one whose head the end has moved is skipped by identity
-        tests alone.  Only a base that passes it reaches _sweep_prefilter,
-        and only a candidate that passes that builds the segment's
-        _HeadBounds."""
+        Each check of _resolve_loop that reads no segment summary runs here
+        first.  The screen skips a base whose blocked tapes (recorded by run
+        beside it) include one whose head the end moved, by identity tests
+        alone: a head moves right at most one cell a step, so every stride
+        here is finite, every sweep limit is h0 + w, and a swept tape is
+        constant ahead of its sweep exactly when base does not block it.
+        Then _strides must find a translation and each stationary tape keep
+        its content.  The visited head bounds grow with the period, so each
+        candidate that passes widens them by the positions the one before
+        it did not cover."""
         end = history[-1]
         n = len(history) - 1
         i = index.setdefault(end.key(), n)
@@ -600,36 +571,38 @@ class _Runner:
             limit, tail = _resolve_loop(base, end, strides, _Summary.of(history[i:]))
             cert = LoopCertificate(base, n - i, strides)
             return "cycle", cert, limit, tail
-        end_heads = end.heads
-        blocked_of = self._blocked
-        bounds = None
+        end_heads, end_tapes = end.heads, end.tapes
+        blocked = self._blocked
+        # the visited bounds of history[folded:n], once a candidate needs them
+        lo = hi = None
+        folded = n
         for b in reversed(self._by_state.get(end.state, ())):
             period = n - b
             if period > _SWEEP_MAX_PERIOD:
                 break
             base = history[b]
-            # the screen: the end moved the head of a tape base blocks
-            blocked = blocked_of.get(b)
-            if blocked is None:
-                known = blocked_of.get(b - 1)
-                before = None if known is None else history[b - 1]
-                blocked = blocked_of[b] = _blocked_tapes(base, before, known)
             base_heads = base.heads
             moved = False
-            for t in blocked:
+            for t in blocked[b]:
                 if end_heads[t] is not base_heads[t]:
                     moved = True
                     break
             if moved:
                 continue
-            strides = _sweep_prefilter(base, end)
+            strides = _strides(base, end)
+            for t, d in enumerate(strides or ()):
+                tape = base.tapes[t]
+                if d.is_zero and tape is not end_tapes[t] and tape != end_tapes[t]:
+                    strides = None
+                    break
             if strides is None:
                 continue
-            if bounds is None:
-                bounds = _HeadBounds(history)
-            # the visited bounds grow with the period, so each candidate only
-            # folds in the positions the previous one did not cover
-            unit = _Summary(history[b:], *bounds.upto(period))
+            if lo is None:
+                lo, hi = _visited_bounds(history[b:n])
+            else:
+                _widen(lo, hi, reversed(history[b:folded]))
+            folded = b
+            unit = _Summary(history[b:], lo, hi)
             try:
                 limit, tail = _resolve_loop(base, end, strides, unit)
             except MalformedCertificate:
@@ -674,13 +647,13 @@ class _Runner:
         entries: List[Tuple[Configuration, _Summary]] = []
 
         while True:
-            # the segment's run, each configuration's index in it, the indices
-            # of each state, and the tapes each sweep base tried so far blocks
+            # the segment's run, the tapes each of its configurations blocks,
+            # each configuration's index in it, and the indices of each state
             history: List[Configuration] = [config]
+            blocked = self._blocked = [_blocked_tapes(config)]
             index: Dict[tuple, int] = {config.key(): 0}
             self._by_state: Dict[int, List[int]] = defaultdict(list)
             self._by_state[config.state].append(0)
-            self._blocked: Dict[int, Tuple[int, ...]] = {}
 
             while True:
                 if config.state in program.halt_states:
@@ -699,6 +672,7 @@ class _Runner:
                 if traces_steps:
                     self._emit_step(before, config)
                 history.append(config)
+                blocked.append(_blocked_tapes(config, before, blocked[-1]))
 
                 found = self._detect(history, index)
                 if found is not None:

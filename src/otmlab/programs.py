@@ -2,7 +2,9 @@
 
 A Program is an ordinary finite transition table over named states and a
 fixed ordered list of tape roles; the transfinite behaviour all lives in the
-executor.  Each program also keeps one action table, built with the checks
+executor.  A program checks its whole table when it is built: every state
+index it names is one of its states, and every bit read or written is 0 or
+1.  Each program also keeps one action table, built with the checks
 of its transitions: per (state, reads), the next state, the cells to flip
 and the heads to move, which is all a successor step does.  Configurations
 are immutable snapshots (state, one ordinal head and one sparse tape per
@@ -64,15 +66,36 @@ class Program:
             raise ValueError("the miracle state cannot be a halt state")
         if self.miracle_state is not None and "miracle" not in self.tape_roles:
             raise ValueError("a miracle state needs a 'miracle' tape")
+        states = range(len(self.state_names))
+        named = [("start", self.start_state)] + [("halt", h) for h in self.halt_states]
+        if self.miracle_state is not None:
+            named.append(("miracle", self.miracle_state))
+        for kind, state in named:
+            if state not in states:
+                raise ValueError(f"unknown {kind} state {state!r}")
         n = len(self.tape_roles)
         actions = {}
         for (state, reads), tr in self.transitions.items():
+            if state not in states:
+                raise ValueError(f"transition in unknown state {state!r}")
             if len(reads) != n or len(tr.writes) != n or len(tr.moves) != n:
                 raise ValueError(f"transition arity mismatch in state {state}")
             if any(m not in MOVES for m in tr.moves):
                 raise ValueError(f"bad move in state {state}")
             if state in self.halt_states:
                 raise ValueError(f"halt state {state} has transitions")
+            name = self.state_names[state]
+            if tr.next_state not in states:
+                raise ValueError(
+                    f"unknown next state {tr.next_state!r} in state {name!r}"
+                )
+            for verb, bits in (("read", reads), ("written", tr.writes)):
+                for role, bit in zip(self.tape_roles, bits):
+                    if bit not in (0, 1):
+                        raise ValueError(
+                            f"{verb} bit {bit!r} on tape {role!r} in state "
+                            f"{name!r} is not 0 or 1"
+                        )
             flips = tuple([(i, w) for i, w in enumerate(tr.writes) if w != reads[i]])
             moves = tuple([(i, m) for i, m in enumerate(tr.moves) if m != "S"])
             actions[(state, reads)] = (tr.next_state, flips, moves)

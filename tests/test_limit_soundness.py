@@ -402,14 +402,17 @@ def _naive_bounds(positions):
 def test_folded_summaries_match_the_recorded_run(monkeypatch):
     """At every step, the segment summary read off the recorded run
     (_Summary.of(history), as the runner builds it at a jump) equals the fold
-    of every configuration since the segment start, and every candidate
-    period's visited bounds, extended lazily as _detect extends them, equal a
-    scan of every position a head was stepped from.  At every level-0 jump,
-    the summary the runner combines with the loop's tail is that fold."""
-    naive = {"history": None, "n": 0, "acc": None}
-    checked = {"steps": 0, "jumps": 0, "windows": 0, "skipped": 0}
+    of every configuration since the segment start, and so does the summary
+    of every candidate period for its window checks.  Every level-0
+    candidate that reaches _resolve_loop has the visited bounds of a scan of
+    every position a head was stepped from in its segment, though _detect
+    widens them from one candidate to the next.  At every level-0 jump, the
+    summary the runner combines with the loop's tail is that fold."""
+    naive = {"history": None, "n": 0, "acc": None, "last": None}
+    checked = collections.Counter()
     detect = machine._Runner._detect
     combine = machine._combine_stats
+    resolve = machine._resolve_loop
 
     def assert_naive_fold(seg, history):
         assert seg.acc == naive["acc"]
@@ -428,6 +431,27 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
             checked["jumps"] += 1
         return combine(parts)
 
+    def checked_resolve(base, end, strides, unit):
+        # a level-0 candidate reads its segment; a limit-level one, combined
+        # from earlier summaries, has no configurations
+        segment = unit._configs
+        if segment:
+            assert segment[0] is base and segment[-1] is end
+            period = len(segment) - 1
+            for i in range(len(base.heads)):
+                positions = [c.heads[i] for c in segment[:-1]]
+                bounds = (unit.visited_lo[i], unit.visited_hi[i])
+                assert bounds == _naive_bounds(positions)
+            if any(not d.is_zero for d in strides):
+                # a later candidate of the same step widens the bounds of the
+                # one before it, possibly over periods that no candidate took
+                checked["candidates"] += 1
+                last = naive["last"]
+                if last is not None:
+                    checked["skipped"] += period - last > 1
+                naive["last"] = period
+        return resolve(base, end, strides, unit)
+
     def checked_detect(self, history, index):
         if naive["history"] is not history:
             naive.update(history=history, n=1, acc=list(history[0].tapes))
@@ -436,34 +460,22 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
         naive["n"] = len(history)
         assert_naive_fold(machine._Summary.of(history), history)
         checked["steps"] += 1
-        n_tapes = len(history[0].tapes)
 
         end = history[-1]
-        every = machine._HeadBounds(history)
-        lazy = machine._HeadBounds(history)
-        last = 0
         for period in range(1, min(machine._SWEEP_MAX_PERIOD, len(history) - 1) + 1):
             base = history[-1 - period]
-            units = [machine._Summary(history[-1 - period :], *every.upto(period))]
-            if machine._strides(base, end) is not None:
-                checked["skipped"] += period - last > 1
-                last = period
-                units.append(
-                    machine._Summary(history[-1 - period :], *lazy.upto(period))
-                )
-            for i in range(n_tapes):
+            unit = machine._Summary.of(history[-1 - period :])
+            for i in range(len(end.heads)):
                 positions = [c.heads[i] for c in history[-1 - period : -1]]
                 lo, hi = base.heads[i], end.heads[i]
-                want = all(lo <= h < hi for h in positions)
-                for unit in units:
-                    assert unit.within(i, lo, hi) == want
-                    bounds = (unit.visited_lo[i], unit.visited_hi[i])
-                    assert bounds == _naive_bounds(positions)
+                assert unit.within(i, lo, hi) == all(lo <= h < hi for h in positions)
                 checked["windows"] += 1
+        naive["last"] = None
         return detect(self, history, index)
 
     monkeypatch.setattr(machine._Runner, "_detect", checked_detect)
     monkeypatch.setattr(machine, "_combine_stats", checked_combine)
+    monkeypatch.setattr(machine, "_resolve_loop", checked_resolve)
 
     rng = random.Random(20261018)
     with monkeypatch.context() as m:
@@ -480,6 +492,7 @@ def test_folded_summaries_match_the_recorded_run(monkeypatch):
     assert checked["steps"] > 1200
     assert checked["jumps"] > 10
     assert checked["windows"] > 20000
+    assert checked["candidates"] > 2000
     assert checked["skipped"] > 1000
 
 
@@ -699,11 +712,12 @@ def test_detection_resolves_only_candidates_its_prefilter_cannot_reject(monkeypa
 
 def test_no_sweep_candidate_moves_the_head_of_a_tape_its_base_blocks(monkeypatch):
     """A base blocks the tapes that are not constant on the w cells from
-    their head, and _detect finds every base's verdict through one
-    _blocked_tapes call, carried over or not.  On the shipped .otm stages, seeded sweep-biased programs and
-    left-moving random_program runs, no candidate that reaches _strides from
-    _detect moves the head of a tape its base blocks: _detect rejects those
-    by head identity before _strides runs."""
+    their head, and the runner records every configuration's verdict through
+    one _blocked_tapes call, carried over or not.  On the shipped .otm
+    stages, seeded sweep-biased programs and left-moving random_program
+    runs, no candidate that reaches _strides from _detect moves the head of
+    a tape its base blocks: _detect rejects those by head identity before
+    _strides runs."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import limits as bench_limits
     import stages as bench_stages
@@ -779,40 +793,52 @@ rule qd -> goto done;
 
 
 def test_carried_blocked_verdicts_match_a_fresh_scan(monkeypatch):
-    """At every base _detect reads, the blocked tapes _blocked_tapes returns,
-    with the verdicts of the configuration before the base carried over or
-    not, are the tapes a fresh Tape.constant_ahead scan finds not constant
-    ahead of their head.  Covers the shipped .otm stages, seeded
-    sweep-biased programs, left-moving random_program runs and an OTM
-    witness run whose miracle hook rewrites a tape inside the swept loop."""
+    """Beside the recorded run, the runner keeps one entry per recorded
+    configuration: the blocked tapes _blocked_tapes returns, with the
+    verdicts of the configuration before it carried over or not, which are
+    the tapes a fresh Tape.constant_ahead scan finds not constant ahead of
+    their head.  Covers the shipped .otm stages, seeded sweep-biased
+    programs, left-moving random_program runs and an OTM witness run whose
+    miracle hook rewrites a tape inside the swept loop."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import limits as bench_limits
     import stages as bench_stages
     from otmlab.reductions import ReductionWitness, run_with_miracle
 
     blocked_tapes = machine._blocked_tapes
+    detect = machine._Runner._detect
     seen = collections.Counter()
     group = []
+    scanned = {"history": None, "n": 0}
+
+    def checked_detect(self, history, index):
+        assert len(self._blocked) == len(history)
+        if scanned["history"] is not history:
+            scanned.update(history=history, n=0)
+        n = scanned["n"]
+        for config, blocked in zip(history[n:], self._blocked[n:]):
+            fresh = tuple(
+                i for i, (tape, h) in enumerate(zip(config.tapes, config.heads))
+                if tape.constant_ahead(h) is None
+            )
+            assert blocked == fresh, (blocked, fresh)
+            seen[group[-1], "configurations"] += 1
+        scanned["n"] = len(history)
+        return detect(self, history, index)
 
     def checked_blocked(base, before=None, known=None):
-        blocked = blocked_tapes(base, before, known)
-        fresh = tuple(
-            i for i, (tape, h) in enumerate(zip(base.tapes, base.heads))
-            if tape.constant_ahead(h) is None
-        )
-        assert blocked == fresh, (blocked, fresh)
-        seen[group[-1], "bases"] += 1
         if known is not None:
             assert ordinals.succ(before.time) is base.time
-            seen[group[-1], "bases with before"] += 1
+            seen[group[-1], "configurations with before"] += 1
             seen[group[-1], "tapes carried"] += sum(
                 tape is old and h is h_old
                 for tape, old, h, h_old in zip(
                     base.tapes, before.tapes, base.heads, before.heads
                 )
             )
-        return blocked
+        return blocked_tapes(base, before, known)
 
+    monkeypatch.setattr(machine._Runner, "_detect", checked_detect)
     monkeypatch.setattr(machine, "_blocked_tapes", checked_blocked)
 
     group.append("stages")
@@ -836,10 +862,12 @@ def test_carried_blocked_verdicts_match_a_fresh_scan(monkeypatch):
     y, calls = run_with_miracle(witness, lambda s: s, single)
     assert y is hfsets.EMPTY and calls >= 1
     for name in group:
+        assert seen[name, "configurations"] > 0, (name, seen)
         assert seen[name, "tapes carried"] > 0, (name, seen)
-    # most stage bases follow a base whose verdicts they carry
-    assert seen["stages", "bases"] >= 1000, seen
-    assert 2 * seen["stages", "bases with before"] > seen["stages", "bases"], seen
+    # most stage configurations follow one whose verdicts they carry
+    stages = seen["stages", "configurations"]
+    assert stages >= 1000, seen
+    assert 2 * seen["stages", "configurations with before"] > stages, seen
 
 
 def test_step_matches_the_reference_step(monkeypatch):

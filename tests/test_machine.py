@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -687,6 +688,30 @@ class TestAsmErrors:
         miracle state and its transitions to the rules the parser enforces."""
         with pytest.raises(ValueError, match=f"^{problem}$"):
             Program(("q0", "q1"), roles, 0, halts, transitions, miracle_state=0)
+
+    # a two-state program, q1 its halt state, whose q0 rules all stay in q0:
+    # each row changes one of its rules or its start state
+    @pytest.mark.parametrize("rule, start, problem", [
+        ({(0, (0, 0, 0)): Transition((0, 0, 0), ("S",) * 3, 7)}, 0,
+         "unknown next state 7 in state 'q0'"),
+        ({}, 5, "unknown start state 5"),
+        ({(0, (2, 0, 0)): Transition((0, 0, 0), ("S",) * 3, 0)}, 0,
+         "read bit 2 on tape 'in' in state 'q0' is not 0 or 1"),
+        ({(0, (0, 0, 0)): Transition((0, 0, 2), ("S",) * 3, 0)}, 0,
+         "written bit 2 on tape 'out' in state 'q0' is not 0 or 1"),
+    ], ids=["next state", "start state", "read bit", "written bit"])
+    def test_program_refuses_a_state_or_bit_out_of_range(self, rule, start, problem):
+        """A table that names a state the program does not have, or a bit
+        other than 0 or 1, is refused when the Program is built, with the
+        state and the tape role named, not at the first step that meets it."""
+        transitions = {
+            (0, reads): Transition((0, 0, 0), ("S",) * 3, 0)
+            for reads in itertools.product((0, 1), repeat=3)
+        }
+        transitions.update(rule)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            Program(("q0", "q1"), ("in", "work", "out"), start, frozenset({1}),
+                    transitions)
 
     def test_parse_errors_have_spans(self):
         for bad in ["tapes in work; state q0;", "state q0;", "tapes in work out; rule q0;"]:
